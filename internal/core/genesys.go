@@ -540,9 +540,9 @@ func (g *Genesys) populateSlot(w *gpu.Wavefront, lane int, req syscalls.Request,
 
 // pollWaiter drives one wavefront's WaitPoll loop as engine-loop
 // callbacks instead of process wake-ups. The classic loop costs two
-// goroutine channel switches per polling load (the atomic-load latency
-// sleep and the poll-interval sleep are both process resumptions); at
-// fleet scale that handoff traffic dominates host wall clock. The state
+// process resumptions per polling load (the atomic-load latency sleep
+// and the poll-interval sleep); at fleet scale that handoff traffic
+// dominates host wall clock. The state
 // machine below replays the *identical* control flow — every sleep
 // becomes a callback scheduled at the same instant, in the same order,
 // performing the same memory-model mutations and random draws — so the

@@ -212,6 +212,7 @@ type KernelRun struct {
 	gbArrived int
 	gbGen     int
 	gbCond    *sim.Cond
+	gbWhy     string // deadlock-report reason, built on the first wait
 }
 
 // Launch submits k from a host CPU process, charging the launch overhead,
@@ -309,6 +310,7 @@ type WorkGroup struct {
 	barGen   int
 	barCount int
 	barCond  *sim.Cond
+	barWhy   string // deadlock-report reason, built on the first wait
 
 	// Shared is scratch state shared by the work-group's wavefronts,
 	// standing in for LDS.
@@ -455,7 +457,7 @@ type Wavefront struct {
 	dev        *Device
 	halted     bool
 	resumeCond *sim.Cond
-	barWaiting bool
+	haltWhy    string // deadlock-report reason, built on the first halt
 }
 
 // Device returns the GPU this wavefront runs on.
@@ -530,8 +532,11 @@ func (w *Wavefront) Barrier() {
 		wg.barCond.Broadcast()
 		return
 	}
+	if wg.barWhy == "" {
+		wg.barWhy = fmt.Sprintf("wg barrier (%s/wg%d)", wg.Run.Name, wg.ID)
+	}
 	for wg.barGen == gen {
-		wg.barCond.Wait(w.P, fmt.Sprintf("wg barrier (%s/wg%d)", wg.Run.Name, wg.ID))
+		wg.barCond.Wait(w.P, wg.barWhy)
 	}
 }
 
@@ -552,8 +557,11 @@ func (w *Wavefront) GlobalBarrier() {
 		kr.gbCond.Broadcast()
 		return
 	}
+	if kr.gbWhy == "" {
+		kr.gbWhy = fmt.Sprintf("kernel-scope barrier (%s)", kr.Name)
+	}
 	for kr.gbGen == gen {
-		kr.gbCond.Wait(w.P, fmt.Sprintf("kernel-scope barrier (%s)", kr.Name))
+		kr.gbCond.Wait(w.P, kr.gbWhy)
 	}
 }
 
@@ -582,8 +590,11 @@ func (w *Wavefront) Halt() {
 	start := w.dev.e.Now()
 	w.halted = true
 	w.dev.utilHalted.Add(start, 1)
+	if w.haltWhy == "" {
+		w.haltWhy = fmt.Sprintf("halted wavefront hw%d", w.HWSlot)
+	}
 	for w.halted {
-		w.resumeCond.Wait(w.P, fmt.Sprintf("halted wavefront hw%d", w.HWSlot))
+		w.resumeCond.Wait(w.P, w.haltWhy)
 	}
 	w.P.Sleep(w.dev.cfg.ResumeLatency)
 	w.dev.utilHalted.Add(w.dev.e.Now(), -1)

@@ -442,3 +442,47 @@ func TestCyclesTime(t *testing.T) {
 		t.Fatalf("CyclesTime(758) = %v", got)
 	}
 }
+
+// TestWaitReasonsInDeadlockReport pins the deadlock-report text of every
+// GPU wait state: work-group barrier, halt, and kernel-scope barrier.
+func TestWaitReasonsInDeadlockReport(t *testing.T) {
+	e, d := newDev(1)
+	var haltSlot int
+	e.Spawn("host", func(p *sim.Proc) {
+		d.Launch(p, Kernel{
+			Name: "k", WorkGroups: 1, WGSize: 128,
+			Fn: func(w *Wavefront) {
+				if w.ID == 0 {
+					haltSlot = w.HWSlot
+					w.Halt() // never resumed
+				}
+				w.Barrier()
+			},
+		}).Wait(p)
+	})
+	e.Spawn("host2", func(p *sim.Proc) {
+		d.Launch(p, Kernel{
+			Name: "gb", WorkGroups: 32, WGSize: 1024,
+			Fn: func(w *Wavefront) {
+				if w.IsKernelLeader() {
+					w.GlobalBarrier()
+				}
+			},
+		}).Wait(p)
+	})
+	var dl *sim.ErrDeadlock
+	if err := e.Run(); !errors.As(err, &dl) {
+		t.Fatalf("err = %v, want deadlock", err)
+	}
+	want := []string{
+		"gb/wg0/wf0 (kernel-scope barrier (gb))",
+		"host (kernel k completion)",
+		"host2 (kernel gb completion)",
+		fmt.Sprintf("k/wg0/wf0 (halted wavefront hw%d)", haltSlot),
+		"k/wg0/wf1 (wg barrier (k/wg0))",
+	}
+	if fmt.Sprint(dl.Blocked) != fmt.Sprint(want) {
+		t.Fatalf("blocked = %q\nwant      %q", dl.Blocked, want)
+	}
+	e.Shutdown()
+}

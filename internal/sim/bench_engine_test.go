@@ -217,8 +217,8 @@ func BenchmarkEngineDrain(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSpawn measures goroutine-backed proc creation,
-// execution, and reaping in batches.
+// BenchmarkEngineSpawn measures proc creation (one iter.Pull coroutine
+// each), execution, and reaping in batches.
 func BenchmarkEngineSpawn(b *testing.B) {
 	e := NewEngine(1)
 	const batch = 256
@@ -239,9 +239,10 @@ func BenchmarkEngineSpawn(b *testing.B) {
 }
 
 // BenchmarkEngineProcHandoff ping-pongs two procs through a pair of
-// capacity-1 queues: the full unblock → ready queue → channel-switch
+// capacity-1 queues: the full unblock → ready queue → coroutine-switch
 // cost of proc-mode communication, for comparison against
-// BenchmarkEngineCallbackHop.
+// BenchmarkEngineCallbackHop. Both sides block on every operation, and
+// the round trip allocates nothing.
 func BenchmarkEngineProcHandoff(b *testing.B) {
 	e := NewEngine(1)
 	ping := NewQueue[int](e, "ping", 1)

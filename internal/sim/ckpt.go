@@ -11,7 +11,7 @@ import (
 // counter, the mechanical stats, every pending event (heap and ready
 // queue merged, in (time, sequence) order) and every live process.
 //
-// Closures and goroutine stacks cannot be serialized from Go, so the
+// Closures and coroutine stacks cannot be serialized from Go, so the
 // encoding describes each pending event by its instant, sequence number
 // and kind (the resuming process's name, or "callback"); it is a state
 // *fingerprint*, not a resumable image. Restore (internal/ckpt) instead
@@ -48,12 +48,7 @@ func (e *Engine) CheckpointState() []byte {
 		}
 		evs = append(evs, ev)
 	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].t != evs[j].t {
-			return evs[i].t < evs[j].t
-		}
-		return evs[i].seq < evs[j].seq
-	})
+	sort.Slice(evs, func(i, j int) bool { return eventLess(&evs[i], &evs[j]) })
 	fmt.Fprintf(&b, "pending %d\n", len(evs))
 	for _, ev := range evs {
 		kind := "callback"

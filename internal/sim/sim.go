@@ -7,14 +7,15 @@
 //   - callbacks: plain functions scheduled with At/After (cancellable) or
 //     CallAt/CallAfter (fire-and-forget, allocation-free); they run inline
 //     in the engine loop and must not block, and
-//   - processes: goroutines written in ordinary imperative style that
+//   - processes: coroutines written in ordinary imperative style that
 //     interact with virtual time through Sleep, Cond.Wait, Queue and
 //     Resource operations.
 //
-// Exactly one process (or the engine loop itself) runs at any instant; the
-// engine hands a single execution token back and forth over channels, so
-// simulations are bit-deterministic for a given seed and free of data
-// races by construction.
+// Exactly one process (or the engine loop itself) runs at any instant:
+// the engine resumes a process's coroutine (iter.Pull) and the process
+// suspends back into the engine when it blocks, so simulations are
+// bit-deterministic for a given seed and free of data races by
+// construction.
 //
 // Internally the engine keeps two event containers whose union is always
 // consumed in strict (time, sequence) order:
@@ -34,7 +35,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime/debug"
 	"sort"
 	"strings"
 )
@@ -78,51 +78,6 @@ func (t Time) String() string {
 		return fmt.Sprintf("%.4fs", t.Seconds())
 	}
 }
-
-// procState tracks where a process is in its lifecycle.
-type procState int
-
-const (
-	procNew procState = iota
-	procRunnable
-	procRunning
-	procBlocked
-	procDone
-)
-
-type killSignal struct{}
-
-// Proc is a simulated process: a goroutine whose interaction with time is
-// mediated by the engine. All Proc methods must be called from the
-// process's own goroutine.
-type Proc struct {
-	e       *Engine
-	name    string
-	wake    chan struct{}
-	state   procState
-	reason  string // why the proc is blocked, for deadlock reports
-	idx     int    // position in Engine.procs, for swap-remove reaping
-	daemon  bool
-	killed  bool
-	started bool
-
-	// cw is this process's condition-variable waiter, embedded so Cond
-	// waits allocate nothing: a suspended process occupies at most one
-	// wait list at a time (see sync.go).
-	cw condWaiter
-}
-
-// Name returns the process name given at spawn time.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.e }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.e.now }
-
-// Rand returns the engine's deterministic random source.
-func (p *Proc) Rand() *rand.Rand { return p.e.Rand }
 
 // event is one scheduled occurrence, stored by value in the heap or the
 // ready queue. Exactly one of p or fn is set; tmr is non-nil only for
@@ -182,7 +137,7 @@ func (t *Timer) Cancel() {
 // EngineStats counts the engine's own mechanics: how many events were
 // scheduled, how many took the same-instant ready-queue fast path
 // (bypassing the heap), how many callbacks ran inline versus process
-// resumptions (each resumption costs two goroutine channel switches), and
+// resumptions (each resumption is one coroutine switch in and one out), and
 // timer/process lifecycle totals. They never influence virtual-time
 // behavior; they exist so host-throughput work (events per host-second)
 // is measurable, and are exported in the obs metrics registry under
@@ -191,7 +146,7 @@ type EngineStats struct {
 	Scheduled      uint64 // events ever scheduled (heap, ready queue or wheel)
 	ReadyFast      uint64 // events that bypassed the heap via the ready queue
 	CallbacksRun   uint64 // callback events executed inline
-	ProcSwitches   uint64 // engine→process token handoffs (resumptions)
+	ProcSwitches   uint64 // engine→process coroutine resumptions
 	TimersCanceled uint64 // At/After timers canceled before firing
 	WheelScheduled uint64 // far-future events routed to the timer wheel
 	WheelCanceled  uint64 // timers canceled while wheel-resident (O(1) removals)
@@ -225,9 +180,7 @@ type Engine struct {
 	// wheel.go), so the heap stays shallow under fleet-scale timer loads.
 	wh timerWheel
 
-	yield chan struct{}
-
-	// inProc is true while a process holds the execution token; it guards
+	// inProc is true while a process body is running; it guards
 	// ResumeInline against being called outside callback context.
 	inProc bool
 
@@ -244,10 +197,7 @@ type Engine struct {
 
 // NewEngine returns an engine whose random source is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		yield: make(chan struct{}),
-		Rand:  rand.New(rand.NewSource(seed)),
-	}
+	return &Engine{Rand: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -420,24 +370,17 @@ func (e *Engine) place(ev event) {
 	e.heapPush(ev)
 }
 
-func (e *Engine) schedule(t Time, p *Proc, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, e.now))
-	}
-	e.seq++
-	e.stats.Scheduled++
-	e.place(event{t: t, seq: e.seq, p: p, fn: fn})
-}
+func (e *Engine) schedule(t Time, p *Proc, fn func()) { e.enqueue(event{t: t, p: p, fn: fn}) }
 
-func (e *Engine) scheduleTimer(t Time, fn func()) *Timer {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, e.now))
+// enqueue stamps ev with the next sequence number and places it.
+func (e *Engine) enqueue(ev event) {
+	if ev.t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", ev.t, e.now))
 	}
-	tm := &Timer{e: e, loc: timerInert}
 	e.seq++
+	ev.seq = e.seq
 	e.stats.Scheduled++
-	e.place(event{t: t, seq: e.seq, fn: fn, tmr: tm})
-	return tm
+	e.place(ev)
 }
 
 // At schedules fn to run as a callback at absolute time t. Callbacks run
@@ -445,12 +388,12 @@ func (e *Engine) scheduleTimer(t Time, fn func()) *Timer {
 // cancel the callback; code that never cancels should prefer CallAt,
 // which allocates nothing.
 func (e *Engine) At(t Time, fn func()) *Timer {
-	return e.scheduleTimer(t, fn)
+	return e.AtReuse(t, fn, nil)
 }
 
 // After schedules fn to run as a callback d from now.
 func (e *Engine) After(d Time, fn func()) *Timer {
-	return e.scheduleTimer(e.now+d, fn)
+	return e.AtReuse(e.now+d, fn, nil)
 }
 
 // AtReuse is At recycling tm — a Timer from a previous arm that has
@@ -460,14 +403,9 @@ func (e *Engine) After(d Time, fn func()) *Timer {
 // request (the fleet session timeout) stays allocation-free this way.
 func (e *Engine) AtReuse(t Time, fn func(), tm *Timer) *Timer {
 	if tm == nil || tm.e != e || tm.loc != timerInert {
-		return e.scheduleTimer(t, fn)
+		tm = &Timer{e: e, loc: timerInert}
 	}
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, e.now))
-	}
-	e.seq++
-	e.stats.Scheduled++
-	e.place(event{t: t, seq: e.seq, fn: fn, tmr: tm})
+	e.enqueue(event{t: t, fn: fn, tmr: tm})
 	return tm
 }
 
@@ -486,99 +424,6 @@ func (e *Engine) CallAfter(d Time, fn func()) {
 	e.schedule(e.now+d, nil, fn)
 }
 
-// Spawn starts a new process named name running fn. The process begins
-// execution at the current virtual time, after the caller next yields to
-// the engine.
-func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	return e.spawn(name, fn, false)
-}
-
-// SpawnDaemon starts a process that is expected to block forever (worker
-// pools, dispatchers). Daemons do not count toward deadlock detection and
-// are reaped by Shutdown.
-func (e *Engine) SpawnDaemon(name string, fn func(*Proc)) *Proc {
-	return e.spawn(name, fn, true)
-}
-
-func (e *Engine) spawn(name string, fn func(*Proc), daemon bool) *Proc {
-	p := &Proc{e: e, name: name, wake: make(chan struct{}), daemon: daemon}
-	p.idx = len(e.procs)
-	e.procs = append(e.procs, p)
-	e.live++
-	e.stats.ProcsSpawned++
-	if !daemon {
-		e.liveUser++
-	}
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, isKill := r.(killSignal); !isKill && e.fatal == nil {
-					e.fatal = fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
-				}
-			}
-			p.state = procDone
-			e.live--
-			if !p.daemon {
-				e.liveUser--
-			}
-			e.reap(p)
-			e.yield <- struct{}{}
-		}()
-		<-p.wake
-		if p.killed {
-			panic(killSignal{})
-		}
-		p.state = procRunning
-		fn(p)
-	}()
-	e.schedule(e.now, p, nil)
-	p.state = procRunnable
-	return p
-}
-
-// reap removes a completed process from the proc table by swap-remove, so
-// long-running simulations do not accumulate one *Proc per retired
-// activity (e.g. per retired wavefront). It runs in the dying process's
-// goroutine while the engine is parked in resume(), so the table is never
-// touched concurrently; deadlock reports and Shutdown only ever need the
-// still-live processes that remain.
-func (e *Engine) reap(p *Proc) {
-	last := len(e.procs) - 1
-	if p.idx < 0 || p.idx > last || e.procs[p.idx] != p {
-		return
-	}
-	moved := e.procs[last]
-	e.procs[p.idx] = moved
-	moved.idx = p.idx
-	e.procs[last] = nil
-	e.procs = e.procs[:last]
-	p.idx = -1
-	e.stats.ProcsReaped++
-}
-
-// resume hands the execution token to p and waits for it to come back.
-func (e *Engine) resume(p *Proc) {
-	if p.state == procDone {
-		return
-	}
-	e.stats.ProcSwitches++
-	e.inProc = true
-	p.wake <- struct{}{}
-	<-e.yield
-	e.inProc = false
-}
-
-// switchToEngine gives the token back to the engine and blocks until the
-// engine resumes this process.
-func (p *Proc) switchToEngine() {
-	p.e.yield <- struct{}{}
-	<-p.wake
-	if p.killed {
-		panic(killSignal{})
-	}
-	p.state = procRunning
-}
-
 // Sleep suspends the process for duration d of virtual time.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
@@ -588,22 +433,19 @@ func (p *Proc) Sleep(d Time) {
 		return
 	}
 	p.e.schedule(p.e.now+d, p, nil)
-	p.state = procBlocked
-	p.reason = "sleep"
-	p.switchToEngine()
+	p.block("sleep")
 }
 
 // Yield reschedules the process at the current time, letting any other
 // event scheduled for this instant run first.
 func (p *Proc) Yield() {
 	p.e.schedule(p.e.now, p, nil)
-	p.state = procBlocked
-	p.reason = "yield"
-	p.switchToEngine()
+	p.block("yield")
 }
 
-// block suspends the process with no scheduled wake-up; something else
-// (a Cond, Queue or Resource) must schedule its resumption.
+// block suspends the process until its resumption event runs: one
+// already scheduled (Sleep, Yield) or one a Cond, Queue or Resource
+// schedules later.
 func (p *Proc) block(reason string) {
 	p.state = procBlocked
 	p.reason = reason
@@ -621,12 +463,10 @@ func (p *Proc) unblock() {
 // resumption is not a scheduled event: the process continues inside the
 // event that resumed it, at the same (t, seq) position. reason is shown
 // in deadlock reports.
-func (p *Proc) Park(reason string) {
-	p.block(reason)
-}
+func (p *Proc) Park(reason string) { p.block(reason) }
 
-// ResumeInline hands the execution token to a parked process from inside
-// a running callback: p continues from Park within the current event —
+// ResumeInline switches into a parked process from inside a running
+// callback: p continues from Park within the current event —
 // exactly as if the event had been a resumption of p itself — rather
 // than via a freshly scheduled event, so the engine's event sequence is
 // unchanged by the park/resume round trip. It must be called from
@@ -667,14 +507,9 @@ func (e *Engine) RunUntil(limit Time) error {
 			return e.fatal
 		}
 		// Advance past canceled holes at the ready-queue head.
-		for e.readyHead < len(e.ready) {
-			h := &e.ready[e.readyHead]
-			if h.p == nil && h.fn == nil {
-				e.readyHead++
-				e.readyHoles--
-				continue
-			}
-			break
+		for e.readyHead < len(e.ready) && e.ready[e.readyHead].p == nil && e.ready[e.readyHead].fn == nil {
+			e.readyHead++
+			e.readyHoles--
 		}
 		if e.readyHead == len(e.ready) && e.readyHead > 0 {
 			e.ready = e.ready[:0]
@@ -705,13 +540,7 @@ func (e *Engine) RunUntil(limit Time) error {
 		// by (t, seq), so the global next event is whichever head is
 		// smaller — this comparison is what keeps the fast path
 		// bit-identical to a single ordered queue.
-		useReady := hasReady
-		if hasReady && hasHeap {
-			h, r := &e.heap[0], &e.ready[e.readyHead]
-			if h.t < r.t || (h.t == r.t && h.seq < r.seq) {
-				useReady = false
-			}
-		}
+		useReady := hasReady && !(hasHeap && eventLess(&e.heap[0], &e.ready[e.readyHead]))
 		var ev event
 		if useReady {
 			if e.ready[e.readyHead].t > limit {
@@ -750,24 +579,4 @@ func (e *Engine) deadlockErr() error {
 	}
 	sort.Strings(blocked)
 	return &ErrDeadlock{Now: e.now, Blocked: blocked}
-}
-
-// Shutdown kills every still-live process so no goroutines leak. It must
-// be called from outside the engine loop (i.e. not from a proc or
-// callback), typically after Run returns.
-func (e *Engine) Shutdown() {
-	// Dying procs swap-remove themselves from e.procs, so kill a snapshot.
-	live := make([]*Proc, len(e.procs))
-	copy(live, e.procs)
-	for _, p := range live {
-		if p == nil || p.state == procDone || p.state == procNew {
-			continue
-		}
-		p.killed = true
-		e.resume(p)
-	}
-	e.heap = nil
-	e.ready = nil
-	e.readyHead, e.readyHoles = 0, 0
-	e.wheelReset()
 }

@@ -150,9 +150,14 @@ func TestProcPanicPropagates(t *testing.T) {
 		p.Sleep(1)
 		panic("kaboom")
 	})
+	// The panic is recovered inside the proc's coroutine: Run returns it
+	// as an error, with the crashing body's stack, instead of re-panicking.
 	err := e.Run()
-	if err == nil || !containsStr(err.Error(), "kaboom") {
+	if err == nil || !containsStr(err.Error(), `sim: proc "boom" panicked: kaboom`) {
 		t.Fatalf("err = %v, want panic error", err)
+	}
+	if !containsStr(err.Error(), "goroutine ") || !containsStr(err.Error(), "TestProcPanicPropagates") {
+		t.Fatalf("panic error carries no stack of the crashing body:\n%v", err)
 	}
 	e.Shutdown()
 }

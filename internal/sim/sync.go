@@ -117,10 +117,15 @@ func (c *Cond) Waiters() int { return len(c.waiters) }
 type Queue[T any] struct {
 	e        *Engine
 	capacity int
+	// items[head:] are the queued values. Gets advance head; a Put that
+	// finds the backing array full slides the live values down instead of
+	// growing it, so steady-state traffic reuses one array.
 	items    []T
+	head     int
 	nonEmpty *Cond
 	nonFull  *Cond
-	name     string
+	// Deadlock-report reasons, built once so blocking waits allocate nothing.
+	fullWhy, emptyWhy string
 }
 
 // NewQueue returns a queue with the given capacity (0 = unbounded).
@@ -130,24 +135,45 @@ func NewQueue[T any](e *Engine, name string, capacity int) *Queue[T] {
 		capacity: capacity,
 		nonEmpty: NewCond(e),
 		nonFull:  NewCond(e),
-		name:     name,
+		fullWhy:  "queue " + name + " full",
+		emptyWhy: "queue " + name + " empty",
 	}
 }
 
 // Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
 func (q *Queue[T]) full() bool {
-	return q.capacity > 0 && len(q.items) >= q.capacity
+	return q.capacity > 0 && q.Len() >= q.capacity
+}
+
+func (q *Queue[T]) push(v T) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, v)
+	q.nonEmpty.Signal()
+}
+
+func (q *Queue[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero // release the reference
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	q.nonFull.Signal()
+	return v
 }
 
 // Put enqueues v, blocking while the queue is full.
 func (q *Queue[T]) Put(p *Proc, v T) {
 	for q.full() {
-		q.nonFull.Wait(p, "queue "+q.name+" full")
+		q.nonFull.Wait(p, q.fullWhy)
 	}
-	q.items = append(q.items, v)
-	q.nonEmpty.Signal()
+	q.push(v)
 }
 
 // TryPut enqueues v without blocking; it reports false if the queue is
@@ -156,32 +182,25 @@ func (q *Queue[T]) TryPut(v T) bool {
 	if q.full() {
 		return false
 	}
-	q.items = append(q.items, v)
-	q.nonEmpty.Signal()
+	q.push(v)
 	return true
 }
 
 // Get dequeues the oldest item, blocking while the queue is empty.
 func (q *Queue[T]) Get(p *Proc) T {
-	for len(q.items) == 0 {
-		q.nonEmpty.Wait(p, "queue "+q.name+" empty")
+	for q.Len() == 0 {
+		q.nonEmpty.Wait(p, q.emptyWhy)
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	q.nonFull.Signal()
-	return v
+	return q.pop()
 }
 
 // TryGet dequeues without blocking; ok reports whether an item was
 // available. Safe to call from engine callbacks.
 func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.Len() == 0 {
 		return v, false
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	q.nonFull.Signal()
-	return v, true
+	return q.pop(), true
 }
 
 // Resource is a counting semaphore with priority-ordered FIFO granting.
@@ -191,7 +210,7 @@ type Resource struct {
 	total   int
 	inUse   int
 	waiters []resWaiter
-	name    string
+	why     string // "resource <name>", built once for deadlock reports
 
 	// accounting
 	grants       uint64
@@ -212,7 +231,7 @@ func NewResource(e *Engine, name string, n int) *Resource {
 	if n <= 0 {
 		panic("sim: resource must have at least one unit")
 	}
-	return &Resource{e: e, total: n, name: name}
+	return &Resource{e: e, total: n, why: "resource " + name}
 }
 
 // Total returns the number of units.
@@ -238,7 +257,7 @@ func (r *Resource) Acquire(p *Proc, prio int) {
 	if len(r.waiters) > r.peakQueueLen {
 		r.peakQueueLen = len(r.waiters)
 	}
-	p.block("resource " + r.name)
+	p.block(r.why)
 	// When we resume, the releaser has already transferred the unit to us.
 	r.waitedTotal += r.e.now - start
 	r.waitedCount++
@@ -257,7 +276,7 @@ func (r *Resource) TryAcquire() bool {
 // Release returns one unit, handing it directly to the best waiter if any.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
-		panic("sim: release of unheld resource " + r.name)
+		panic("sim: release of unheld " + r.why)
 	}
 	if len(r.waiters) == 0 {
 		r.inUse--
