@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet race bench baselines
+.PHONY: all build test check fmt vet race bench baselines
 
 all: build
 
@@ -10,15 +10,20 @@ build:
 test:
 	$(GO) test ./...
 
+# fmt fails if any file is not gofmt-formatted, listing the offenders.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 vet:
 	$(GO) vet ./...
 
 race:
 	$(GO) test -race -timeout 45m ./...
 
-# check is the full pre-merge gate: compile everything, lint with vet,
-# run the test suite, then run it again under the race detector.
-check: build vet
+# check is the full pre-merge gate: compile everything, check formatting,
+# lint with vet, run the test suite, then run it again under the race
+# detector.
+check: build fmt vet
 	$(GO) test ./...
 	$(GO) test -race -timeout 45m ./...
 

@@ -21,9 +21,9 @@ func TestRecordSkipsPartialTraces(t *testing.T) {
 	}
 
 	partials := []callTrace{
-		{},                                      // nothing stamped
-		{claim: us(1), ready: us(2)},            // the pre-fix mid-run shape
-		{claim: us(1), ready: us(2), enqueued: us(7), picked: us(9)}, // no done
+		{},                           // nothing stamped
+		{claim: us(1), ready: us(2)}, // the pre-fix mid-run shape
+		{claim: us(1), ready: us(2), enqueued: us(7), picked: us(9)},               // no done
 		{claim: us(5), ready: us(2), enqueued: us(7), picked: us(9), done: us(11)}, // ready < claim
 		{claim: us(1), ready: us(8), enqueued: us(7), picked: us(9), done: us(11)}, // non-monotonic
 	}

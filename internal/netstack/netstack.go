@@ -205,9 +205,9 @@ type Socket struct {
 	listening  bool
 	backlog    []*Socket // established, not yet accepted connections
 	backlogMax int
-	peer       *Socket   // the other endpoint of an established connection
-	remotePort int       // peer's port, fixed at establishment
-	connected  bool      // Connect completed (client side)
+	peer       *Socket // the other endpoint of an established connection
+	remotePort int     // peer's port, fixed at establishment
+	connected  bool    // Connect completed (client side)
 	connErr    errno.Errno
 	rbuf       []byte    // stream receive buffer (bounded by StreamWindow)
 	rbufHead   int       // consumed prefix of rbuf; live bytes are rbuf[rbufHead:]

@@ -176,8 +176,8 @@ func TestStreamEOFAndEPIPE(t *testing.T) {
 			return
 		}
 		buf := make([]byte, 16)
-		n1, _ = c.Recv(p, buf)           // "bye"
-		n2, eofErr = c.Recv(p, buf)      // EOF: (0, nil)
+		n1, _ = c.Recv(p, buf)              // "bye"
+		n2, eofErr = c.Recv(p, buf)         // EOF: (0, nil)
 		_, pipeErr = c.Send(p, []byte("x")) // into closed peer
 	})
 	if err := e.Run(); err != nil {

@@ -117,7 +117,7 @@ type OS struct {
 	// Redispatches counts stalled tasks the detector handed to another
 	// worker; OrphansReaped counts stalled originals that woke to find
 	// their task already executed.
-	Redispatches sim.Counter
+	Redispatches  sim.Counter
 	OrphansReaped sim.Counter
 }
 
@@ -129,13 +129,13 @@ func New(e *sim.Engine, c *cpu.CPU, v *fs.VFS, net *netstack.Stack,
 		panic("oskern: need at least one worker")
 	}
 	os := &OS{
-		E:       e,
-		CPU:     c,
-		VFS:     v,
-		Net:     net,
-		Pool:    pool,
-		cfg:     cfg,
-		vmCfg:   vmCfg,
+		E:          e,
+		CPU:        c,
+		VFS:        v,
+		Net:        net,
+		Pool:       pool,
+		cfg:        cfg,
+		vmCfg:      vmCfg,
 		procs:      make(map[int]*Process),
 		nextPID:    1,
 		wq:         sim.NewQueue[Task](e, "kernel-workqueue", 0),

@@ -247,8 +247,8 @@ func (m *Machine) wireObservability(pool *vmm.Pool) {
 		return int64(m.E.Stats().TimersCanceled)
 	})
 	// Two-level scheduler: far-future events park in the hierarchical
-	// timer wheel and only migrate into the comparison heap near their
-	// deadline, so heap size (and per-event log cost) tracks the
+	// timer wheel and only migrate into the near-term calendar queue
+	// within one wheel tick of their deadline, so the calendar holds the
 	// near-term working set rather than every armed timeout.
 	reg.RegisterGauge("sim.wheel_scheduled", func() int64 {
 		return int64(m.E.Stats().WheelScheduled)

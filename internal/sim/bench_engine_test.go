@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Engine hot-path microbenchmarks. Run with
 //
@@ -14,9 +17,11 @@ var benchSink int
 
 func nop() { benchSink++ }
 
-// BenchmarkEngineHeapSchedulePop measures the slow path: batches of
-// events at scrambled future times pushed through the binary heap and
-// popped back in (t, seq) order. Value events make this 0 allocs/op.
+// BenchmarkEngineHeapSchedulePop measures the near-future path: batches
+// of events at scrambled future times pushed through the calendar and
+// popped back in (t, seq) order. Value events make this 0 allocs/op. (The
+// name, like the heap-* cases below, predates the calendar and is kept so
+// results stay comparable across versions.)
 func BenchmarkEngineHeapSchedulePop(b *testing.B) {
 	e := NewEngine(1)
 	const batch = 1024
@@ -40,7 +45,7 @@ func BenchmarkEngineHeapSchedulePop(b *testing.B) {
 
 // BenchmarkEngineReadyQueue measures the same-instant fast path: each
 // callback schedules its successor at the current instant, so every
-// event rides the FIFO ready queue and never touches the heap.
+// event rides the FIFO ready queue and never touches the calendar.
 func BenchmarkEngineReadyQueue(b *testing.B) {
 	e := NewEngine(1)
 	n := 0
@@ -60,7 +65,7 @@ func BenchmarkEngineReadyQueue(b *testing.B) {
 }
 
 // BenchmarkEngineCallbackHop chains fixed-latency CallAfter callbacks —
-// the shape of an IRQ delivery or retransmit arm: one heap element,
+// the shape of an IRQ delivery or retransmit arm: one calendar element,
 // zero allocations, zero proc switches per hop.
 func BenchmarkEngineCallbackHop(b *testing.B) {
 	e := NewEngine(1)
@@ -103,7 +108,7 @@ func BenchmarkEngineTimerHop(b *testing.B) {
 
 // BenchmarkEngineTimerCancel measures arm-then-disarm, the retransmit
 // watchdog's common case: schedule a batch of timers, cancel them all.
-// Cancellation removes the event eagerly, so the heap is empty (and
+// Cancellation removes the event eagerly, so the calendar is empty (and
 // the closures unreachable) when the batch ends.
 func BenchmarkEngineTimerCancel(b *testing.B) {
 	e := NewEngine(1)
@@ -129,8 +134,8 @@ func BenchmarkEngineTimerCancel(b *testing.B) {
 // benchArmCancel measures one arm/disarm pair — the fleet timeout
 // pattern — with `pending` other timers already resident, so the cost
 // of touching a populated container is what's on the clock. Near-term
-// delays exercise the heap (O(log n) removal from the middle); far
-// delays exercise the wheel (O(1) bucket swap-remove).
+// delays exercise the calendar (O(1) list unlink); far delays exercise
+// the wheel (O(1) bucket swap-remove).
 func benchArmCancel(b *testing.B, pending int, d Time) {
 	e := NewEngine(1)
 	hold := make([]*Timer, pending)
@@ -151,9 +156,9 @@ func benchArmCancel(b *testing.B, pending int, d Time) {
 }
 
 // BenchmarkEngineArmCancel compares schedule+cancel cost between the
-// two scheduler levels at 1k and 100k pending timers. The heap cases
-// are the single-heap baseline the wheel replaced for far-future work;
-// the wheel cases should be flat across pending-set size.
+// two scheduler levels at 1k and 100k pending timers: heap-* arm in the
+// calendar, wheel-* in the wheel. Both should be flat across
+// pending-set size.
 func BenchmarkEngineArmCancel(b *testing.B) {
 	for _, tc := range []struct {
 		name    string
@@ -170,11 +175,9 @@ func BenchmarkEngineArmCancel(b *testing.B) {
 }
 
 // benchDrain measures end-to-end schedule → (cascade/drain →) pop → run
-// for batches of `pending` events. Offsets below wheelCutoff keep every
-// event heap-resident (baseline); the wheel variant spreads events
-// across the level-0/1 span so frontier advance, cascades, and bucket
-// drains are all included in the per-event cost.
-func benchDrain(b *testing.B, pending int, wheel bool) {
+// for batches of `pending` events, the j-th at offset off(j) from the
+// batch's start.
+func benchDrain(b *testing.B, pending int, off func(j int) Time) {
 	e := NewEngine(1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -185,13 +188,7 @@ func benchDrain(b *testing.B, pending int, wheel bool) {
 		}
 		base := e.Now()
 		for j := 0; j < n; j++ {
-			var off Time
-			if wheel {
-				off = wheelCutoff + Time((j*2654435761)>>8&(1<<22-1))
-			} else {
-				off = Time((j*2654435761)>>16&4095 + 1)
-			}
-			e.CallAt(base+off, nop)
+			e.CallAt(base+off(j), nop)
 		}
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
@@ -199,21 +196,62 @@ func benchDrain(b *testing.B, pending int, wheel bool) {
 	}
 }
 
-// BenchmarkEngineDrain compares schedule-to-execution throughput of the
-// heap-only near band against wheel-routed far band at 1k and 100k
-// event batches.
+// BenchmarkEngineDrain compares schedule-to-execution throughput at 1k
+// and 100k event batches: heap-* scatter events over the calendar's
+// first 4µs (about 24 per nanosecond at 100k, so buckets are dense and
+// unsorted); burst-100k puts every event at one instant, which must stay
+// on the O(1) append path; wheel-* spread events across the wheel's
+// level-0/1 span, so frontier advance, cascades and drains are included.
 func BenchmarkEngineDrain(b *testing.B) {
+	near := func(j int) Time { return Time((j*2654435761)>>16&4095 + 1) }
+	wheel := func(j int) Time { return wheelCutoff + Time((j*2654435761)>>8&(1<<22-1)) }
 	for _, tc := range []struct {
 		name    string
 		pending int
-		wheel   bool
+		off     func(j int) Time
 	}{
-		{"heap-1k", 1_000, false},
-		{"heap-100k", 100_000, false},
-		{"wheel-1k", 1_000, true},
-		{"wheel-100k", 100_000, true},
+		{"heap-1k", 1_000, near},
+		{"heap-100k", 100_000, near},
+		{"burst-100k", 100_000, func(int) Time { return 1000 }},
+		{"wheel-1k", 1_000, wheel},
+		{"wheel-100k", 100_000, wheel},
 	} {
-		b.Run(tc.name, func(b *testing.B) { benchDrain(b, tc.pending, tc.wheel) })
+		b.Run(tc.name, func(b *testing.B) { benchDrain(b, tc.pending, tc.off) })
+	}
+}
+
+// BenchmarkEnginePollers models GPU poll waiters (WaitPoll mode): n
+// callbacks, each re-arming itself alternately 1400ns (poll-load
+// completion) and 2000ns (poll interval) ahead, so n events are always
+// pending. 24 is the mean pending count measured on the fleet workload,
+// 600 about wi-pread's peak of 582.
+func BenchmarkEnginePollers(b *testing.B) {
+	for _, n := range []int{24, 600} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			e := NewEngine(1)
+			left := b.N
+			for i := 0; i < n; i++ {
+				long := i%2 == 0
+				var poll func()
+				poll = func() {
+					if left--; left <= 0 {
+						return
+					}
+					d := Time(1400)
+					if long {
+						d = 2000
+					}
+					long = !long
+					e.CallAfter(d, poll)
+				}
+				e.CallAt(Time(1+i*1700/n), poll)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 
 // CheckpointState renders the engine's complete schedulable state as a
 // deterministic byte string: the virtual clock, the event sequence
-// counter, the mechanical stats, every pending event (heap and ready
-// queue merged, in (time, sequence) order) and every live process.
+// counter, the mechanical stats, every pending event (ready queue,
+// calendar and wheel merged, in (time, sequence) order) and every live process.
 //
 // Closures and coroutine stacks cannot be serialized from Go, so the
 // encoding describes each pending event by its instant, sequence number
@@ -28,18 +28,20 @@ func (e *Engine) CheckpointState() []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "engine v1\nnow %d\nseq %d\n", int64(e.now), e.seq)
 	st := e.stats
+	// heap_peak is CalendarPeak under its original label, so snapshots
+	// taken before the calendar replaced the event heap still restore.
 	fmt.Fprintf(&b, "stats scheduled=%d ready_fast=%d callbacks=%d proc_switches=%d timers_canceled=%d wheel_scheduled=%d wheel_canceled=%d spawned=%d reaped=%d heap_peak=%d ready_peak=%d wheel_peak=%d\n",
 		st.Scheduled, st.ReadyFast, st.CallbacksRun, st.ProcSwitches,
 		st.TimersCanceled, st.WheelScheduled, st.WheelCanceled,
-		st.ProcsSpawned, st.ProcsReaped, st.HeapPeak, st.ReadyPeak, st.WheelPeak)
+		st.ProcsSpawned, st.ProcsReaped, st.CalendarPeak, st.ReadyPeak, st.WheelPeak)
 	fmt.Fprintf(&b, "live %d user %d\n", e.live, e.liveUser)
 
-	// Pending events, in the global (t, seq) execution order. The heap and
-	// wheel's internal layouts are themselves deterministic for a fixed
-	// history, but sorting makes the section meaningful to read and
-	// independent of sift and bucket implementation details.
-	evs := make([]event, 0, len(e.heap)+e.wh.count+len(e.ready)-e.readyHead)
-	evs = append(evs, e.heap...)
+	// Pending events, in the global (t, seq) execution order. The
+	// calendar and wheel's internal layouts are themselves deterministic
+	// for a fixed history, but sorting makes the section meaningful to
+	// read and independent of bucket and slab implementation details.
+	evs := make([]event, 0, e.cal.count+e.wh.count+len(e.ready)-e.readyHead)
+	evs = e.calAppendPending(evs)
 	evs = e.wheelAppendPending(evs)
 	for i := e.readyHead; i < len(e.ready); i++ {
 		ev := e.ready[i]

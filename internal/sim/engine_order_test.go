@@ -16,10 +16,10 @@ type eventRec struct {
 }
 
 // TestInterleavingMatchesReferenceOrder is the determinism property test
-// for the three-container design (ready queue / near-term heap / timer
-// wheel): a random workload where callbacks recursively schedule more
-// work at the current instant (ready-queue path), in the near future
-// (heap path), and far enough out to park in every wheel level and the
+// for the three-container design (ready queue / calendar / timer wheel):
+// a random workload where callbacks recursively schedule more work at the
+// current instant (ready-queue path), in the near future (calendar path),
+// and far enough out to park in every wheel level and the
 // overflow list, with a random subset of timers canceled from whichever
 // container holds them, must execute in exactly the (t, seq) total order
 // a single reference priority queue would produce.
@@ -27,9 +27,9 @@ func TestInterleavingMatchesReferenceOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine(1)
-		var got []eventRec      // order the engine actually ran events in
-		var expect []eventRec   // reference: every surviving event's key
-		var canceled []*Timer   // timers to cancel from inside the run
+		var got []eventRec    // order the engine actually ran events in
+		var expect []eventRec // reference: every surviving event's key
+		var canceled []*Timer // timers to cancel from inside the run
 		const maxEvents = 300
 		count := 0
 
@@ -43,7 +43,7 @@ func TestInterleavingMatchesReferenceOrder(t *testing.T) {
 				case 0, 1:
 					d = 0 // same-instant: exercises the ready queue
 				case 2, 3:
-					d = Time(rng.Intn(40) + 1) // near future: the heap
+					d = Time(rng.Intn(40) + 1) // near future: the calendar
 				case 4:
 					// Wheel range: level 0 through level 2 (cutoff ≤ d
 					// < full level-2 span), crossing cascade boundaries.
@@ -74,8 +74,8 @@ func TestInterleavingMatchesReferenceOrder(t *testing.T) {
 						t.Errorf("canceled timer fired (seed %d)", seed)
 					})
 					// Cancel while both containers hold live events, so
-					// removal from the middle of the heap and hole-punching
-					// in the ready queue are both exercised.
+					// unlinking from a calendar bucket and hole-punching in
+					// the ready queue are both exercised.
 					tm.Cancel()
 					canceled = append(canceled, tm)
 				}
@@ -128,41 +128,41 @@ func TestReadyQueueFIFOAtInstant(t *testing.T) {
 	}
 }
 
-// TestHeapBeforeReadyAtSameInstant: an event scheduled earlier (lower
-// seq) for time T from afar (heap) must run before a ready-queue event
+// TestCalendarBeforeReadyAtSameInstant: an event scheduled earlier (lower
+// seq) for time T from afar (calendar) must run before a ready-queue event
 // created at T with a higher seq — the cross-container comparison.
-func TestHeapBeforeReadyAtSameInstant(t *testing.T) {
+func TestCalendarBeforeReadyAtSameInstant(t *testing.T) {
 	e := NewEngine(1)
 	var got []string
-	// Scheduled first: sits in the heap until t=10.
-	e.CallAt(10, func() { got = append(got, "heap-early") })
+	// Scheduled first: sits in the calendar until t=10.
+	e.CallAt(10, func() { got = append(got, "cal-early") })
 	e.Spawn("driver", func(p *Proc) {
 		p.Sleep(10)
 		// Wait: driver wakes at t=10. Its wake event has seq 3 (spawn=2),
-		// so it runs after heap-early (seq 1)? The resume event was
-		// scheduled by Sleep at t=0 with seq 3, so heap order at t=10 is
-		// (10,1) heap-early then (10,3) driver.
+		// so it runs after cal-early (seq 1)? The resume event was
+		// scheduled by Sleep at t=0 with seq 3, so calendar order at t=10
+		// is (10,1) cal-early then (10,3) driver.
 		e.CallAfter(0, func() { got = append(got, "ready-late") })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(got) != "[heap-early ready-late]" {
+	if fmt.Sprint(got) != "[cal-early ready-late]" {
 		t.Fatalf("got %v", got)
 	}
 }
 
 // TestCancelReleasesEventImmediately: canceling a timer must remove the
 // event (and its closure) from the engine at cancel time — pending count
-// drops and the heap holds no dead weight.
+// drops and no calendar bucket holds dead weight.
 func TestCancelReleasesEventImmediately(t *testing.T) {
 	e := NewEngine(1)
 	tms := make([]*Timer, 0, 100)
 	for i := 0; i < 100; i++ {
 		tms = append(tms, e.After(Time(1000+i), func() { t.Error("canceled fired") }))
 	}
-	if e.Pending() != 100 || len(e.heap) != 100 {
-		t.Fatalf("pending=%d heap=%d, want 100", e.Pending(), len(e.heap))
+	if n := calResidents(t, e); e.Pending() != 100 || n != 100 {
+		t.Fatalf("pending=%d calendar=%d, want 100", e.Pending(), n)
 	}
 	for _, tm := range tms {
 		tm.Cancel()
@@ -170,8 +170,8 @@ func TestCancelReleasesEventImmediately(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("pending=%d after mass cancel, want 0", e.Pending())
 	}
-	if len(e.heap) != 0 {
-		t.Fatalf("heap holds %d dead events after cancel, want 0", len(e.heap))
+	if n := calResidents(t, e); n != 0 {
+		t.Fatalf("calendar holds %d dead events after cancel, want 0", n)
 	}
 	if got := e.Stats().TimersCanceled; got != 100 {
 		t.Fatalf("TimersCanceled=%d, want 100", got)
@@ -187,7 +187,7 @@ func TestCancelReleasesEventImmediately(t *testing.T) {
 }
 
 // TestCancelInReadyQueue: canceling a same-instant timer (parked in the
-// ready queue, not the heap) must also suppress and release it.
+// ready queue, not the calendar) must also suppress and release it.
 func TestCancelInReadyQueue(t *testing.T) {
 	e := NewEngine(1)
 	var ran []string
@@ -207,8 +207,8 @@ func TestCancelInReadyQueue(t *testing.T) {
 	}
 }
 
-// TestMassCancellationInterleaved cancels from the middle of a populated
-// heap while scheduling continues, verifying surviving events still run
+// TestMassCancellationInterleaved cancels from the middle of populated
+// calendar buckets while scheduling continues, verifying surviving events still run
 // in order — the retransmit-watchdog-disarm pattern.
 func TestMassCancellationInterleaved(t *testing.T) {
 	e := NewEngine(7)
@@ -295,10 +295,10 @@ func TestDeadlockReportAfterReaping(t *testing.T) {
 func TestEngineStatsCounts(t *testing.T) {
 	e := NewEngine(1)
 	e.Spawn("a", func(p *Proc) {
-		p.Sleep(5)  // heap event
-		p.Yield()   // ready-queue event
+		p.Sleep(5) // calendar event
+		p.Yield()  // ready-queue event
 	})
-	e.CallAfter(3, func() {}) // heap + callback
+	e.CallAfter(3, func() {}) // calendar + callback
 	e.CallAfter(0, func() {}) // ready + callback
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -315,7 +315,7 @@ func TestEngineStatsCounts(t *testing.T) {
 	if st.ProcSwitches != 3 {
 		t.Fatalf("ProcSwitches=%d, want 3", st.ProcSwitches)
 	}
-	if st.Scheduled != st.ReadyFast+uint64(st.HeapPeak) && st.Scheduled < st.ReadyFast {
+	if st.Scheduled != st.ReadyFast+uint64(st.CalendarPeak) && st.Scheduled < st.ReadyFast {
 		t.Fatalf("inconsistent stats: %+v", st)
 	}
 	if e.Pending() != 0 {
@@ -324,7 +324,7 @@ func TestEngineStatsCounts(t *testing.T) {
 }
 
 // TestSchedulePathsAllocFree pins the engine's three schedule paths at
-// zero steady-state allocations: heap inserts, same-instant ready-queue
+// zero steady-state allocations: calendar inserts, same-instant ready-queue
 // inserts, and wheel-resident AtReuse/Cancel pairs. Containers are
 // warmed first so the assertion measures the hot path, not first-touch
 // slice growth.
@@ -342,7 +342,7 @@ func TestSchedulePathsAllocFree(t *testing.T) {
 	}
 
 	if avg := testing.AllocsPerRun(1000, func() { e.CallAfter(1500, fn) }); avg != 0 {
-		t.Errorf("heap CallAfter allocates %.2f/op, want 0", avg)
+		t.Errorf("calendar CallAfter allocates %.2f/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(1000, func() { e.CallAfter(0, fn) }); avg != 0 {
 		t.Errorf("ready-queue CallAfter allocates %.2f/op, want 0", avg)
@@ -369,7 +369,7 @@ func TestSchedulePathsAllocFree(t *testing.T) {
 }
 
 // TestRunUntilWithReadyBacklog: stopping at a limit mid-instant and
-// resuming later must preserve order across the ready/heap boundary.
+// resuming later must preserve order across the ready/calendar boundary.
 func TestRunUntilWithReadyBacklog(t *testing.T) {
 	e := NewEngine(1)
 	var got []string
@@ -393,5 +393,292 @@ func TestRunUntilWithReadyBacklog(t *testing.T) {
 	}
 	if e.Now() != 15 {
 		t.Fatalf("now=%v, want 15", e.Now())
+	}
+}
+
+// calResidents walks every calendar bucket's list and returns how many
+// events it holds, failing t if a resident is dead, sits in the wrong
+// bucket, or breaks the horizon invariant (now ≤ t < now+calSpan, and
+// in fact under wheelCutoff+wheelGran ahead), or if the cached minimum
+// is not the earliest resident.
+func calResidents(t *testing.T, e *Engine) int {
+	t.Helper()
+	c := &e.cal
+	n := 0
+	var first *event
+	for b, h := range c.head {
+		if h == 0 {
+			continue
+		}
+		for i := h; ; {
+			ev := &c.nodes[i].ev
+			switch {
+			case ev.p == nil && ev.fn == nil:
+				t.Errorf("bucket %d holds a dead node", b)
+			case int(int64(ev.t)>>calShift&calMask) != b:
+				t.Errorf("event at %v filed in bucket %d", ev.t, b)
+			case ev.t < e.now || ev.t-e.now >= calSpan || ev.t-e.now >= wheelCutoff+wheelGran:
+				t.Errorf("event at %v outside the horizon of now=%v", ev.t, e.now)
+			}
+			if first == nil || eventLess(ev, first) {
+				first = ev
+			}
+			n++
+			if i = c.nodes[i].next; i == h {
+				break
+			}
+		}
+	}
+	if n != c.count {
+		t.Errorf("calendar lists hold %d events, count says %d", n, c.count)
+	}
+	if c.min != 0 && &c.nodes[c.min].ev != first {
+		t.Errorf("cached minimum at %v, earliest resident at %v", c.nodes[c.min].ev.t, first.t)
+	}
+	return n
+}
+
+// TestRunUntilStopsMatchReferenceOrder drives a random workload through
+// RunUntil stops at random instants — including long idle gaps in which
+// only wheel events remain — scheduling and canceling between stops. The
+// run must execute in the reference (t, seq) order, and after every stop
+// each calendar resident must lie within the horizon of the clock.
+func TestRunUntilStopsMatchReferenceOrder(t *testing.T) {
+	type armed struct {
+		tm  *Timer
+		rec eventRec
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine(1)
+		var got []eventRec
+		keep := map[eventRec]bool{} // every scheduled event; false once canceled
+		var timers []armed
+		count := 0
+
+		var plant func(n int, inRun bool)
+		plant = func(n int, inRun bool) {
+			for i := 0; i < n && count < 400; i++ {
+				count++
+				var d Time
+				switch rng.Intn(7) {
+				case 0:
+					d = 0
+				case 1, 2:
+					d = Time(rng.Intn(300) + 1) // a few calendar buckets
+				case 3:
+					d = Time(rng.Int63n(int64(wheelCutoff))) // anywhere in the calendar's direct range
+				case 4, 5:
+					d = wheelCutoff + Time(rng.Int63n(int64(20*wheelGran))) // near wheel levels
+				default:
+					d = wheelCutoff + Time(rng.Int63n(int64(wheelGran)*wheelSlotsPer*wheelSlotsPer)) // idle gaps
+				}
+				rec := eventRec{e.now + d, e.seq + 1}
+				keep[rec] = true
+				fire := func() {
+					got = append(got, eventRec{e.now, rec.seq})
+					if rng.Intn(3) == 0 {
+						plant(rng.Intn(3), true)
+					}
+				}
+				if rng.Intn(2) == 0 {
+					e.CallAfter(d, fire)
+				} else {
+					timers = append(timers, armed{e.After(d, fire), rec})
+				}
+			}
+		}
+
+		plant(20, false)
+		for stop := 0; stop < 60 && e.Pending() > 0; stop++ {
+			var step Time
+			switch rng.Intn(4) {
+			case 0:
+				step = Time(rng.Intn(200))
+			case 1:
+				step = Time(rng.Int63n(int64(calSpan)))
+			default:
+				step = Time(rng.Int63n(int64(wheelGran) * wheelSlotsPer * 4))
+			}
+			limit := e.Now() + step
+			if err := e.RunUntil(limit); err != nil {
+				t.Errorf("seed %d: %v", seed, err)
+				return false
+			}
+			if e.Pending() > 0 && e.Now() != limit {
+				t.Errorf("seed %d: RunUntil(%v) left the clock at %v", seed, limit, e.Now())
+				return false
+			}
+			calResidents(t, e)
+			// Between stops: cancel some armed timers (fired ones are
+			// no-ops) and schedule more work from outside the run.
+			for i := 0; i < len(timers); {
+				if rng.Intn(4) != 0 {
+					i++
+					continue
+				}
+				a := timers[i]
+				if a.tm.loc != timerInert {
+					keep[a.rec] = false
+				}
+				a.tm.Cancel()
+				timers[i] = timers[len(timers)-1]
+				timers = timers[:len(timers)-1]
+			}
+			calResidents(t, e)
+			plant(rng.Intn(4), false)
+		}
+		if err := e.Run(); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+			return false
+		}
+		var expect []eventRec
+		for rec, ok := range keep {
+			if ok {
+				expect = append(expect, rec)
+			}
+		}
+		sort.Slice(expect, func(i, j int) bool {
+			if expect[i].t != expect[j].t {
+				return expect[i].t < expect[j].t
+			}
+			return expect[i].seq < expect[j].seq
+		})
+		if fmt.Sprint(got) != fmt.Sprint(expect) {
+			t.Errorf("seed %d: order diverged from reference\n got: %v\nwant: %v", seed, got, expect)
+			return false
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCalendarInsertBeforeMinBucket covers the calendar's insert paths
+// around its cached minimum: an ordered insert into the sorted minimum
+// bucket, an insert into an earlier (empty) bucket that takes over as
+// minimum, an out-of-order append to the former minimum bucket, which
+// must be re-sorted when the scan comes back to it, and an ordered
+// insert too deep to walk, which demotes the minimum bucket.
+func TestCalendarInsertBeforeMinBucket(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	at := func(when Time, name string) {
+		e.CallAt(when, func() { got = append(got, name) })
+	}
+	base := 10 * Microsecond // a bucket boundary: 10000 = 78*128 + 16
+	at(base+40, "a")
+	at(base+80, "b")
+	// RunUntil peeks the calendar, making base's bucket the sorted
+	// minimum, and stops before it.
+	if err := e.RunUntil(Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	if e.cal.min == 0 || e.cal.minBn != int64(base+40)>>calShift {
+		t.Fatalf("minimum bucket not cached after RunUntil (min=%d)", e.cal.min)
+	}
+	at(base+60, "c")       // ordered insert between a and b
+	at(2*Microsecond, "x") // earlier bucket: becomes the minimum
+	at(base+50, "d")       // append to the former minimum, out of order
+	at(base+20, "e")       // and again, ahead of its head
+	if n := calResidents(t, e); n != 6 {
+		t.Fatalf("calendar holds %d events, want 6", n)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[x e a d c b]" {
+		t.Fatalf("got %v, want [x e a d c b]", got)
+	}
+
+	// An ordered insert that would walk past more than calWalkMax
+	// entries of the minimum bucket is appended instead, and the bucket
+	// goes back to being sorted when the scan reaches it.
+	e = NewEngine(1)
+	got = got[:0]
+	for i := 0; i < calWalkMax+2; i++ {
+		at(base+100+Time(i), fmt.Sprint("h", i))
+	}
+	if err := e.RunUntil(Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	at(base+50, "g")
+	if e.cal.min != 0 {
+		t.Fatal("long ordered insert did not demote the minimum bucket")
+	}
+	calResidents(t, e)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[g h0 h1 h2 h3 h4 h5 h6 h7 h8 h9]" {
+		t.Fatalf("got %v after demotion", got)
+	}
+}
+
+// TestRunUntilIdleGapKeepsHorizon: stopping inside a long idle gap must
+// leave far events in the wheel and the clock at the limit, not drain
+// them into the calendar beyond its horizon.
+func TestRunUntilIdleGapKeepsHorizon(t *testing.T) {
+	e := NewEngine(1)
+	var got []Time
+	e.CallAt(10*Millisecond, func() { got = append(got, e.Now()) })
+	if err := e.RunUntil(5 * Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 5*Millisecond || e.WheelPending() != 1 || e.Pending() != 1 {
+		t.Fatalf("now=%v wheel=%d pending=%d, want 5ms/1/1", e.Now(), e.WheelPending(), e.Pending())
+	}
+	calResidents(t, e)
+	e.CallAfter(50*Microsecond, func() { got = append(got, e.Now()) })
+	if err := e.RunUntil(10*Millisecond - 1); err != nil {
+		t.Fatal(err)
+	}
+	calResidents(t, e)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint([]Time{5*Millisecond + 50*Microsecond, 10 * Millisecond}) {
+		t.Fatalf("got %v", got)
+	}
+}
+
+// TestWheelDrainSortsBySeqWithinInstant: wheel events drained into a
+// calendar bucket that already holds later-scheduled events for the same
+// instant land behind them, out of seq order, and a canceled wheel timer
+// reorders its wheel bucket. An earlier event in the same wheel tick makes
+// the drain happen while another calendar bucket is the minimum, so the
+// drained events are appended, not inserted in order. The bucket is large
+// enough for sortBucket's counting pass, which orders by t alone; the
+// result must still be exact (t, seq) order.
+func TestWheelDrainSortsBySeqWithinInstant(t *testing.T) {
+	e := NewEngine(1)
+	T := 3*wheelCutoff + wheelGran/2
+	var got []uint64
+	var tms []*Timer
+	for i := 0; i < 2*calCountingMin; i++ {
+		seq := e.seq + 1
+		tms = append(tms, e.At(T, func() { got = append(got, seq) }))
+	}
+	if e.WheelPending() != len(tms) {
+		t.Fatalf("wheel holds %d of %d events", e.WheelPending(), len(tms))
+	}
+	tms[0].Cancel() // swap-removes: the bucket's last event moves to the front
+	tms[5].Cancel()
+	e.CallAt(T-wheelCutoff+1, func() {
+		for i := 0; i < calCountingMin; i++ {
+			seq := e.seq + 1
+			e.CallAt(T, func() { got = append(got, seq) })
+		}
+		e.CallAt(T-1000, func() {}) // same wheel tick as T, earlier bucket
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3*calCountingMin-2 {
+		t.Fatalf("ran %d events, want %d", len(got), 3*calCountingMin-2)
+	}
+	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+		t.Fatalf("same-instant events ran out of seq order: %v", got)
 	}
 }

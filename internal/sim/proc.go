@@ -168,7 +168,7 @@ func (e *Engine) Shutdown() {
 		p.killed = true
 		e.resume(p)
 	}
-	e.heap = nil
+	e.cal = calendar{}
 	e.ready = nil
 	e.readyHead, e.readyHoles = 0, 0
 	e.wheelReset()

@@ -17,13 +17,17 @@
 // bit-deterministic for a given seed and free of data races by
 // construction.
 //
-// Internally the engine keeps two event containers whose union is always
-// consumed in strict (time, sequence) order:
+// Internally the engine keeps three event containers whose union is
+// always consumed in strict (time, sequence) order:
 //
-//   - a value-based binary min-heap for events in the future, and
 //   - a same-instant ready queue (FIFO by sequence) for events scheduled
 //     at the current virtual time — unblocks, yields, spawns and
-//     zero-delay callbacks — which therefore bypass the heap entirely.
+//     zero-delay callbacks;
+//   - a calendar queue of fixed-width time buckets for events less than
+//     wheelCutoff ahead (calendar.go), where scheduling, canceling and
+//     finding the next event are O(1) in the common case; and
+//   - a hierarchical timer wheel for events further out (wheel.go), whose
+//     buckets drain into the calendar before the clock can reach them.
 //
 // Events are plain values stored inline in those containers, so
 // steady-state scheduling performs no allocation; only the cancellable
@@ -79,9 +83,9 @@ func (t Time) String() string {
 	}
 }
 
-// event is one scheduled occurrence, stored by value in the heap or the
-// ready queue. Exactly one of p or fn is set; tmr is non-nil only for
-// cancellable At/After callbacks.
+// event is one scheduled occurrence, stored by value in the ready queue,
+// a calendar node or a wheel bucket. Exactly one of p or fn is set; tmr
+// is non-nil only for cancellable At/After callbacks.
 type event struct {
 	t   Time
 	seq uint64
@@ -95,15 +99,15 @@ type event struct {
 // containers an event can live in.
 const (
 	timerInert      = -1 // fired or canceled
-	timerInHeap     = -2 // heap, at index pos
+	timerInCal      = -2 // calendar, at node index pos
 	timerInReady    = -3 // ready queue, at index pos
 	timerInOverflow = -4 // wheel overflow list, at index pos
 )
 
 // Timer is a handle to a scheduled callback that can be canceled. loc
-// identifies the container currently holding the event (heap, ready
-// queue, a wheel bucket, or the wheel overflow list) and pos its index
-// there, so cancellation is O(1) for every container but the heap.
+// identifies the container currently holding the event (ready queue,
+// calendar, a wheel bucket, or the wheel overflow list) and pos its index
+// there, so cancellation is O(1) whichever container holds it.
 type Timer struct {
 	e   *Engine
 	pos int
@@ -114,7 +118,7 @@ type Timer struct {
 // from the engine immediately — its closure (and any state the closure
 // captures) is released at cancel time, not when the event's instant is
 // reached — so mass cancellation (e.g. retransmit watchdogs disarmed by
-// fast completions) leaves no dead weight in the heap or the wheel.
+// fast completions) leaves no dead weight in the calendar or the wheel.
 // Canceling an already-fired or already-canceled timer is a no-op.
 func (t *Timer) Cancel() {
 	if t == nil || t.e == nil || t.loc == timerInert {
@@ -123,8 +127,8 @@ func (t *Timer) Cancel() {
 	e := t.e
 	e.stats.TimersCanceled++
 	switch t.loc {
-	case timerInHeap:
-		e.heapRemove(t.pos)
+	case timerInCal:
+		e.cal.remove(int32(t.pos))
 	case timerInReady:
 		e.ready[t.pos] = event{}
 		e.readyHoles++
@@ -136,15 +140,15 @@ func (t *Timer) Cancel() {
 
 // EngineStats counts the engine's own mechanics: how many events were
 // scheduled, how many took the same-instant ready-queue fast path
-// (bypassing the heap), how many callbacks ran inline versus process
+// (bypassing the calendar), how many callbacks ran inline versus process
 // resumptions (each resumption is one coroutine switch in and one out), and
 // timer/process lifecycle totals. They never influence virtual-time
 // behavior; they exist so host-throughput work (events per host-second)
 // is measurable, and are exported in the obs metrics registry under
 // sim.*.
 type EngineStats struct {
-	Scheduled      uint64 // events ever scheduled (heap, ready queue or wheel)
-	ReadyFast      uint64 // events that bypassed the heap via the ready queue
+	Scheduled      uint64 // events ever scheduled (ready queue, calendar or wheel)
+	ReadyFast      uint64 // events that bypassed the calendar via the ready queue
 	CallbacksRun   uint64 // callback events executed inline
 	ProcSwitches   uint64 // engine→process coroutine resumptions
 	TimersCanceled uint64 // At/After timers canceled before firing
@@ -152,7 +156,7 @@ type EngineStats struct {
 	WheelCanceled  uint64 // timers canceled while wheel-resident (O(1) removals)
 	ProcsSpawned   uint64 // processes ever spawned
 	ProcsReaped    uint64 // completed processes removed from the proc table
-	HeapPeak       int    // high-water mark of the event heap
+	CalendarPeak   int    // high-water mark of calendar-resident events
 	ReadyPeak      int    // high-water mark of live ready-queue entries
 	WheelPeak      int    // high-water mark of wheel-resident events
 }
@@ -162,9 +166,9 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// heap is the value-based binary min-heap (ordered by (t, seq)) that
-	// holds events scheduled in the future.
-	heap []event
+	// cal is the calendar queue holding events less than wheelCutoff in
+	// the future, plus everything the wheel has drained (see calendar.go).
+	cal calendar
 
 	// ready is the same-instant fast path: events scheduled at the
 	// current virtual time, consumed FIFO (which is (t, seq) order, since
@@ -176,8 +180,8 @@ type Engine struct {
 	readyHoles int
 
 	// wh is the hierarchical timer wheel holding far-future events; its
-	// buckets drain into the heap before the clock can reach them (see
-	// wheel.go), so the heap stays shallow under fleet-scale timer loads.
+	// buckets drain into the calendar before the clock can reach them (see
+	// wheel.go), which keeps every calendar resident within its horizon.
 	wh timerWheel
 
 	// inProc is true while a process body is running; it guards
@@ -209,11 +213,11 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 // Pending returns the number of events currently scheduled and not yet
 // executed (canceled ready-queue holes excluded).
 func (e *Engine) Pending() int {
-	return len(e.heap) + e.wh.count + (len(e.ready) - e.readyHead - e.readyHoles)
+	return e.cal.count + e.wh.count + (len(e.ready) - e.readyHead - e.readyHoles)
 }
 
 // WheelPending returns the number of far-future events currently parked
-// in the timer wheel (not yet migrated to the near-term heap).
+// in the timer wheel (not yet migrated to the near-term calendar).
 func (e *Engine) WheelPending() int { return e.wh.count }
 
 // LiveProcs returns the number of processes spawned and not yet finished.
@@ -221,14 +225,7 @@ func (e *Engine) LiveProcs() int { return e.live }
 
 // --- event containers ------------------------------------------------------
 
-// The heap is 4-ary: pops dominate the near-term scheduler's cost, and a
-// wider node halves the sift depth — and with it the number of 40-byte
-// event moves and their GC write barriers — while the extra comparisons
-// per level stay in cache-resident memory. Because the key (t, seq) is a
-// strict total order, pop order (and therefore every simulation artifact)
-// is identical whatever the heap's arity or internal layout.
-const heapArity = 4
-
+// eventLess is the engine's total order: time, then scheduling sequence.
 func eventLess(a, b *event) bool {
 	if a.t != b.t {
 		return a.t < b.t
@@ -236,115 +233,9 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// siftUp restores the heap invariant upward from i; it reports whether
-// the entry moved. Sifts move the hole, not pairwise swaps: each level
-// costs one event copy instead of three.
-func (e *Engine) siftUp(i int) bool {
-	h := e.heap
-	ev := h[i]
-	moved := false
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !eventLess(&ev, &h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		if t := h[i].tmr; t != nil {
-			t.pos = i
-		}
-		i = parent
-		moved = true
-	}
-	if moved {
-		h[i] = ev
-		if t := ev.tmr; t != nil {
-			t.pos = i
-		}
-	}
-	return moved
-}
-
-func (e *Engine) siftDown(i int) {
-	h := e.heap
-	n := len(h)
-	ev := h[i]
-	for {
-		c := heapArity*i + 1
-		if c >= n {
-			break
-		}
-		end := c + heapArity
-		if end > n {
-			end = n
-		}
-		least := c
-		for k := c + 1; k < end; k++ {
-			if eventLess(&h[k], &h[least]) {
-				least = k
-			}
-		}
-		if !eventLess(&h[least], &ev) {
-			break
-		}
-		h[i] = h[least]
-		if t := h[i].tmr; t != nil {
-			t.pos = i
-		}
-		i = least
-	}
-	h[i] = ev
-	if t := ev.tmr; t != nil {
-		t.pos = i
-	}
-}
-
-func (e *Engine) heapPush(ev event) {
-	e.heap = append(e.heap, ev)
-	i := len(e.heap) - 1
-	if ev.tmr != nil {
-		ev.tmr.loc = timerInHeap
-		ev.tmr.pos = i
-	}
-	e.siftUp(i)
-	if len(e.heap) > e.stats.HeapPeak {
-		e.stats.HeapPeak = len(e.heap)
-	}
-}
-
-func (e *Engine) heapPop() event {
-	top := e.heap[0]
-	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
-	e.heap[n] = event{} // release the vacated slot's references
-	e.heap = e.heap[:n]
-	if n > 0 {
-		e.siftDown(0)
-	}
-	return top
-}
-
-// heapRemove deletes entry i (timer cancellation), releasing its
-// references immediately and re-establishing the heap invariant.
-func (e *Engine) heapRemove(i int) {
-	n := len(e.heap) - 1
-	moved := e.heap[n]
-	e.heap[n] = event{}
-	e.heap = e.heap[:n]
-	if i == n {
-		return
-	}
-	e.heap[i] = moved
-	if moved.tmr != nil {
-		moved.tmr.pos = i
-	}
-	if !e.siftUp(i) {
-		e.siftDown(i)
-	}
-}
-
 // place routes a newly scheduled event: same-instant events append to the
-// ready queue (no heap traffic), near-future events go into the heap, and
-// far-future events (at least wheelCutoff away) park in the timer wheel.
+// ready queue, near-future events go into the calendar, and far-future
+// events (at least wheelCutoff away) park in the timer wheel.
 func (e *Engine) place(ev event) {
 	if ev.t == e.now {
 		if e.readyHead == len(e.ready) && e.readyHead > 0 {
@@ -367,7 +258,7 @@ func (e *Engine) place(ev event) {
 		e.wheelInsert(ev)
 		return
 	}
-	e.heapPush(ev)
+	e.calPush(ev)
 }
 
 func (e *Engine) schedule(t Time, p *Proc, fn func()) { e.enqueue(event{t: t, p: p, fn: fn}) }
@@ -516,31 +407,35 @@ func (e *Engine) RunUntil(limit Time) error {
 			e.readyHead, e.readyHoles = 0, 0
 		}
 		hasReady := e.readyHead < len(e.ready)
-		hasHeap := len(e.heap) > 0
 		// Bring the wheel's drain frontier past the next committed instant:
 		// wheel residents are strictly beyond the current time (ready-queue
-		// entries can never race them), so draining against the heap head —
-		// or, with an empty heap, advancing until a drain fills it — is
-		// enough to keep the global (t, seq) order exact.
+		// entries can never race them), so draining against the calendar's
+		// minimum — or, with an empty calendar, advancing until a drain
+		// fills it — is enough to keep the global (t, seq) order exact.
 		if e.wh.count > 0 {
-			if hasHeap {
-				e.wheelCatchUp(e.heap[0].t)
+			if e.cal.count > 0 {
+				e.wheelCatchUp(e.calMin().t)
 			} else if !hasReady {
-				e.wheelAdvanceUntilHeap()
-				hasHeap = len(e.heap) > 0
+				e.wheelAdvanceUntilCal(limit)
 			}
 		}
-		if !hasReady && !hasHeap {
+		hasCal := e.cal.count > 0
+		if !hasReady && !hasCal {
+			if e.wh.count > 0 {
+				// Only wheel events remain, all beyond limit.
+				e.now = limit
+				return nil
+			}
 			if e.liveUser > 0 {
 				return e.deadlockErr()
 			}
 			return nil
 		}
-		// The ready queue is FIFO by (t, seq) and the heap is a min-heap
-		// by (t, seq), so the global next event is whichever head is
-		// smaller — this comparison is what keeps the fast path
+		// The ready queue is FIFO by (t, seq) and the calendar yields its
+		// minimum by (t, seq), so the global next event is whichever head
+		// is smaller — this comparison is what keeps the fast path
 		// bit-identical to a single ordered queue.
-		useReady := hasReady && !(hasHeap && eventLess(&e.heap[0], &e.ready[e.readyHead]))
+		useReady := hasReady && !(hasCal && eventLess(e.calMin(), &e.ready[e.readyHead]))
 		var ev event
 		if useReady {
 			if e.ready[e.readyHead].t > limit {
@@ -551,11 +446,11 @@ func (e *Engine) RunUntil(limit Time) error {
 			e.ready[e.readyHead] = event{} // release references
 			e.readyHead++
 		} else {
-			if e.heap[0].t > limit {
+			if e.calMin().t > limit {
 				e.now = limit
 				return nil
 			}
-			ev = e.heapPop()
+			ev = e.calPop()
 		}
 		e.now = ev.t
 		if ev.tmr != nil {

@@ -340,9 +340,9 @@ func TestSpawnFromProcAndCallback(t *testing.T) {
 }
 
 // Property: events run in nondecreasing time order regardless of
-// insertion order (the heap side; cross-container ordering is covered by
-// TestInterleavingMatchesReferenceOrder).
-func TestEventHeapProperty(t *testing.T) {
+// insertion order (the calendar side; cross-container ordering is covered
+// by TestInterleavingMatchesReferenceOrder).
+func TestEventOrderProperty(t *testing.T) {
 	f := func(times []uint16) bool {
 		e := NewEngine(1)
 		var popped []Time

@@ -2,13 +2,13 @@ package sim
 
 // The hierarchical timer wheel: the far half of the engine's two-level
 // scheduler. Events whose instant is at least wheelCutoff in the future
-// are parked in a coarse bucket keyed by their instant instead of the
-// binary heap, making schedule and Cancel O(1) regardless of how many
-// far-future timers (fleet session timeouts, retransmit watchdogs, poll
-// deadlines) are pending. Buckets are drained into the near-term heap
-// strictly before the clock can reach their window, so every event still
-// executes in global (t, seq) order and the engine stays bit-identical
-// to the single-heap scheduler it replaced. See DESIGN.md §13.
+// are parked in a coarse bucket keyed by their instant, making schedule
+// and Cancel O(1) regardless of how many far-future timers (fleet session
+// timeouts, retransmit watchdogs, poll deadlines) are pending, and
+// keeping them outside the calendar's horizon. Buckets are drained into
+// the near-term calendar strictly before the clock can reach their
+// window, so every event still executes in global (t, seq) order. See
+// DESIGN.md §13.
 //
 // Geometry: wheelLevels levels of wheelSlotsPer buckets each. Level 0
 // buckets are wheelGran wide; each higher level is wheelSlotsPer times
@@ -33,7 +33,7 @@ const (
 
 // timerWheel holds the far-future events. cur is the drain frontier as a
 // level-0 tick index (t / wheelGran): every event with tick <= cur has
-// been drained into the heap; every resident event has tick > cur.
+// been drained into the calendar; every resident event has tick > cur.
 type timerWheel struct {
 	cur    int64
 	slots  [wheelLevels][wheelSlotsPer][]event
@@ -47,13 +47,14 @@ func wheelTick(t Time) int64 { return int64(t) / int64(wheelGran) }
 
 // wheelInsert parks ev in the bucket covering its instant. Events whose
 // tick is not strictly beyond the drain frontier (possible when the
-// frontier ran ahead of the clock during an idle advance) fall back to
-// the heap, which is always correct.
+// frontier ran ahead of the clock during a catch-up) fall back to the
+// calendar, which is always correct: such an event is less than
+// wheelCutoff+wheelGran ahead.
 func (e *Engine) wheelInsert(ev event) {
 	w := &e.wh
 	tv := wheelTick(ev.t)
 	if tv <= w.cur {
-		e.heapPush(ev)
+		e.calPush(ev)
 		return
 	}
 	e.stats.WheelScheduled++
@@ -124,32 +125,41 @@ func (e *Engine) wheelCancel(t *Timer) {
 }
 
 // wheelCatchUp drains every wheel event with instant <= target into the
-// heap. Called before the engine commits to executing a heap event at
+// calendar. Called before the engine commits to executing an event at
 // target, so no wheel event can be skipped over: after it returns, all
-// residents have t > target (or the wheel is empty).
+// residents have t > target (or the wheel is empty). Drained events are
+// under wheelGran beyond target, which is under wheelCutoff ahead.
 func (e *Engine) wheelCatchUp(target Time) {
 	tt := wheelTick(target)
 	w := &e.wh
-	for w.count > 0 && w.cur < tt {
-		e.wheelStep(tt)
+	for w.count > 0 && w.cur < tt && e.wheelNext(tt) {
+		e.wheelDrainCur()
 	}
 }
 
-// wheelAdvanceUntilHeap advances the frontier until a drain lands events
-// in the heap (or the wheel empties). Used when the heap and ready queue
-// are empty and only wheel events remain.
-func (e *Engine) wheelAdvanceUntilHeap() {
+// wheelAdvanceUntilCal advances the frontier, never past limit's tick,
+// until a drain lands events in the calendar (or the wheel empties). Used
+// when the calendar and ready queue are empty and only wheel events
+// remain. Before each drain the clock moves to the start of the tick
+// being drained, so the drained events are within one tick of it and the
+// calendar's horizon holds however long the idle gap; no simulation code
+// runs before the next event sets the clock again (or RunUntil leaves it
+// at limit, which is not earlier), so the move is unobservable.
+func (e *Engine) wheelAdvanceUntilCal(limit Time) {
+	tl := wheelTick(limit)
 	w := &e.wh
-	for w.count > 0 && len(e.heap) == 0 {
-		e.wheelStep(int64(1)<<62 - 1)
+	for w.count > 0 && e.cal.count == 0 && w.cur < tl && e.wheelNext(tl) {
+		if s := Time(w.cur) * wheelGran; s > e.now {
+			e.now = s
+		}
+		e.wheelDrainCur()
 	}
 }
 
-// wheelStep advances the frontier by one tick — skipping runs of ticks
-// that provably hold nothing — cascading higher-level buckets at their
-// boundaries and draining the level-0 bucket of the new frontier tick.
-// bound caps how far an empty-run skip may jump.
-func (e *Engine) wheelStep(bound int64) {
+// wheelNext advances the frontier by one tick — first skipping runs of
+// ticks that provably hold nothing — and reports whether it did; it
+// never moves the frontier past bound.
+func (e *Engine) wheelNext(bound int64) bool {
 	w := &e.wh
 	// Empty-run skip: with no level-0 residents, nothing can drain before
 	// the next level-1 cascade boundary; with level 1 also empty, nothing
@@ -179,11 +189,17 @@ func (e *Engine) wheelStep(bound int64) {
 			w.cur = jump
 		}
 		if w.cur >= bound {
-			return
+			return false
 		}
 	}
 	w.cur++
-	c := w.cur
+	return true
+}
+
+// wheelDrainCur cascades the higher-level buckets whose boundary the
+// frontier tick cur sits on and drains cur's level-0 bucket.
+func (e *Engine) wheelDrainCur() {
+	c := e.wh.cur
 	if c&wheelSlotMask == 0 {
 		if c&wheelL1Mask == 0 {
 			e.wheelCascade(2, int((c>>(2*wheelLevelBits))&wheelSlotMask))
@@ -211,7 +227,7 @@ func (e *Engine) wheelCascade(lvl, slot int) {
 		if tv <= w.cur {
 			// tick == cur: due exactly at the boundary being crossed.
 			w.count--
-			e.heapPush(ev)
+			e.calPush(ev)
 		} else {
 			e.wheelPlace(ev, tv)
 		}
@@ -244,8 +260,8 @@ func (e *Engine) wheelRefileOverflow() {
 	w.over = kept
 }
 
-// wheelDrainL0 pushes every event of level-0 bucket slot into the heap;
-// the heap restores exact (t, seq) order among near-term events.
+// wheelDrainL0 pushes every event of level-0 bucket slot into the
+// calendar, which restores exact (t, seq) order among near-term events.
 func (e *Engine) wheelDrainL0(slot int) {
 	w := &e.wh
 	b := w.slots[0][slot]
@@ -256,7 +272,7 @@ func (e *Engine) wheelDrainL0(slot int) {
 	w.lcount[0] -= len(b)
 	w.count -= len(b)
 	for i, ev := range b {
-		e.heapPush(ev)
+		e.calPush(ev)
 		b[i] = event{}
 	}
 }
