@@ -22,18 +22,20 @@ race:
 
 # check is the full pre-merge gate: compile everything, check formatting,
 # lint with vet, run the test suite, then run it again under the race
-# detector.
+# detector, then run the host benchmark module's own tests (golden
+# digests, baseline byte equality), which ./... does not reach.
 check: build fmt vet
 	$(GO) test ./...
 	$(GO) test -race -timeout 45m ./...
+	cd benchmark && $(GO) test .
 
-# bench runs the engine microbenchmarks and the host wall-clock suite
+# bench runs the engine and file-system microbenchmarks and the host wall-clock suite
 # (writes BENCH_<case>.json + BENCH_host.json to the current directory).
 # The suite drives one machine per core by default; use
 # `genesys bench -parallel 1` for a sequential reference run and
 # `-seeds 1,2,...` for a multi-seed sweep (seed-<S>/ subdirectories).
 bench:
-	$(GO) test ./internal/sim -bench . -benchmem -run '^$$'
+	$(GO) test ./internal/sim ./internal/fs -bench . -benchmem -run '^$$'
 	$(GO) run ./cmd/genesys bench
 
 # baselines regenerates the committed sentry baselines. Sequential on

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -408,8 +409,48 @@ func TestFramebufferIoctlAndPixels(t *testing.T) {
 	}
 }
 
-// Property: a tmpfs file behaves like a flat byte array under random
-// pwrite/pread sequences.
+// refWrite applies a pwrite of data at off to the reference model: a
+// plain slice that grows with explicit zero bytes.
+func refWrite(ref, data []byte, off int64) []byte {
+	if end := off + int64(len(data)); end > int64(len(ref)) {
+		ref = append(ref, make([]byte, end-int64(len(ref)))...)
+	}
+	copy(ref[off:], data)
+	return ref
+}
+
+// refTruncate resizes the reference model; growth appends zero bytes.
+func refTruncate(ref []byte, size int64) []byte {
+	if size <= int64(len(ref)) {
+		return ref[:size]
+	}
+	return append(ref, make([]byte, size-int64(len(ref)))...)
+}
+
+// randomFileOp draws one mutation for the file property tests: a write
+// near the start, a write far past EOF that leaves a hole, or a
+// truncate that shrinks or grows the file. A shrink followed by a later
+// growth must read zeros where the old bytes were.
+func randomFileOp(rng *rand.Rand, size int64) (data []byte, off, trunc int64) {
+	trunc = -1
+	switch rng.Intn(5) {
+	case 0: // far past EOF
+		off = size + int64(rng.Intn(1<<16))
+		data = make([]byte, rng.Intn(512))
+	case 1: // shrink or grow
+		trunc = int64(rng.Intn(int(2*size) + 1024))
+		return nil, 0, trunc
+	default:
+		off = int64(rng.Intn(2048))
+		data = make([]byte, rng.Intn(256))
+	}
+	rng.Read(data)
+	return data, off, trunc
+}
+
+// Property: a tmpfs file behaves exactly like a growable byte slice
+// under random pwrite/pread/truncate sequences, including writes far
+// past EOF and shrinks followed by re-extension.
 func TestTmpfsMatchesReferenceModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -420,32 +461,38 @@ func TestTmpfsMatchesReferenceModel(t *testing.T) {
 			return false
 		}
 		io := &IOCtx{}
-		ref := make([]byte, 0, 4096)
-		for op := 0; op < 60; op++ {
-			off := int64(rng.Intn(2048))
-			l := rng.Intn(256)
+		var ref []byte
+		for op := 0; op < 80; op++ {
 			if rng.Intn(2) == 0 {
-				data := make([]byte, l)
-				rng.Read(data)
-				file.Pwrite(io, data, off)
-				end := off + int64(l)
-				for int64(len(ref)) < end {
-					ref = append(ref, 0)
+				data, off, trunc := randomFileOp(rng, int64(len(ref)))
+				if trunc >= 0 {
+					if file.Node.Truncate(trunc) != nil {
+						return false
+					}
+					ref = refTruncate(ref, trunc)
+					continue
 				}
-				copy(ref[off:end], data)
-			} else {
-				got := make([]byte, l)
-				n, _ := file.Pread(io, got, off)
-				want := []byte{}
-				if off < int64(len(ref)) {
-					want = ref[off:min64(int64(len(ref)), off+int64(l))]
-				}
-				if n != len(want) || !bytes.Equal(got[:n], want) {
+				if n, err := file.Pwrite(io, data, off); n != len(data) || err != nil {
 					return false
 				}
+				ref = refWrite(ref, data, off)
+				continue
+			}
+			off := int64(rng.Intn(len(ref) + 256))
+			l := rng.Intn(1024)
+			got := make([]byte, l)
+			n, _ := file.Pread(io, got, off)
+			want := []byte{}
+			if off < int64(len(ref)) {
+				want = ref[off:min64(int64(len(ref)), off+int64(l))]
+			}
+			if n != len(want) || !bytes.Equal(got[:n], want) {
+				return false
 			}
 		}
-		return file.Node.Size() == int64(len(ref))
+		all := make([]byte, len(ref)+1)
+		n, _ := file.Pread(io, all, 0)
+		return file.Node.Size() == int64(len(ref)) && bytes.Equal(all[:n], ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -453,7 +500,8 @@ func TestTmpfsMatchesReferenceModel(t *testing.T) {
 }
 
 // Property: an SSDFS file returns identical data to tmpfs for the same
-// operation sequence (caching must never change contents).
+// operation sequence (caching must never change contents), truncates
+// and writes past EOF included.
 func TestSSDFSContentMatchesTmpfs(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -466,19 +514,32 @@ func TestSSDFSContentMatchesTmpfs(t *testing.T) {
 		a, _ := v.Open("/d/f", O_RDWR|O_CREAT)
 		b, _ := v.Open("/t/f", O_RDWR|O_CREAT)
 		io := &IOCtx{}
-		for op := 0; op < 40; op++ {
-			off := int64(rng.Intn(16384))
-			l := rng.Intn(4096)
-			data := make([]byte, l)
-			rng.Read(data)
-			a.Pwrite(io, data, off)
-			b.Pwrite(io, data, off)
+		for op := 0; op < 60; op++ {
+			var data []byte
+			var off, trunc int64 = 0, -1
+			if rng.Intn(2) == 0 {
+				data, off, trunc = randomFileOp(rng, b.Node.Size())
+			} else {
+				off = int64(rng.Intn(16384))
+				data = make([]byte, rng.Intn(4096))
+				rng.Read(data)
+			}
+			if trunc >= 0 {
+				a.Node.Truncate(trunc)
+				b.Node.Truncate(trunc)
+			} else {
+				a.Pwrite(io, data, off)
+				b.Pwrite(io, data, off)
+			}
 			if rng.Intn(4) == 0 {
 				sfs.DropCaches()
 			}
-			ra := make([]byte, 512)
-			rb := make([]byte, 512)
-			ro := int64(rng.Intn(16384))
+			if a.Node.Size() != b.Node.Size() {
+				return false
+			}
+			ra := make([]byte, 4096)
+			rb := make([]byte, 4096)
+			ro := int64(rng.Intn(int(b.Node.Size()) + 512))
 			na, _ := a.Pread(io, ra, ro)
 			nb, _ := b.Pread(io, rb, ro)
 			if na != nb || !bytes.Equal(ra[:na], rb[:nb]) {
@@ -489,6 +550,98 @@ func TestSSDFSContentMatchesTmpfs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Appending a file in 4 KiB pwrites must cost amortised linear time and
+// memory: the total bytes allocated while building a 32 MiB file stay
+// within 3x its size (capacity doubling allocates about 2x; growing by
+// single-byte appends allocated about 6x).
+func TestAppendAllocatesLinearly(t *testing.T) {
+	const size, chunk = 32 << 20, 4096
+	dev := blockdev.New(sim.NewEngine(1), blockdev.DefaultConfig())
+	for _, c := range []struct {
+		name string
+		fs   interface{ NewFile() FileNode }
+	}{{"tmpfs", NewTmpfs()}, {"ssdfs", NewSSDFS(dev)}} {
+		t.Run(c.name, func(t *testing.T) {
+			f := NewFile(c.fs.NewFile(), O_RDWR, "/f")
+			buf := make([]byte, chunk)
+			io := &IOCtx{}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for off := int64(0); off < size; off += chunk {
+				if _, err := f.Pwrite(io, buf, off); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if f.Node.Size() != size {
+				t.Fatalf("size %d, want %d", f.Node.Size(), size)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 3*size {
+				t.Fatalf("appending %d MiB allocated %d MiB, want <= %d MiB",
+					size>>20, alloc>>20, 3*size>>20)
+			}
+		})
+	}
+}
+
+// appendsPerFile bounds BenchmarkFileAppend4K's file at 16 MiB, so the
+// benchmark's memory does not grow with b.N.
+const appendsPerFile = 4096
+
+// benchFileSystems returns fresh-file constructors for the two data
+// file systems. Each ssdfs file gets its own SSDFS, whose file list
+// would otherwise keep every finished file alive.
+func benchFileSystems() []struct {
+	name    string
+	newFile func() FileNode
+} {
+	dev := blockdev.New(sim.NewEngine(1), blockdev.DefaultConfig())
+	return []struct {
+		name    string
+		newFile func() FileNode
+	}{
+		{"tmpfs", NewTmpfs().NewFile},
+		{"ssdfs", func() FileNode { return NewSSDFS(dev).NewFile() }},
+	}
+}
+
+// BenchmarkFileAppend4K measures one 4 KiB append to a growing file,
+// file growth included.
+func BenchmarkFileAppend4K(b *testing.B) {
+	for _, c := range benchFileSystems() {
+		b.Run(c.name, func(b *testing.B) {
+			buf := make([]byte, 4096)
+			io := &IOCtx{}
+			var f FileNode
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%appendsPerFile == 0 {
+					f = c.newFile()
+				}
+				f.WriteAt(io, buf, int64(i%appendsPerFile)*int64(len(buf)))
+			}
+		})
+	}
+}
+
+// BenchmarkWriteFile64M measures staging a 64 MiB input into an empty
+// file in one write, as Machine.WriteFile does before a run.
+func BenchmarkWriteFile64M(b *testing.B) {
+	data := make([]byte, 64<<20)
+	for _, c := range benchFileSystems() {
+		b.Run(c.name, func(b *testing.B) {
+			io := &IOCtx{}
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.newFile().WriteAt(io, data, 0)
+			}
+		})
 	}
 }
 

@@ -120,9 +120,7 @@ func (f *ssdFile) WriteAt(io *IOCtx, b []byte, off int64) (int, error) {
 		return 0, errno.EINVAL
 	}
 	end := off + int64(len(b))
-	for int64(len(f.data)) < end {
-		f.data = append(f.data, 0)
-	}
+	f.data = grow(f.data, end)
 	n := copy(f.data[off:end], b)
 	// Write-back cache: pages become resident; device write is charged
 	// immediately at page granularity (no dirty tracking).
@@ -148,8 +146,6 @@ func (f *ssdFile) Truncate(size int64) error {
 		f.data = f.data[:size]
 		return nil
 	}
-	for int64(len(f.data)) < size {
-		f.data = append(f.data, 0)
-	}
+	f.data = grow(f.data, size)
 	return nil
 }

@@ -56,9 +56,7 @@ func (f *tmpFile) WriteAt(io *IOCtx, b []byte, off int64) (int, error) {
 		return 0, errno.EINVAL
 	}
 	end := off + int64(len(b))
-	for int64(len(f.data)) < end {
-		f.data = append(f.data, 0)
-	}
+	f.data = grow(f.data, end)
 	n := copy(f.data[off:end], b)
 	f.charge(io, n)
 	return n, nil
@@ -72,8 +70,26 @@ func (f *tmpFile) Truncate(size int64) error {
 		f.data = f.data[:size]
 		return nil
 	}
-	for int64(len(f.data)) < size {
-		f.data = append(f.data, 0)
-	}
+	f.data = grow(f.data, size)
 	return nil
+}
+
+// grow returns data extended to n bytes, or data itself if it is already
+// that long. Every new byte reads as zero, including capacity a
+// shrinking Truncate left behind. When the capacity runs out it at least
+// doubles, so a file appended in small writes costs amortised O(bytes)
+// to build. Tmpfs and SSDFS files share it.
+func grow(data []byte, n int64) []byte {
+	old := int64(len(data))
+	if n <= old {
+		return data
+	}
+	if n <= int64(cap(data)) {
+		data = data[:n]
+		clear(data[old:])
+		return data
+	}
+	nd := make([]byte, n, max(n, 2*int64(cap(data))))
+	copy(nd, data)
+	return nd
 }

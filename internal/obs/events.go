@@ -84,15 +84,17 @@ const DefaultEventCap = 1 << 16
 
 // EventLog is a bounded ring buffer of structured events. It starts
 // disabled so instrumented hot paths cost nothing until a consumer (the
-// -trace flag, a test) opts in; when full, the oldest events are
-// overwritten and counted as dropped. All methods are safe on a nil
-// receiver, so call sites need no guards.
+// -trace flag, a test) opts in, and it allocates the ring at the first
+// recorded event, so a log that never records costs no ring memory. When
+// full, the oldest events are overwritten and counted as dropped. All
+// methods are safe on a nil receiver, so call sites need no guards.
 type EventLog struct {
 	enabled  bool
-	buf      []Event
-	head     int   // next write position
-	total    int64 // events ever recorded
-	rejected int64 // spans refused for negative duration
+	capacity int     // ring size; buf is nil or has exactly this capacity
+	buf      []Event // allocated at the first push
+	head     int     // next write position
+	total    int64   // events ever recorded
+	rejected int64   // spans refused for negative duration
 
 	procNames   map[int]string
 	threadNames map[[2]int]string // (pid, tid) → name
@@ -110,7 +112,7 @@ func NewEventLog(capacity int) *EventLog {
 		capacity = DefaultEventCap
 	}
 	return &EventLog{
-		buf:         make([]Event, 0, capacity),
+		capacity:    capacity,
 		procNames:   make(map[int]string),
 		threadNames: make(map[[2]int]string),
 	}
@@ -153,8 +155,12 @@ func (l *EventLog) SetCapacity(n int) {
 	if n <= 0 {
 		n = DefaultEventCap
 	}
-	if n == cap(l.buf) {
+	if n == l.capacity {
 		return
+	}
+	l.capacity = n
+	if l.buf == nil {
+		return // nothing recorded yet: the first push allocates n
 	}
 	evs := l.Events() // oldest-first
 	if len(evs) > n {
@@ -170,7 +176,7 @@ func (l *EventLog) Capacity() int {
 	if l == nil {
 		return 0
 	}
-	return cap(l.buf)
+	return l.capacity
 }
 
 // NameProcess labels a synthetic process ID in exported traces.
@@ -190,6 +196,9 @@ func (l *EventLog) NameThread(pid, tid int, name string) {
 
 func (l *EventLog) push(e Event) {
 	l.total++
+	if l.buf == nil {
+		l.buf = make([]Event, 0, l.capacity)
+	}
 	if len(l.buf) < cap(l.buf) {
 		l.buf = append(l.buf, e)
 		return

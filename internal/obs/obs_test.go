@@ -109,6 +109,53 @@ func TestEventLogDisabledAndNil(t *testing.T) {
 	}
 }
 
+func TestEventLogRingAllocatedLazily(t *testing.T) {
+	// A log that stays disabled never allocates its ring, even while a
+	// flight recorder receives its flow-tagged spans.
+	l := NewEventLog(16)
+	f := NewFlight(FlightConfig{})
+	l.SetFlight(f)
+	for i := 0; i < 50; i++ {
+		at := sim.Time(i) * sim.Microsecond
+		l.FlowSpan("syscall", "phase", PIDSyscalls, 1, at, at+1, uint64(i%4+1), FlowStart, "pread")
+		l.Instant("c", "n", 1, 1, at)
+		l.Counter("c", "n", PIDUtil, 1, at, 1)
+	}
+	if l.buf != nil {
+		t.Fatalf("disabled log allocated a %d-event ring", cap(l.buf))
+	}
+	if len(f.chains) == 0 {
+		t.Fatal("flight recorder saw no chains")
+	}
+	if l.Capacity() != 16 || l.Len() != 0 || l.Dropped() != 0 || len(l.Events()) != 0 {
+		t.Fatalf("cap=%d len=%d dropped=%d", l.Capacity(), l.Len(), l.Dropped())
+	}
+
+	// SetCapacity before the first event sizes the ring exactly.
+	l.SetCapacity(3)
+	if l.buf != nil || l.Capacity() != 3 {
+		t.Fatalf("SetCapacity allocated (%v) or cap=%d", l.buf != nil, l.Capacity())
+	}
+	l.SetEnabled(true)
+	l.Instant("c", "n", 1, 0, 0)
+	if cap(l.buf) != 3 || l.Len() != 1 {
+		t.Fatalf("first event: ring cap %d len %d, want 3 and 1", cap(l.buf), l.Len())
+	}
+
+	// Wrap-around, drop counts and order are those of an eager ring.
+	for i := 1; i < 8; i++ {
+		l.Instant("c", "n", 1, i, sim.Time(i))
+	}
+	if l.Len() != 3 || l.Dropped() != 5 {
+		t.Fatalf("len=%d dropped=%d, want 3 and 5", l.Len(), l.Dropped())
+	}
+	for i, e := range l.Events() {
+		if e.TID != 5+i {
+			t.Fatalf("event %d has tid %d, want %d", i, e.TID, 5+i)
+		}
+	}
+}
+
 func TestEventLogRejectsNegativeSpans(t *testing.T) {
 	l := NewEventLog(8)
 	l.SetEnabled(true)

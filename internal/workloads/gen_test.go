@@ -1,0 +1,109 @@
+package workloads
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+)
+
+// highSource replays a fixed list of Int63 values, cycling. It lets a
+// test hand math/rand values above Int31n's rejection bound, which a
+// seeded source produces too rarely to rely on.
+type highSource struct {
+	vals []int64
+	i    int
+}
+
+func (s *highSource) Int63() int64 {
+	v := s.vals[s.i%len(s.vals)]
+	s.i++
+	return v
+}
+
+func (s *highSource) Seed(int64) {}
+
+// noiseRef is the per-byte loop noiseFill replaces.
+func noiseRef(rng *rand.Rand, b []byte) {
+	for i := range b {
+		b[i] = byte('a' + rng.Intn(20))
+	}
+}
+
+func TestNoiseFillMatchesIntn(t *testing.T) {
+	for _, seed := range []int64{0, 1, 2, 42, -7} {
+		for _, n := range []int{0, 1, 19, 20, 4096, 100003} {
+			want := make([]byte, n)
+			got := make([]byte, n)
+			ra := rand.New(rand.NewSource(seed))
+			rb := rand.New(rand.NewSource(seed))
+			noiseRef(ra, want)
+			noiseFill(rb, got)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d n %d: noiseFill differs from the Intn loop", seed, n)
+			}
+			// The streams must also leave the source in the same place.
+			if ra.Int63() != rb.Int63() {
+				t.Fatalf("seed %d n %d: rng streams diverged after the fill", seed, n)
+			}
+		}
+	}
+}
+
+func TestNoiseFillRetriesAboveBound(t *testing.T) {
+	const bound = 1<<31 - 1 - (1<<31)%20
+	top := func(v int64) int64 { return v << 32 } // Int31 keeps the top 31 bits
+	vals := []int64{
+		top(bound + 1),   // rejected
+		top(1<<31 - 1),   // rejected
+		top(bound),       // accepted: bound % 20
+		top(7),           // accepted
+		top(bound + 5),   // rejected
+		top(0) | 1<<31,   // accepted: low bits are discarded
+		top(bound - 1),   // accepted
+		top(1<<31 - 2),   // rejected
+		top(123456789),   // accepted
+		top(bound+1) | 3, // rejected
+	}
+	for _, n := range []int{1, 3, 6, 64} {
+		want := make([]byte, n)
+		got := make([]byte, n)
+		noiseRef(rand.New(&highSource{vals: vals}), want)
+		src := &highSource{vals: vals}
+		noiseFill(rand.New(src), got)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n %d: got %q, want %q", n, got, want)
+		}
+		if src.i <= n {
+			t.Fatalf("n %d: %d draws, so the rejection path never ran", n, src.i)
+		}
+	}
+}
+
+func TestFillPatternMatchesFormula(t *testing.T) {
+	for _, n := range []int{0, 1, 255, 256, 257, 4099, 1 << 20} {
+		for _, seed := range []byte{0, 7, 200} {
+			b := make([]byte, n)
+			fillPattern(b, seed)
+			for i, c := range b {
+				if c != byte(i)*31+seed {
+					t.Fatalf("n %d seed %d: b[%d] = %d, want %d", n, seed, i, c, byte(i)*31+seed)
+				}
+			}
+		}
+	}
+}
+
+func TestPermuteBlockMatchesFormula(t *testing.T) {
+	for _, n := range []int{0, 1, 31, 256, 257, 258, 8192} {
+		b := make([]byte, n)
+		rand.New(rand.NewSource(int64(n))).Read(b)
+		want := make([]byte, n)
+		for i := 0; i < n; i++ {
+			want[(i*257+31)%n] = b[i]
+		}
+		permuteBlock(b)
+		if !bytes.Equal(b, want) {
+			t.Fatalf("n %d: permuteBlock differs from (i*257+31)%%n", n)
+		}
+	}
+}

@@ -100,6 +100,21 @@ func (r GrepResult) Correct() bool {
 	return true
 }
 
+// noiseFill fills b with lowercase noise from the alphabet a–t, drawing
+// from rng exactly as the loop b[i] = 'a' + rng.Intn(20) does. The body
+// is math/rand's frozen Int31n(20) inlined: take the top 31 bits of an
+// Int63, reject values above the largest multiple of 20, reduce mod 20.
+func noiseFill(rng *rand.Rand, b []byte) {
+	const bound = 1<<31 - 1 - (1<<31)%20
+	for i := range b {
+		v := int32(rng.Int63() >> 32)
+		for v > bound {
+			v = int32(rng.Int63() >> 32)
+		}
+		b[i] = 'a' + byte(v%20)
+	}
+}
+
 // grepCorpus builds the file set: lowercase noise with search words
 // planted into half the files at random offsets.
 func grepCorpus(cfg GrepConfig) (words []string, files map[string][]byte, expected []string) {
@@ -112,9 +127,7 @@ func grepCorpus(cfg GrepConfig) (words []string, files map[string][]byte, expect
 	for f := 0; f < cfg.Files; f++ {
 		name := fmt.Sprintf("file%03d.txt", f)
 		data := make([]byte, cfg.FileBytes)
-		for i := range data {
-			data[i] = byte('a' + rng.Intn(20))
-		}
+		noiseFill(rng, data)
 		if f%2 == 0 {
 			w := words[rng.Intn(len(words))]
 			pos := rng.Intn(cfg.FileBytes - len(w))

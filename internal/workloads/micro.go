@@ -38,10 +38,14 @@ func (g Granularity) String() string {
 }
 
 // fillPattern writes a deterministic byte pattern used for read
-// validation.
+// validation: b[i] = patternByte(i, seed). The pattern repeats every 256
+// bytes, so one period is computed and the rest is doubling copies.
 func fillPattern(b []byte, seed byte) {
-	for i := range b {
-		b[i] = byte(i)*31 + seed
+	for i := range b[:min(len(b), 256)] {
+		b[i] = patternByte(int64(i), seed)
+	}
+	for n := 256; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
 	}
 }
 
@@ -116,6 +120,10 @@ func RunPread(m *platform.Machine, cfg PreadConfig) (PreadResult, error) {
 		}
 	}
 
+	var kernelBuf any // only kernel granularity reads into one shared buffer
+	if cfg.Granularity == GranKernel {
+		kernelBuf = make([]byte, cfg.FileSize)
+	}
 	var res PreadResult
 	m.E.Spawn("host", func(p *sim.Proc) {
 		wgBytes := cfg.ChunkPerWI * int64(cfg.WGSize)
@@ -173,7 +181,7 @@ func RunPread(m *platform.Machine, cfg PreadConfig) (PreadResult, error) {
 					}
 				}
 			},
-			Args: make([]byte, cfg.FileSize), // kernel-granularity buffer
+			Args: kernelBuf,
 		})
 		k.Wait(p)
 		g.Drain(p)
@@ -209,12 +217,20 @@ type PermuteResult struct {
 	Validated      bool
 }
 
-// permuteBlock applies one round of the fixed block permutation.
+// permuteBlock applies one round of the fixed block permutation: byte i
+// moves to (i*257+31) mod n, with the index stepped incrementally.
 func permuteBlock(b []byte) {
 	n := len(b)
+	if n == 0 {
+		return
+	}
 	tmp := make([]byte, n)
-	for i := 0; i < n; i++ {
-		tmp[(i*257+31)%n] = b[i]
+	j, step := 31%n, 257%n
+	for _, c := range b {
+		tmp[j] = c
+		if j += step; j >= n {
+			j -= n
+		}
 	}
 	copy(b, tmp)
 }

@@ -135,9 +135,7 @@ func wcCorpus(cfg WordcountConfig) ([][]byte, []int64) {
 	const cell = 64 << 10
 	for f := range files {
 		data := make([]byte, cfg.FileBytes)
-		for i := range data {
-			data[i] = byte('a' + rng.Intn(20))
-		}
+		noiseFill(rng, data)
 		plants := int(cfg.FileBytes / (16 << 10))
 		cells := cfg.FileBytes / cell
 		for i := 0; i < plants; i++ {
