@@ -29,17 +29,17 @@ check: build fmt vet
 	$(GO) test -race -timeout 45m ./...
 	cd benchmark && $(GO) test .
 
-# bench runs the engine and file-system microbenchmarks and the host wall-clock suite
-# (writes BENCH_<case>.json + BENCH_host.json to the current directory).
-# The suite drives one machine per core by default; use
-# `genesys bench -parallel 1` for a sequential reference run and
-# `-seeds 1,2,...` for a multi-seed sweep (seed-<S>/ subdirectories).
+# bench runs the engine and file-system microbenchmarks and the bench suite
+# (writes BENCH_<case>.json and SLO_fleet.json to the current directory and
+# prints each case's host wall time). The suite drives one machine per core
+# by default; `-seeds 1,2,...` runs a multi-seed sweep (seed-<S>/
+# subdirectories). Host wall time is measured with calibrated repeated runs
+# by `bash benchmark/run.sh`.
 bench:
 	$(GO) test ./internal/sim ./internal/fs -bench . -benchmem -run '^$$'
 	$(GO) run ./cmd/genesys bench
 
-# baselines regenerates the committed sentry baselines. Sequential on
-# purpose: per-case wall_ms in BENCH_host.json is only comparable to a
-# fresh run at the same parallelism, and CI's sentry job runs -parallel 1.
+# baselines regenerates the committed sentry baselines: the virtual-time
+# artifacts of the seed-1 suite, identical at any -parallel.
 baselines:
-	$(GO) run ./cmd/genesys bench -parallel 1 -out baselines
+	$(GO) run ./cmd/genesys bench -out baselines

@@ -63,7 +63,7 @@ func restoreCmd(args []string) {
 	}
 	fmt.Printf("restoring %s: case %q seed %d, cut at t=%v\n",
 		path, s.Meta.Case, s.Meta.Seed, time.Duration(s.CutAt))
-	res, _, artifacts, err := experiments.ResumeBench(path)
+	res, artifacts, err := experiments.ResumeBench(path)
 	if err != nil {
 		fatalf("restore: %v", err)
 	}

@@ -38,7 +38,7 @@ func usage() {
   genesys run [-runs N] [-seed S] [-trace FILE] [-trace-cap N] [-flight-out DIR] [-metrics] [-critpath] [-faults P] <experiment|all> [...]
   genesys bench [-seed S | -seeds S1,S2,..] [-parallel N] [-out DIR] [-ckpt-at DUR]
                 [-cpuprofile FILE] [-memprofile FILE] [case ...]
-  genesys sentry [-baseline DIR] [-wall-factor F] -fresh DIR
+  genesys sentry [-baseline DIR] -fresh DIR
   genesys ckpt -case NAME [-seed S] -at DUR -out FILE
   genesys restore [-out DIR] FILE
   genesys record -case NAME [-seed S] -out FILE
@@ -65,14 +65,16 @@ run flags:
   -fault-rate R per-opportunity injection probability (default %.2f)
 
 bench: run the fixed deterministic perf suite, writing one
-BENCH_<case>.json per case (all cases when none are named). -parallel N
-(default: host cores) simulates up to N fully isolated machines
-concurrently — one per (case, seed) — with results merged in case
-order, byte-identical to -parallel 1; -seeds runs the suite under
-several seeds at once, each seed's virtual-time artifacts in
-OUT/seed-<S>/. With -ckpt-at, also write CKPT_<case>.json — a snapshot
-of each case cut at the given virtual instant (restore with 'genesys
-restore').
+BENCH_<case>.json per case (all cases when none are named) and
+printing each case's host wall time. -parallel N (default: host cores)
+simulates up to N fully isolated machines concurrently — one per
+(case, seed) — with results merged in case order, byte-identical to
+-parallel 1; -seeds runs the suite under several seeds at once, each
+seed's artifacts in OUT/seed-<S>/. With -ckpt-at, also write
+CKPT_<case>.json — a snapshot of each case cut at the given virtual
+instant (restore with 'genesys restore'). The printed wall times are
+single samples; the host benchmark (bash benchmark/run.sh) measures
+host cost with calibrated repeated runs.
 bench cases: %v
 
 ckpt/restore: checkpoint a bench case mid-run to a snapshot file;
@@ -84,9 +86,9 @@ a trace file; replay re-drives the stream against a bare kernel
 pipeline (no workload), sweeping worker counts and coalescing windows.
 
 sentry: diff a fresh bench-artifact directory against the committed
-baselines (default DIR "baselines"): exact on virtual-time artifacts
-(BENCH_<case>.json, SLO_*.json), thresholded on BENCH_host.json
-wall-clock. Prints a per-metric delta table; exits 1 on regression.
+baselines (default DIR "baselines"), byte-exact on every virtual-time
+artifact (BENCH_<case>.json, SLO_*.json, ANOMALY_*.json). Prints a
+per-metric delta table; exits 1 on regression.
 
 experiments: %v
 `, obs.DefaultEventCap, fault.Profiles(), fault.DefaultRate,
@@ -261,13 +263,12 @@ func sentryCmd(args []string) {
 	fs := flag.NewFlagSet("sentry", flag.ExitOnError)
 	baseline := fs.String("baseline", "baselines", "committed baseline artifact directory")
 	fresh := fs.String("fresh", "", "freshly generated bench artifact directory (required)")
-	wallFactor := fs.Float64("wall-factor", 10, "allowed BENCH_host.json wall-clock inflation factor")
 	_ = fs.Parse(args)
 	if *fresh == "" {
 		fmt.Fprintln(os.Stderr, "sentry: -fresh DIR is required")
 		os.Exit(2)
 	}
-	rep, err := experiments.RunSentry(*baseline, *fresh, experiments.SentryOptions{WallFactor: *wallFactor})
+	rep, err := experiments.RunSentry(*baseline, *fresh)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(1)
@@ -303,7 +304,7 @@ func benchCmd(args []string) {
 	seed := fs.Int64("seed", 1, "machine seed")
 	seeds := fs.String("seeds", "", "comma-separated machine seeds; each seed's artifacts land in OUT/seed-<S>/ (overrides -seed)")
 	outDir := fs.String("out", ".", "directory the BENCH_<case>.json files are written to")
-	parallel := fs.Int("parallel", runtime.NumCPU(), "max machines simulated concurrently (1 = sequential driver)")
+	parallel := fs.Int("parallel", runtime.NumCPU(), "max machines simulated concurrently")
 	ckptAt := fs.Duration("ckpt-at", 0, "also snapshot each case at this virtual instant (CKPT_<case>.json)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the suite to this file (requires -parallel 1)")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile taken after the suite to this file (requires -parallel 1)")
@@ -345,7 +346,7 @@ func benchCmd(args []string) {
 	// All writes and console lines happen after the merge, in the
 	// suite's deterministic unit order — worker goroutines never touch
 	// stdout or the filesystem, so -parallel N output is identical to
-	// -parallel 1 modulo the wall-clock numbers.
+	// -parallel 1 modulo the wall times.
 	for _, c := range suite.Cases {
 		dir := caseDir(c.Seed)
 		label := c.Name
@@ -370,14 +371,13 @@ func benchCmd(args []string) {
 			}
 			fmt.Printf("%-16s artifact -> %s\n", label, apath)
 		}
-		wall := time.Duration(c.Host.WallNS)
 		calls := float64(0)
-		if wall > 0 {
-			calls = float64(c.Result.Calls) / wall.Seconds()
+		if c.Wall > 0 {
+			calls = float64(c.Result.Calls) / c.Wall.Seconds()
 		}
 		fmt.Printf("%-16s %6d calls  p50 %8.2fus  p99 %8.2fus  cpu %5.1f%%  %9.0f calls/s  -> %s (%v)\n",
 			label, c.Result.Calls, c.Result.P50US, c.Result.P99US, c.Result.CPUUtilPct,
-			calls, path, wall.Round(time.Millisecond))
+			calls, path, c.Wall.Round(time.Millisecond))
 		if *ckptAt > 0 {
 			spath := filepath.Join(dir, "CKPT_"+c.Name+".json")
 			if err := experiments.CheckpointBench(c.Name, c.Seed, sim.Time(ckptAt.Nanoseconds()), spath); err != nil {
@@ -387,13 +387,7 @@ func benchCmd(args []string) {
 			fmt.Printf("%-16s snapshot at t=%v -> %s\n", label, *ckptAt, spath)
 		}
 	}
-	hostPath := filepath.Join(*outDir, "BENCH_host.json")
-	if err := os.WriteFile(hostPath, suite.HostReport().JSON(), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("host wall-clock report -> %s (%d worker(s), suite wall %v)\n",
-		hostPath, suite.Workers, time.Duration(suite.WallNS).Round(time.Millisecond))
+	fmt.Printf("suite wall %v (%d worker(s))\n", suite.Wall.Round(time.Millisecond), suite.Workers)
 }
 
 func classifyCmd() {

@@ -224,49 +224,19 @@ func trackByName(u *obs.Util, name string) *obs.UtilTrack {
 	return nil
 }
 
-// HostStats captures the host-side (wall-clock) cost of one bench run.
-// Unlike BenchResult these numbers depend on the machine the benchmark
-// ran on, so they are reported separately (BENCH_host.json) and are
-// NOT part of the determinism gate.
-type HostStats struct {
-	WallNS         int64  `json:"wall_ns"`
-	Events         uint64 `json:"sim_events_total"`
-	ReadyFast      uint64 `json:"sim_events_ready_fast"`
-	CallbacksRun   uint64 `json:"sim_callbacks_run"`
-	ProcSwitches   uint64 `json:"sim_proc_switches_total"`
-	ProcsSpawned   uint64 `json:"sim_procs_spawned"`
-	ProcsReaped    uint64 `json:"sim_procs_reaped"`
-	TimersCanceled uint64 `json:"sim_timers_canceled"`
-	WheelScheduled uint64 `json:"sim_wheel_scheduled"`
-	WheelCanceled  uint64 `json:"sim_wheel_canceled"`
-	WheelPeak      int    `json:"sim_wheel_peak"`
-}
-
 // RunBench runs one bench case deterministically and returns its
-// snapshot.
-func RunBench(name string, seed int64) (BenchResult, error) {
-	res, _, err := RunBenchHost(name, seed)
-	return res, err
-}
-
-// RunBenchHost is RunBench plus host wall-clock and engine-throughput
-// telemetry for the same run.
-func RunBenchHost(name string, seed int64) (BenchResult, HostStats, error) {
-	res, host, _, err := RunBenchArtifacts(name, seed)
-	return res, host, err
-}
-
-// RunBenchArtifacts is RunBenchHost plus any extra deterministic
-// artifacts the case produced, keyed by file name (the fleet case emits
-// its SLO report as SLO_fleet.json). Artifacts join BENCH_<case>.json in
-// the byte-identity gate; host telemetry stays excluded.
-func RunBenchArtifacts(name string, seed int64) (BenchResult, HostStats, map[string][]byte, error) {
+// snapshot plus any extra deterministic artifacts the case produced,
+// keyed by file name (the fleet case emits its SLO report as
+// SLO_fleet.json). Artifacts join BENCH_<case>.json in the byte-identity
+// gate.
+func RunBench(name string, seed int64) (BenchResult, map[string][]byte, error) {
 	br, err := StartBench(name, seed)
 	if err != nil {
-		return BenchResult{}, HostStats{}, nil, err
+		return BenchResult{}, nil, err
 	}
 	defer br.Close()
-	return br.Finish()
+	res, _, artifacts, err := br.Finish()
+	return res, artifacts, err
 }
 
 // BenchRun is a staged bench case whose engine loop the caller owns —
@@ -328,32 +298,20 @@ func (b *BenchRun) Close() { b.M.Shutdown() }
 
 // Finish drives the engine to quiescence (from wherever the caller left
 // it — t=0 for a straight run, the cut instant for a restored one) and
-// distills the deterministic result, host telemetry and artifacts.
-func (b *BenchRun) Finish() (BenchResult, HostStats, map[string][]byte, error) {
+// distills the deterministic result and artifacts. The second result is
+// the run's host wall time since StartBench; it is the only output that
+// depends on the host.
+func (b *BenchRun) Finish() (BenchResult, time.Duration, map[string][]byte, error) {
 	m, name, seed := b.M, b.Name, b.Seed
 	if err := m.Run(); err != nil {
-		return BenchResult{}, HostStats{}, nil, err
+		return BenchResult{}, 0, nil, err
 	}
 	if b.finish != nil {
 		if err := b.finish(); err != nil {
-			return BenchResult{}, HostStats{}, nil, err
+			return BenchResult{}, 0, nil, err
 		}
 	}
 	wall := time.Since(b.wallStart)
-	st := m.E.Stats()
-	host := HostStats{
-		WallNS:         wall.Nanoseconds(),
-		Events:         st.Scheduled,
-		ReadyFast:      st.ReadyFast,
-		CallbacksRun:   st.CallbacksRun,
-		ProcSwitches:   st.ProcSwitches,
-		ProcsSpawned:   st.ProcsSpawned,
-		ProcsReaped:    st.ProcsReaped,
-		TimersCanceled: st.TimersCanceled,
-		WheelScheduled: st.WheelScheduled,
-		WheelCanceled:  st.WheelCanceled,
-		WheelPeak:      st.WheelPeak,
-	}
 	now := m.E.Now()
 	tr := m.Genesys.Tracer()
 	q := tr.Total().Percentiles(50, 95, 99)
@@ -391,5 +349,5 @@ func (b *BenchRun) Finish() (BenchResult, HostStats, map[string][]byte, error) {
 		}
 		artifacts[fmt.Sprintf("ANOMALY_%s_%s", name, bun.Name()[len("ANOMALY_"):])] = bun.JSON()
 	}
-	return res, host, artifacts, nil
+	return res, wall, artifacts, nil
 }

@@ -13,11 +13,11 @@ import (
 // next machine's virtual-time behavior.
 func TestBenchDeterministic(t *testing.T) {
 	for _, name := range BenchNames() {
-		a, err := RunBench(name, 7)
+		a, _, err := RunBench(name, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunBench(name, 7)
+		b, _, err := RunBench(name, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,39 +28,8 @@ func TestBenchDeterministic(t *testing.T) {
 	}
 }
 
-// TestBenchHostStats: RunBenchHost reports the same deterministic
-// snapshot plus plausible host-side engine telemetry.
-func TestBenchHostStats(t *testing.T) {
-	res, host, err := RunBenchHost("syscall-loaded", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := RunBench("syscall-loaded", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.JSON(), plain.JSON()) {
-		t.Fatal("RunBenchHost snapshot differs from RunBench")
-	}
-	if host.WallNS <= 0 {
-		t.Fatalf("wall_ns=%d", host.WallNS)
-	}
-	if host.Events == 0 || host.ProcSwitches == 0 {
-		t.Fatalf("engine telemetry empty: %+v", host)
-	}
-	if host.Events < host.ReadyFast {
-		t.Fatalf("ready-fast %d exceeds events %d", host.ReadyFast, host.Events)
-	}
-	if host.ProcsSpawned == 0 || host.ProcsReaped == 0 {
-		t.Fatalf("proc reaping not observed: %+v", host)
-	}
-	if host.ProcsReaped > host.ProcsSpawned {
-		t.Fatalf("reaped %d > spawned %d", host.ProcsReaped, host.ProcsSpawned)
-	}
-}
-
 func TestBenchSnapshotShape(t *testing.T) {
-	res, err := RunBench("syscall-loaded", 1)
+	res, _, err := RunBench("syscall-loaded", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +57,7 @@ func TestBenchSnapshotShape(t *testing.T) {
 		t.Fatalf("round-trip lost identity: %+v", back)
 	}
 
-	if _, err := RunBench("no-such-case", 1); err == nil {
+	if _, _, err := RunBench("no-such-case", 1); err == nil {
 		t.Fatal("unknown case accepted")
 	}
 }

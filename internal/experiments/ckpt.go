@@ -34,25 +34,26 @@ func CheckpointBench(name string, seed int64, cutAt sim.Time, path string) error
 // fast-forward to the cut, verify bit-identity — and runs the case to
 // completion. The returned result and artifacts are byte-identical to a
 // straight run's (the CI gate).
-func ResumeBench(path string) (BenchResult, HostStats, map[string][]byte, error) {
+func ResumeBench(path string) (BenchResult, map[string][]byte, error) {
 	s, err := ckpt.Load(path)
 	if err != nil {
-		return BenchResult{}, HostStats{}, nil, err
+		return BenchResult{}, nil, err
 	}
 	if s.Meta.Kind != "bench" {
-		return BenchResult{}, HostStats{}, nil,
+		return BenchResult{}, nil,
 			fmt.Errorf("bench: snapshot kind %q, want \"bench\" (a %q snapshot restores elsewhere)",
 				s.Meta.Kind, s.Meta.Kind)
 	}
 	br, err := StartBench(s.Meta.Case, s.Meta.Seed)
 	if err != nil {
-		return BenchResult{}, HostStats{}, nil, err
+		return BenchResult{}, nil, err
 	}
 	defer br.Close()
 	if err := ckpt.FastForward(br.M, s); err != nil {
-		return BenchResult{}, HostStats{}, nil, err
+		return BenchResult{}, nil, err
 	}
-	return br.Finish()
+	res, _, artifacts, err := br.Finish()
+	return res, artifacts, err
 }
 
 // RecordBench runs the named bench case with a syscall recorder

@@ -18,7 +18,7 @@ func TestResumeEqualsStraightRun(t *testing.T) {
 	for _, name := range []string{"syscall-idle", "coalesce-64", "fleet"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			straight, _, arts, err := RunBenchArtifacts(name, 1)
+			straight, arts, err := RunBench(name, 1)
 			if err != nil {
 				t.Fatalf("straight run: %v", err)
 			}
@@ -31,7 +31,7 @@ func TestResumeEqualsStraightRun(t *testing.T) {
 			if err := CheckpointBench(name, 1, cut, path); err != nil {
 				t.Fatalf("checkpoint: %v", err)
 			}
-			resumed, _, rarts, err := ResumeBench(path)
+			resumed, rarts, err := ResumeBench(path)
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -55,7 +55,7 @@ func TestResumeEqualsStraightRun(t *testing.T) {
 // perturb the run: a run that was checkpointed mid-flight and then
 // continued in the same machine matches the straight run.
 func TestCheckpointCapturePure(t *testing.T) {
-	straight, _, _, err := RunBenchArtifacts("syscall-loaded", 1)
+	straight, _, err := RunBench("syscall-loaded", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCheckpointWrongRecipeMismatch(t *testing.T) {
 	if err := s.Write(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := ResumeBench(path); err == nil {
+	if _, _, err := ResumeBench(path); err == nil {
 		t.Fatal("restore with wrong recipe verified clean; want mismatch")
 	}
 }
@@ -189,7 +189,7 @@ func TestRecordReplayFleet(t *testing.T) {
 // TestRecordingIsPureTap asserts attaching a recorder does not perturb
 // the run it records.
 func TestRecordingIsPureTap(t *testing.T) {
-	straight, _, _, err := RunBenchArtifacts("syscall-idle", 1)
+	straight, _, err := RunBench("syscall-idle", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

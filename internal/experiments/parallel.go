@@ -1,20 +1,17 @@
 package experiments
 
-// The parallel multi-machine bench driver: N fully isolated simulated
-// machines run concurrently in one host process, one per (case, seed)
-// work unit. Isolation is structural — every machine owns its own
+// The multi-machine bench driver: a pool of workers runs fully isolated
+// simulated machines concurrently in one host process, one per (case,
+// seed) work unit. Isolation is structural — every machine owns its own
 // sim.Engine, obs.Registry, obs.Flight, fault plan and artifact buffers
-// (RunBenchArtifacts builds all of them inside the worker goroutine and
-// nothing escapes but the finished SuiteCase) — so a parallel run
-// produces BENCH_<case>.json / SLO_*.json / ANOMALY_*.json bytes
-// identical to a sequential one for the same seed. Results are merged
-// in work-unit order (seeds in the order given, cases in emission
-// order), never in completion order, so everything downstream of the
-// driver — file writes, console lines, the host report's case table —
-// is deterministic even though scheduling is not. Only host wall-clock
-// telemetry (HostStats, the parallel schedule) reflects the actual
-// nondeterministic execution, and that is exactly the part BENCH_host.json
-// carries outside the byte-identity gate.
+// (StartBench and Finish build all of them inside the worker goroutine
+// and nothing escapes but the finished SuiteCase) — so a run with N
+// workers produces BENCH_<case>.json / SLO_*.json / ANOMALY_*.json bytes
+// identical to a run with one. Results are merged in work-unit order
+// (seeds in the order given, cases in emission order), never in
+// completion order, so everything downstream of the driver — file
+// writes and console lines — is deterministic even though scheduling
+// is not. Only the wall times reflect the actual execution.
 
 import (
 	"fmt"
@@ -34,17 +31,16 @@ type SuiteOptions struct {
 	// empty). Each (case, seed) pair is one work unit with its own
 	// machine.
 	Seeds []int64
-	// Parallel is the maximum number of machines simulated concurrently;
-	// values <= 1 run every unit sequentially in the calling goroutine —
-	// byte-for-byte the pre-parallel driver.
+	// Parallel is the maximum number of machines simulated concurrently
+	// (values < 1 mean 1).
 	Parallel int
 
 	// CPUProfile / MemProfile, when set, write pprof profiles covering
 	// exactly the simulation work of the suite (not flag parsing or
-	// artifact writes). Profiling requires Parallel == 1: a sequential
-	// run attributes every sample to one machine's hot path, which is
-	// the shape perf work needs — concurrent machines time-sharing the
-	// cores would smear the profile across worker goroutines.
+	// artifact writes). Profiling requires Parallel == 1: one worker
+	// attributes every sample to one machine's hot path, which is the
+	// shape perf work needs — concurrent machines time-sharing the cores
+	// would smear the profile across worker goroutines.
 	CPUProfile string
 	MemProfile string
 }
@@ -54,21 +50,16 @@ type SuiteCase struct {
 	Name      string
 	Seed      int64
 	Result    BenchResult
-	Host      HostStats
 	Artifacts map[string][]byte
-	// Worker is the driver worker that ran this unit (0 for a
-	// sequential run). Host-side telemetry only: which worker a unit
-	// lands on is scheduling-dependent.
-	Worker int
+	Wall      time.Duration // host wall time of this unit
 }
 
 // SuiteResult is a completed bench-suite run: every work unit in
-// deterministic merge order plus the suite-level host telemetry.
+// deterministic merge order.
 type SuiteResult struct {
-	Cases    []SuiteCase
-	Parallel int   // requested parallelism
-	Workers  int   // workers actually used: min(Parallel, units)
-	WallNS   int64 // end-to-end suite wall clock
+	Cases   []SuiteCase
+	Workers int           // workers used: min(Parallel, units)
+	Wall    time.Duration // host wall time of the whole suite
 }
 
 // normalize resolves defaults and validates every case name up front,
@@ -115,89 +106,75 @@ func RunBenchSuite(opt SuiteOptions) (*SuiteResult, error) {
 	}
 	out := make([]SuiteCase, len(units))
 	errs := make([]error, len(units))
-	runUnit := func(i, worker int) {
+	runUnit := func(i int) {
 		u := units[i]
-		res, host, artifacts, err := RunBenchArtifacts(u.name, u.seed)
+		br, err := StartBench(u.name, u.seed)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		defer br.Close()
+		res, wall, artifacts, err := br.Finish()
 		out[i] = SuiteCase{Name: u.name, Seed: u.seed, Result: res,
-			Host: host, Artifacts: artifacts, Worker: worker}
+			Artifacts: artifacts, Wall: wall}
 		errs[i] = err
 	}
+	if opt.CPUProfile != "" {
+		f, err := os.Create(opt.CPUProfile)
+		if err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			f.Close()
+		}()
+	}
 	start := time.Now()
-	workers := opt.Parallel
-	if workers > len(units) {
-		workers = len(units)
+	workers := min(opt.Parallel, len(units))
+	// Worker pool over a shared index feed. Workers share nothing but
+	// the feed channel and their disjoint out/errs slots; each machine
+	// is built, run and distilled entirely inside one worker goroutine.
+	feed := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range feed {
+				runUnit(i)
+			}
+		}()
 	}
-	if workers <= 1 {
-		// The sequential path: today's behavior, one machine at a time
-		// in the calling goroutine.
-		workers = 1
-		if opt.CPUProfile != "" {
-			f, err := os.Create(opt.CPUProfile)
-			if err != nil {
-				return nil, fmt.Errorf("cpuprofile: %w", err)
-			}
-			if err := pprof.StartCPUProfile(f); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("cpuprofile: %w", err)
-			}
-			defer func() {
-				pprof.StopCPUProfile()
-				f.Close()
-			}()
-		}
-		for i := range units {
-			runUnit(i, 0)
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
-		}
-		if opt.MemProfile != "" {
-			f, err := os.Create(opt.MemProfile)
-			if err != nil {
-				return nil, fmt.Errorf("memprofile: %w", err)
-			}
-			runtime.GC() // materialize final heap stats before the snapshot
-			werr := pprof.WriteHeapProfile(f)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return nil, fmt.Errorf("memprofile: %w", werr)
-			}
-		}
-	} else {
-		// Worker pool over a shared index feed. Workers share nothing
-		// but the feed channel and their disjoint out/errs slots; each
-		// machine is built, run and distilled entirely inside one
-		// worker goroutine.
-		feed := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(worker int) {
-				defer wg.Done()
-				for i := range feed {
-					runUnit(i, worker)
-				}
-			}(w)
-		}
-		for i := range units {
-			feed <- i
-		}
-		close(feed)
-		wg.Wait()
-		// First error in unit order, not completion order, so the
-		// reported failure is deterministic too.
-		for i := range units {
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
+	for i := range units {
+		feed <- i
+	}
+	close(feed)
+	wg.Wait()
+	wall := time.Since(start)
+	// First error in unit order, not completion order, so the reported
+	// failure is deterministic too.
+	for i := range units {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
 	}
-	return &SuiteResult{
-		Cases:    out,
-		Parallel: opt.Parallel,
-		Workers:  workers,
-		WallNS:   time.Since(start).Nanoseconds(),
-	}, nil
+	if opt.MemProfile != "" {
+		f, err := os.Create(opt.MemProfile)
+		if err != nil {
+			return nil, fmt.Errorf("memprofile: %w", err)
+		}
+		runtime.GC() // materialize final heap stats before the snapshot
+		werr := pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); werr == nil {
+			werr = cerr
+		}
+		if werr != nil {
+			return nil, fmt.Errorf("memprofile: %w", werr)
+		}
+	}
+	return &SuiteResult{Cases: out, Workers: workers, Wall: wall}, nil
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -13,7 +15,7 @@ import (
 
 // assertSuitesIdentical compares every virtual-time artifact of two
 // suite runs byte-for-byte: BENCH snapshots, SLO reports and any
-// anomaly bundles. Host telemetry (wall clocks, worker ids) is exempt.
+// anomaly bundles. Wall times are exempt.
 func assertSuitesIdentical(t *testing.T, label string, seq, par *SuiteResult) {
 	t.Helper()
 	if len(seq.Cases) != len(par.Cases) {
@@ -80,9 +82,8 @@ func TestParallelSuiteMatchesSequential(t *testing.T) {
 }
 
 // TestParallelSuiteMergeOrder: results merge in work-unit order (seeds
-// as given, cases in emission order) with plausible host telemetry —
-// never in completion order — and the host report reflects the
-// parallel configuration.
+// as given, cases in emission order) with a host wall time per unit —
+// never in completion order.
 func TestParallelSuiteMergeOrder(t *testing.T) {
 	cases := []string{"syscall-idle", "net-loopback"}
 	seeds := []int64{5, 6}
@@ -101,30 +102,41 @@ func TestParallelSuiteMergeOrder(t *testing.T) {
 		if c.Name != want[i][0] || c.Seed != want[i][1] {
 			t.Fatalf("unit %d = %s@%d, want %v", i, c.Name, c.Seed, want[i])
 		}
-		if c.Worker < 0 || c.Worker >= s.Workers {
-			t.Fatalf("unit %d ran on worker %d of %d", i, c.Worker, s.Workers)
-		}
-		if c.Host.WallNS <= 0 || c.Host.Events == 0 {
-			t.Fatalf("unit %d host telemetry empty: %+v", i, c.Host)
+		if c.Wall <= 0 || c.Wall > s.Wall {
+			t.Fatalf("unit %d wall %v outside suite wall %v", i, c.Wall, s.Wall)
 		}
 	}
-	rep := s.HostReport()
-	if rep.Parallel != 4 || rep.Workers != s.Workers || rep.HostCores < 1 {
-		t.Fatalf("host report config: %+v", rep)
+	if s.Workers != 4 {
+		t.Fatalf("parallel=4 over 4 units used %d workers", s.Workers)
 	}
-	if rep.SuiteWallMS <= 0 || rep.EventsPerHostSecPerCore <= 0 {
-		t.Fatalf("host report rates: suite_wall_ms=%v per_core=%v",
-			rep.SuiteWallMS, rep.EventsPerHostSecPerCore)
+}
+
+// TestSuiteProfiles: with one worker, -cpuprofile and -memprofile each
+// write a gzip-compressed pprof file; with more than one worker a
+// profile request errors before any machine is built or file created.
+func TestSuiteProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if _, err := RunBenchSuite(SuiteOptions{Cases: []string{"syscall-idle"}, Parallel: 1,
+		CPUProfile: cpu, MemProfile: mem}); err != nil {
+		t.Fatal(err)
 	}
-	if len(rep.Schedule) != len(s.Cases) || len(rep.Cases) != len(s.Cases) {
-		t.Fatalf("host report rows: %d schedule, %d cases", len(rep.Schedule), len(rep.Cases))
-	}
-	for i, slot := range rep.Schedule {
-		if slot.Case != s.Cases[i].Name || slot.Seed != s.Cases[i].Seed ||
-			slot.Worker != s.Cases[i].Worker {
-			t.Fatalf("schedule slot %d = %+v, want %s@%d on %d",
-				i, slot, s.Cases[i].Name, s.Cases[i].Seed, s.Cases[i].Worker)
+	for _, path := range []string{cpu, mem} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Fatalf("%s: %d bytes, not a gzip pprof file", filepath.Base(path), len(b))
+		}
+	}
+	bad := filepath.Join(dir, "parallel.pprof")
+	if _, err := RunBenchSuite(SuiteOptions{Cases: []string{"syscall-idle"}, Parallel: 2,
+		CPUProfile: bad}); err == nil {
+		t.Fatal("profiling accepted with -parallel 2")
+	}
+	if _, err := os.Stat(bad); !os.IsNotExist(err) {
+		t.Fatalf("rejected profile run created %s (stat: %v)", filepath.Base(bad), err)
 	}
 }
 

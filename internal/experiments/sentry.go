@@ -1,14 +1,12 @@
 package experiments
 
 // The CI perf-regression sentry: diff a freshly generated bench-artifact
-// directory against the committed baselines/ directory. Virtual-time
-// artifacts (BENCH_<case>.json, SLO_<case>.json) are deterministic for a
-// fixed seed, so the comparison is exact — any drift is a regression (or
-// an intentional change that must update the baseline in the same PR).
-// BENCH_host.json is host wall-clock and only thresholded: a case fails
-// when its wall time exceeds WallFactor × the committed baseline, loose
-// enough for CI-runner noise, tight enough to catch a hot path falling
-// off a cliff.
+// directory against the committed baselines/ directory. Every artifact
+// (BENCH_<case>.json, SLO_<case>.json, ANOMALY_*.json) derives from
+// virtual time and a fixed seed, so the comparison is exact — any drift
+// is a regression (or an intentional change that must update the
+// baseline in the same PR). Host wall time is not compared here; the
+// host benchmark (benchmark/) gates it with calibrated repeated runs.
 
 import (
 	"encoding/json"
@@ -19,13 +17,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// SentryOptions tunes the comparison.
-type SentryOptions struct {
-	// WallFactor is the allowed BENCH_host.json wall-clock inflation
-	// (default 10×; upper bound only — getting faster never fails).
-	WallFactor float64
-}
 
 // SentryRow is one per-metric delta in the report.
 type SentryRow struct {
@@ -82,14 +73,10 @@ func (r *SentryReport) Render() string {
 }
 
 // RunSentry compares freshDir's bench artifacts against baselineDir's.
-// Every BENCH_*.json / SLO_*.json in the baseline set must exist fresh
-// and match exactly (except BENCH_host.json, thresholded); fresh
-// virtual-time artifacts missing a committed baseline also fail, so new
-// bench cases can't land ungated.
-func RunSentry(baselineDir, freshDir string, opt SentryOptions) (*SentryReport, error) {
-	if opt.WallFactor <= 0 {
-		opt.WallFactor = 10
-	}
+// Every BENCH_*.json / SLO_*.json / ANOMALY_*.json in the baseline set
+// must exist fresh and match exactly; fresh artifacts missing a
+// committed baseline also fail, so new bench cases can't land ungated.
+func RunSentry(baselineDir, freshDir string) (*SentryReport, error) {
 	rep := &SentryReport{}
 	base, err := artifactSet(baselineDir)
 	if err != nil {
@@ -115,14 +102,6 @@ func RunSentry(baselineDir, freshDir string, opt SentryOptions) (*SentryReport, 
 			continue
 		}
 		rep.Checked++
-		if name == "BENCH_host.json" {
-			rows, err := diffHost(base[name], fpath, opt.WallFactor)
-			if err != nil {
-				return nil, err
-			}
-			rep.Rows = append(rep.Rows, rows...)
-			continue
-		}
 		rows, err := diffExact(name, base[name], fpath)
 		if err != nil {
 			return nil, err
@@ -223,56 +202,6 @@ func diffExact(name, basePath, freshPath string) ([]SentryRow, error) {
 			Baseline: fmt.Sprintf("%d bytes", len(bb)),
 			Fresh:    fmt.Sprintf("%d bytes", len(fb)),
 			Delta:    "byte-level drift", Fail: true})
-	}
-	return rows, nil
-}
-
-// hostDoc is the slice of BENCH_host.json the sentry thresholds.
-type hostDoc struct {
-	Cases []struct {
-		Name   string  `json:"name"`
-		WallMS float64 `json:"wall_ms"`
-	} `json:"cases"`
-}
-
-// diffHost thresholds per-case wall-clock: fresh must stay under
-// factor × baseline. Informational rows are emitted for every case so
-// the CI log shows the wall-clock trend even when nothing fails.
-func diffHost(basePath, freshPath string, factor float64) ([]SentryRow, error) {
-	var base, fresh hostDoc
-	bb, err := os.ReadFile(basePath)
-	if err != nil {
-		return nil, err
-	}
-	if err := json.Unmarshal(bb, &base); err != nil {
-		return nil, fmt.Errorf("sentry: BENCH_host.json baseline: %w", err)
-	}
-	fb, err := os.ReadFile(freshPath)
-	if err != nil {
-		return nil, err
-	}
-	if err := json.Unmarshal(fb, &fresh); err != nil {
-		return nil, fmt.Errorf("sentry: BENCH_host.json fresh: %w", err)
-	}
-	baseBy := make(map[string]float64, len(base.Cases))
-	for _, c := range base.Cases {
-		baseBy[c.Name] = c.WallMS
-	}
-	var rows []SentryRow
-	for _, c := range fresh.Cases {
-		b, ok := baseBy[c.Name]
-		if !ok || b <= 0 {
-			continue
-		}
-		fail := c.WallMS > factor*b
-		rows = append(rows, SentryRow{
-			File:     "BENCH_host.json",
-			Metric:   c.Name + ".wall_ms",
-			Baseline: fmt.Sprintf("%.2f", b),
-			Fresh:    fmt.Sprintf("%.2f", c.WallMS),
-			Delta:    fmt.Sprintf("%.2fx (limit %.0fx)", c.WallMS/b, factor),
-			Fail:     fail,
-		})
 	}
 	return rows, nil
 }

@@ -11,7 +11,7 @@ import (
 //
 // to see per-event cost and allocation behavior of each scheduling
 // path. CI runs these with -benchtime=1x -count=3 as a smoke check and
-// uploads the output next to BENCH_host.json.
+// uploads the output as a build artifact.
 
 var benchSink int
 

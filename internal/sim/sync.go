@@ -211,19 +211,12 @@ type Resource struct {
 	inUse   int
 	waiters []resWaiter
 	why     string // "resource <name>", built once for deadlock reports
-
-	// accounting
-	grants       uint64
-	waitedTotal  Time
-	waitedCount  uint64
-	peakQueueLen int
 }
 
 type resWaiter struct {
-	p     *Proc
-	prio  int
-	since Time
-	seq   uint64
+	p    *Proc
+	prio int
+	seq  uint64 // FIFO tie-break among equal priorities
 }
 
 // NewResource returns a semaphore with n units.
@@ -246,28 +239,20 @@ func (r *Resource) QueueLen() int { return len(r.waiters) }
 // Acquire takes one unit, blocking until one is available. Units are
 // granted to the highest-priority, longest-waiting acquirer.
 func (r *Resource) Acquire(p *Proc, prio int) {
-	r.grants++
 	if r.inUse < r.total {
 		r.inUse++
 		return
 	}
-	start := r.e.now
 	r.e.seq++
-	r.waiters = append(r.waiters, resWaiter{p: p, prio: prio, since: start, seq: r.e.seq})
-	if len(r.waiters) > r.peakQueueLen {
-		r.peakQueueLen = len(r.waiters)
-	}
+	r.waiters = append(r.waiters, resWaiter{p: p, prio: prio, seq: r.e.seq})
+	// Release hands the unit straight to us before waking us.
 	p.block(r.why)
-	// When we resume, the releaser has already transferred the unit to us.
-	r.waitedTotal += r.e.now - start
-	r.waitedCount++
 }
 
 // TryAcquire takes a unit only if one is free.
 func (r *Resource) TryAcquire() bool {
 	if r.inUse < r.total {
 		r.inUse++
-		r.grants++
 		return true
 	}
 	return false
@@ -293,12 +278,4 @@ func (r *Resource) Release() {
 	r.waiters = append(r.waiters[:best], r.waiters[best+1:]...)
 	// The unit stays inUse and is now owned by p.
 	p.unblock()
-}
-
-// MeanWait reports the average time acquirers spent blocked.
-func (r *Resource) MeanWait() Time {
-	if r.waitedCount == 0 {
-		return 0
-	}
-	return r.waitedTotal / Time(r.waitedCount)
 }
