@@ -20,10 +20,12 @@ func main() {
 		workloads.GrepGPUWorkItemPoll,
 		workloads.GrepGPUWorkItemHalt,
 	}
+	// Every variant greps the same files; each machine stages its own copy.
+	corpus := workloads.NewGrepCorpus(workloads.DefaultGrepConfig(workloads.GrepCPU))
 	var cpuTime genesys.Time
 	for _, v := range variants {
 		m := genesys.NewMachine(genesys.DefaultConfig())
-		res, err := workloads.RunGrep(m, workloads.DefaultGrepConfig(v))
+		res, err := workloads.RunGrep(m, workloads.DefaultGrepConfig(v), corpus)
 		if err != nil {
 			log.Fatal(err)
 		}

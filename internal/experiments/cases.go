@@ -94,6 +94,18 @@ func Fig12SignalSearch(o Options) *Table {
 	return t
 }
 
+// corpusFor returns the corpus for seed, building it from cfg the first
+// time a variant needs it: every variant at one seed reads the same
+// read-only corpus, and each machine stages its own copy of it.
+func corpusFor[Cfg any, C any](corpora map[int64]*C, seed int64, cfg Cfg, build func(Cfg) *C) *C {
+	c := corpora[seed]
+	if c == nil {
+		c = build(cfg)
+		corpora[seed] = c
+	}
+	return c
+}
+
 // Fig13aGrep regenerates the grep case study across all five variants.
 func Fig13aGrep(o Options) *Table {
 	t := &Table{
@@ -103,6 +115,7 @@ func Fig13aGrep(o Options) *Table {
 			"3-4% (here: near-parity; see EXPERIMENTS.md).",
 		Header: []string{"variant", "runtime (ms)", "vs CPU"},
 	}
+	corpora := map[int64]*workloads.GrepCorpus{}
 	var cpuSummary *sim.Summary
 	for _, v := range []workloads.GrepVariant{workloads.GrepCPU, workloads.GrepOpenMP,
 		workloads.GrepGPUWorkGroup, workloads.GrepGPUWorkItemPoll, workloads.GrepGPUWorkItemHalt} {
@@ -112,7 +125,7 @@ func Fig13aGrep(o Options) *Table {
 			defer m.Shutdown()
 			cfg := workloads.DefaultGrepConfig(v)
 			cfg.Seed = seed
-			res, err := workloads.RunGrep(m, cfg)
+			res, err := workloads.RunGrep(m, cfg, corpusFor(corpora, seed, cfg, workloads.NewGrepCorpus))
 			if err != nil {
 				panic(err)
 			}
@@ -137,6 +150,7 @@ func Fig13bWordcount(o Options) *Table {
 		Note:   "Paper: GENESYS ~6x over the CPU version; the GPU version without system\ncalls is worse than the CPU version.",
 		Header: []string{"variant", "runtime (ms)", "vs CPU"},
 	}
+	corpora := map[int64]*workloads.WordcountCorpus{}
 	var cpuSummary *sim.Summary
 	for _, v := range []workloads.WordcountVariant{workloads.WordcountCPU,
 		workloads.WordcountGPUNoSyscall, workloads.WordcountGENESYS} {
@@ -146,7 +160,7 @@ func Fig13bWordcount(o Options) *Table {
 			defer m.Shutdown()
 			cfg := workloads.DefaultWordcountConfig(v)
 			cfg.Seed = seed
-			res, err := workloads.RunWordcount(m, cfg)
+			res, err := workloads.RunWordcount(m, cfg, corpusFor(corpora, seed, cfg, workloads.NewWordcountCorpus))
 			if err != nil {
 				panic(err)
 			}
@@ -173,6 +187,7 @@ func Fig14WordcountTraces(o Options) *Table {
 			"~30 MB/s, while using less CPU (the GPU does the searching).",
 		Header: []string{"variant", "mean disk (MB/s)", "peak disk (MB/s)", "mean CPU util (%)"},
 	}
+	corpora := map[int64]*workloads.WordcountCorpus{}
 	for _, v := range []workloads.WordcountVariant{workloads.WordcountCPU, workloads.WordcountGENESYS} {
 		v := v
 		var peak, util sim.Summary
@@ -181,7 +196,7 @@ func Fig14WordcountTraces(o Options) *Table {
 			defer m.Shutdown()
 			cfg := workloads.DefaultWordcountConfig(v)
 			cfg.Seed = seed
-			res, err := workloads.RunWordcount(m, cfg)
+			res, err := workloads.RunWordcount(m, cfg, corpusFor(corpora, seed, cfg, workloads.NewWordcountCorpus))
 			if err != nil || !res.Correct() {
 				panic(fmt.Sprint("fig14: ", err))
 			}

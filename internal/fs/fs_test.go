@@ -409,6 +409,42 @@ func TestFramebufferIoctlAndPixels(t *testing.T) {
 	}
 }
 
+// TestFramebufferLazyPixels: pixel memory is allocated on first access,
+// yet a fresh framebuffer reads back zeros over its full mode size and
+// positional writes land in the memory mmap and Pixels expose.
+func TestFramebufferLazyPixels(t *testing.T) {
+	mode := VScreenInfo{XRes: 8, YRes: 4, BPP: 16}
+	fb := NewFramebuffer(mode)
+	if fb.pix != nil {
+		t.Fatal("pixel memory allocated before first access")
+	}
+	if fb.Size() != 8*4*2 {
+		t.Fatalf("size = %d, want %d", fb.Size(), 8*4*2)
+	}
+	io := &IOCtx{}
+	buf := bytes.Repeat([]byte{0xff}, 100)
+	n, err := fb.ReadAt(io, buf, 0)
+	if err != nil || n != 64 || !bytes.Equal(buf[:n], make([]byte, 64)) {
+		t.Fatalf("fresh read = %d, %v, %x", n, err, buf[:n])
+	}
+	if _, err := fb.WriteAt(io, []byte{1, 2, 3}, 61); err != nil {
+		t.Fatal(err)
+	}
+	if got := fb.MmapBuffer(); len(got) != 64 || !bytes.Equal(got[61:], []byte{1, 2, 3}) {
+		t.Fatalf("mmap buffer = %x", got)
+	}
+	if got := fb.Pixels(); &got[0] != &fb.MmapBuffer()[0] {
+		t.Fatal("Pixels and MmapBuffer are not the same memory")
+	}
+	// A new mode drops the old pixels.
+	if _, err := fb.Ioctl(io, FBIOPUT_VSCREENINFO, VScreenInfo{XRes: 2, YRes: 2, BPP: 8}.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if got := fb.MmapBuffer(); !bytes.Equal(got, make([]byte, 4)) {
+		t.Fatalf("after mode change = %x, want 4 zero bytes", got)
+	}
+}
+
 // refWrite applies a pwrite of data at off to the reference model: a
 // plain slice that grows with explicit zero bytes.
 func refWrite(ref, data []byte, off int64) []byte {

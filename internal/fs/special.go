@@ -164,48 +164,50 @@ func DecodeVScreenInfo(b []byte) (VScreenInfo, error) {
 
 // Framebuffer is /dev/fb0: a device node whose pixel memory can be
 // written positionally, mmap'd, and configured over ioctl (§VIII-E).
+// The pixel memory is allocated on first access, so a machine that never
+// touches the display never pays for it.
 type Framebuffer struct {
 	info VScreenInfo
-	pix  []byte
+	pix  []byte // nil until first access
 }
 
 // NewFramebuffer returns a framebuffer with the given mode.
 func NewFramebuffer(info VScreenInfo) *Framebuffer {
-	fb := &Framebuffer{}
-	fb.setMode(info)
-	return fb
-}
-
-func (fb *Framebuffer) setMode(info VScreenInfo) {
-	fb.info = info
-	fb.pix = make([]byte, int(info.XRes)*int(info.YRes)*int(info.BPP/8))
+	return &Framebuffer{info: info}
 }
 
 // Info returns the current mode.
 func (fb *Framebuffer) Info() VScreenInfo { return fb.info }
 
 // Pixels returns the live pixel memory.
-func (fb *Framebuffer) Pixels() []byte { return fb.pix }
+func (fb *Framebuffer) Pixels() []byte {
+	if fb.pix == nil {
+		fb.pix = make([]byte, fb.Size())
+	}
+	return fb.pix
+}
 
 // Size implements Node.
-func (fb *Framebuffer) Size() int64 { return int64(len(fb.pix)) }
+func (fb *Framebuffer) Size() int64 {
+	return int64(fb.info.XRes) * int64(fb.info.YRes) * int64(fb.info.BPP/8)
+}
 
 // ReadAt reads pixel memory.
 func (fb *Framebuffer) ReadAt(io *IOCtx, b []byte, off int64) (int, error) {
-	if off >= int64(len(fb.pix)) {
+	if off >= fb.Size() {
 		return 0, nil
 	}
-	n := copy(b, fb.pix[off:])
+	n := copy(b, fb.Pixels()[off:])
 	ChargeCopy(io, int64(n), DefaultCopyBytesPerNS)
 	return n, nil
 }
 
 // WriteAt writes pixel memory.
 func (fb *Framebuffer) WriteAt(io *IOCtx, b []byte, off int64) (int, error) {
-	if off < 0 || off >= int64(len(fb.pix)) {
+	if off < 0 || off >= fb.Size() {
 		return 0, errno.EINVAL
 	}
-	n := copy(fb.pix[off:], b)
+	n := copy(fb.Pixels()[off:], b)
 	ChargeCopy(io, int64(n), DefaultCopyBytesPerNS)
 	return n, nil
 }
@@ -231,7 +233,7 @@ func (fb *Framebuffer) Ioctl(io *IOCtx, cmd uint64, arg []byte) (uint64, error) 
 		if info.XRes == 0 || info.YRes == 0 || (info.BPP != 8 && info.BPP != 16 && info.BPP != 24 && info.BPP != 32) {
 			return 0, errno.EINVAL
 		}
-		fb.setMode(info)
+		fb.info, fb.pix = info, nil
 		return 0, nil
 	default:
 		return 0, errno.ENOTTY
@@ -239,4 +241,4 @@ func (fb *Framebuffer) Ioctl(io *IOCtx, cmd uint64, arg []byte) (uint64, error) 
 }
 
 // MmapBuffer exposes the pixel memory for mmap.
-func (fb *Framebuffer) MmapBuffer() []byte { return fb.pix }
+func (fb *Framebuffer) MmapBuffer() []byte { return fb.Pixels() }

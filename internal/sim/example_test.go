@@ -55,20 +55,3 @@ func ExampleResource() {
 	// a done at 100.00us
 	// b done at 200.00us
 }
-
-// WaitGroup joins a fan-out of simulated workers.
-func ExampleWaitGroup() {
-	e := sim.NewEngine(1)
-	wg := sim.NewWaitGroup(e)
-	for i := 1; i <= 3; i++ {
-		d := sim.Time(i) * sim.Millisecond
-		wg.Go("worker", func(p *sim.Proc) { p.Sleep(d) })
-	}
-	e.Spawn("join", func(p *sim.Proc) {
-		wg.Wait(p)
-		fmt.Printf("all done at %v\n", p.Now())
-	})
-	e.Run()
-	// Output:
-	// all done at 3.000ms
-}

@@ -273,21 +273,6 @@ func TestResourcePriorityAndFIFO(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource(e, "r", 1)
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire failed on free resource")
-	}
-	if r.TryAcquire() {
-		t.Fatal("TryAcquire succeeded on exhausted resource")
-	}
-	r.Release()
-	if r.InUse() != 0 {
-		t.Fatal("release did not free unit")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() string {
 		e := NewEngine(42)

@@ -249,15 +249,6 @@ func (r *Resource) Acquire(p *Proc, prio int) {
 	p.block(r.why)
 }
 
-// TryAcquire takes a unit only if one is free.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.total {
-		r.inUse++
-		return true
-	}
-	return false
-}
-
 // Release returns one unit, handing it directly to the best waiter if any.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {

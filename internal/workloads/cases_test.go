@@ -121,12 +121,16 @@ func TestSignalSearchCorrectAndOverlapped(t *testing.T) {
 // --- grep (§VIII-C, Figure 13a) ---
 
 func TestGrepAllVariantsCorrect(t *testing.T) {
+	var c *GrepCorpus
 	for _, v := range []GrepVariant{GrepCPU, GrepOpenMP, GrepGPUWorkGroup,
 		GrepGPUWorkItemPoll, GrepGPUWorkItemHalt} {
 		cfg := DefaultGrepConfig(v)
 		cfg.Files = 16
 		cfg.FileBytes = 64 << 10
-		res, err := RunGrep(newM(t, 1), cfg)
+		if c == nil {
+			c = NewGrepCorpus(cfg)
+		}
+		res, err := RunGrep(newM(t, 1), cfg, c)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -139,8 +143,9 @@ func TestGrepAllVariantsCorrect(t *testing.T) {
 func TestGrepPerformanceOrdering(t *testing.T) {
 	// Figure 13a: CPU > OpenMP > GPU variants, with WI-halt-resume the
 	// best GPU flavor (paper: 3-4% over WG and WI-polling).
+	c := NewGrepCorpus(DefaultGrepConfig(GrepCPU))
 	run := func(v GrepVariant) sim.Time {
-		res, err := RunGrep(newM(t, 9), DefaultGrepConfig(v))
+		res, err := RunGrep(newM(t, 9), DefaultGrepConfig(v), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,10 +181,14 @@ func TestGrepPerformanceOrdering(t *testing.T) {
 // --- wordcount (§VIII-C, Figures 13b and 14) ---
 
 func TestWordcountAllVariantsCorrect(t *testing.T) {
+	var c *WordcountCorpus
 	for _, v := range []WordcountVariant{WordcountCPU, WordcountGPUNoSyscall, WordcountGENESYS} {
 		cfg := DefaultWordcountConfig(v)
 		cfg.Files = 32
-		res, err := RunWordcount(newM(t, 1), cfg)
+		if c == nil {
+			c = NewWordcountCorpus(cfg)
+		}
+		res, err := RunWordcount(newM(t, 1), cfg, c)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -191,8 +200,9 @@ func TestWordcountAllVariantsCorrect(t *testing.T) {
 
 func TestWordcountGENESYSWins(t *testing.T) {
 	// Figure 13b: GENESYS ≈6× over CPU; GPU-no-syscall worse than CPU.
+	c := NewWordcountCorpus(DefaultWordcountConfig(WordcountCPU))
 	run := func(v WordcountVariant) WordcountResult {
-		res, err := RunWordcount(newM(t, 3), DefaultWordcountConfig(v))
+		res, err := RunWordcount(newM(t, 3), DefaultWordcountConfig(v), c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func TestWorkloadDeterminism(t *testing.T) {
 		run := func() sim.Time {
 			cfg := DefaultGrepConfig(GrepGPUWorkGroup)
 			cfg.Files = 16
-			res, err := RunGrep(newM(t, 99), cfg)
+			res, err := RunGrep(newM(t, 99), cfg, NewGrepCorpus(cfg))
 			if err != nil || !res.Correct() {
 				t.Fatal(err)
 			}

@@ -1,8 +1,10 @@
 package workloads
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -115,29 +117,64 @@ func noiseFill(rng *rand.Rand, b []byte) {
 	}
 }
 
-// grepCorpus builds the file set: lowercase noise with search words
-// planted into half the files at random offsets.
-func grepCorpus(cfg GrepConfig) (words []string, files map[string][]byte, expected []string) {
+// GrepCorpus is the read-only input of a grep run: the search words, the
+// file set (lowercase noise with a word planted into half the files at a
+// random offset) and the reference answer. It is a pure function of the
+// config's Files, FileBytes, Words and Seed, so every variant run at one
+// seed can share one corpus; each machine stages its own copy of the files.
+type GrepCorpus struct {
+	key      grepKey
+	words    []string
+	names    []string // sorted
+	files    map[string][]byte
+	expected []string // sorted
+}
+
+// grepKey is the part of a GrepConfig that determines the corpus.
+type grepKey struct {
+	Files, FileBytes, Words int
+	Seed                    int64
+}
+
+func grepKeyOf(cfg GrepConfig) grepKey {
+	return grepKey{cfg.Files, cfg.FileBytes, cfg.Words, cfg.Seed}
+}
+
+// NewGrepCorpus builds the corpus for cfg.
+func NewGrepCorpus(cfg GrepConfig) *GrepCorpus {
+	c := &GrepCorpus{key: grepKeyOf(cfg), files: make(map[string][]byte)}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	words = make([]string, cfg.Words)
-	for i := range words {
-		words[i] = fmt.Sprintf("needle%02dxq", i)
+	c.words = make([]string, cfg.Words)
+	for i := range c.words {
+		c.words[i] = fmt.Sprintf("needle%02dxq", i)
 	}
-	files = make(map[string][]byte)
 	for f := 0; f < cfg.Files; f++ {
 		name := fmt.Sprintf("file%03d.txt", f)
 		data := make([]byte, cfg.FileBytes)
 		noiseFill(rng, data)
 		if f%2 == 0 {
-			w := words[rng.Intn(len(words))]
+			w := c.words[rng.Intn(len(c.words))]
 			pos := rng.Intn(cfg.FileBytes - len(w))
 			copy(data[pos:], w)
-			expected = append(expected, name)
+			c.expected = append(c.expected, name)
 		}
-		files[name] = data
+		c.files[name] = data
+		c.names = append(c.names, name)
 	}
-	sort.Strings(expected)
-	return words, files, expected
+	sort.Strings(c.names)
+	sort.Strings(c.expected)
+	return c
+}
+
+// fits reports an error unless c was built for cfg.
+func (c *GrepCorpus) fits(cfg GrepConfig) error {
+	if c == nil {
+		return errors.New("workloads: grep needs a corpus")
+	}
+	if k := grepKeyOf(cfg); c.key != k {
+		return fmt.Errorf("workloads: grep corpus built for %+v, config wants %+v", c.key, k)
+	}
+	return nil
 }
 
 // scanChunk reports the offset of the first occurrence of any word in
@@ -153,28 +190,26 @@ func scanChunk(chunk []byte, words []string) int {
 	return best
 }
 
-// RunGrep executes one grep variant.
-func RunGrep(m *platform.Machine, cfg GrepConfig) (GrepResult, error) {
-	words, files, expected := grepCorpus(cfg)
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
+// RunGrep executes one grep variant over c, which must have been built
+// for cfg. c is only read: the machine gets its own copy of every file.
+func RunGrep(m *platform.Machine, cfg GrepConfig, c *GrepCorpus) (GrepResult, error) {
+	if err := c.fits(cfg); err != nil {
+		return GrepResult{}, err
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		if err := m.WriteFile("/tmp/"+n, files[n]); err != nil {
+	for _, n := range c.names {
+		if err := m.WriteFile("/tmp/"+n, c.files[n]); err != nil {
 			return GrepResult{}, err
 		}
 	}
 	pr := m.NewProcess("grep")
-	res := GrepResult{Expected: expected}
+	res := GrepResult{Expected: slices.Clone(c.expected)}
 
 	var runtime sim.Time
 	switch cfg.Variant {
 	case GrepCPU, GrepOpenMP:
-		runtime = runGrepCPU(m, pr, cfg, words, names)
+		runtime = runGrepCPU(m, pr, cfg, c.words, c.names)
 	default:
-		runtime = runGrepGPU(m, pr, cfg, words, names, files)
+		runtime = runGrepGPU(m, cfg, c.words, c.names)
 	}
 	res.Runtime = runtime
 	res.Found = m.OS.Console.Lines()
@@ -260,8 +295,7 @@ func copyTail(buf, chunk []byte, keep int) int {
 // the finding work-item prints the file name — at work-group granularity
 // or directly at work-item granularity with the configured wait mode
 // (the paper's WG / WI-polling / WI-halt-resume variants).
-func runGrepGPU(m *platform.Machine, pr *oskern.Process, cfg GrepConfig,
-	words, names []string, files map[string][]byte) sim.Time {
+func runGrepGPU(m *platform.Machine, cfg GrepConfig, words, names []string) sim.Time {
 	g := m.Genesys
 	var runtime sim.Time
 	m.E.Spawn("host", func(p *sim.Proc) {
@@ -364,7 +398,5 @@ func runGrepGPU(m *platform.Machine, pr *oskern.Process, cfg GrepConfig,
 	if err := m.Run(); err != nil {
 		panic(err)
 	}
-	_ = files
-	_ = pr
 	return runtime
 }

@@ -40,7 +40,7 @@ func TableI() []App {
 			Type: "Filesystem", Name: "grep",
 			Syscalls:    "read, open, close, write",
 			Description: "work-item invocations not supported by prior work; prints to terminal (§VIII-C)",
-			Where:       "workloads.RunGrep, examples/gpugrep, fig13a",
+			Where:       "workloads.NewGrepCorpus + RunGrep, examples/gpugrep, fig13a",
 		},
 		{
 			Type: "Device Control", Name: "bmp-display",
@@ -53,7 +53,7 @@ func TableI() []App {
 			Syscalls:    "open, read, close, pread",
 			Description: "the workload of prior work (GPUfs), via standard POSIX (§VIII-C)",
 			Previously:  true,
-			Where:       "workloads.RunWordcount, fig13b/fig14",
+			Where:       "workloads.NewWordcountCorpus + RunWordcount, fig13b/fig14",
 		},
 		{
 			Type: "Network", Name: "memcached",

@@ -2,8 +2,10 @@ package workloads
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"genesys/internal/core"
 	"genesys/internal/cpu"
@@ -125,15 +127,41 @@ func wcWords(n int) []string {
 
 func wcFileName(i int) string { return fmt.Sprintf("/data/corpus/doc%04d", i) }
 
-// wcCorpus builds the per-file contents with planted words and returns
-// the reference counts.
-func wcCorpus(cfg WordcountConfig) ([][]byte, []int64) {
+// WordcountCorpus is the read-only input of a wordcount run: the search
+// strings, the per-file contents with planted words, and the reference
+// counts. It is a pure function of the config's Files, FileBytes, Words
+// and Seed, so every variant run at one seed can share one corpus; each
+// machine stages its own copy of the files.
+type WordcountCorpus struct {
+	key      wcKey
+	words    []string
+	files    [][]byte
+	expected []int64
+}
+
+// wcKey is the part of a WordcountConfig that determines the corpus.
+type wcKey struct {
+	Files     int
+	FileBytes int64
+	Words     int
+	Seed      int64
+}
+
+func wcKeyOf(cfg WordcountConfig) wcKey {
+	return wcKey{cfg.Files, cfg.FileBytes, cfg.Words, cfg.Seed}
+}
+
+// NewWordcountCorpus builds the corpus for cfg.
+func NewWordcountCorpus(cfg WordcountConfig) *WordcountCorpus {
+	c := &WordcountCorpus{
+		key:      wcKeyOf(cfg),
+		words:    wcWords(cfg.Words),
+		files:    make([][]byte, cfg.Files),
+		expected: make([]int64, cfg.Words),
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	words := wcWords(cfg.Words)
-	counts := make([]int64, cfg.Words)
-	files := make([][]byte, cfg.Files)
 	const cell = 64 << 10
-	for f := range files {
+	for f := range c.files {
 		data := make([]byte, cfg.FileBytes)
 		noiseFill(rng, data)
 		plants := int(cfg.FileBytes / (16 << 10))
@@ -141,12 +169,23 @@ func wcCorpus(cfg WordcountConfig) ([][]byte, []int64) {
 		for i := 0; i < plants; i++ {
 			w := rng.Intn(cfg.Words)
 			off := rng.Int63n(cells)*cell + 16 + rng.Int63n(cell-128)
-			copy(data[off:], words[w])
+			copy(data[off:], c.words[w])
 		}
-		files[f] = data
-		countChunk(data, words, counts)
+		c.files[f] = data
+		countChunk(data, c.words, c.expected)
 	}
-	return files, counts
+	return c
+}
+
+// fits reports an error unless c was built for cfg.
+func (c *WordcountCorpus) fits(cfg WordcountConfig) error {
+	if c == nil {
+		return errors.New("workloads: wordcount needs a corpus")
+	}
+	if k := wcKeyOf(cfg); c.key != k {
+		return fmt.Errorf("workloads: wordcount corpus built for %+v, config wants %+v", c.key, k)
+	}
+	return nil
 }
 
 // countChunk accumulates per-word counts for one chunk. The noise
@@ -174,14 +213,18 @@ func countChunk(chunk []byte, words []string, into []int64) {
 	}
 }
 
-// RunWordcount executes one wordcount variant. The SSD page cache is
-// dropped first so every variant reads cold.
-func RunWordcount(m *platform.Machine, cfg WordcountConfig) (WordcountResult, error) {
-	files, expected := wcCorpus(cfg)
+// RunWordcount executes one wordcount variant over c, which must have
+// been built for cfg. c is only read: the machine gets its own copy of
+// every file. The SSD page cache is dropped first so every variant reads
+// cold.
+func RunWordcount(m *platform.Machine, cfg WordcountConfig, c *WordcountCorpus) (WordcountResult, error) {
+	if err := c.fits(cfg); err != nil {
+		return WordcountResult{}, err
+	}
 	if _, err := m.SSDFS.Mount(m.VFS, "/data/corpus"); err != nil {
 		return WordcountResult{}, err
 	}
-	for i, data := range files {
+	for i, data := range c.files {
 		if err := m.WriteFile(wcFileName(i), data); err != nil {
 			return WordcountResult{}, err
 		}
@@ -189,7 +232,7 @@ func RunWordcount(m *platform.Machine, cfg WordcountConfig) (WordcountResult, er
 	m.SSDFS.DropCaches()
 	m.SSD.ResetStats()
 	pr := m.NewProcess("wordcount")
-	words := wcWords(cfg.Words)
+	words := c.words
 	counts := make([]int64, cfg.Words)
 
 	var runtime sim.Time
@@ -333,7 +376,7 @@ func RunWordcount(m *platform.Machine, cfg WordcountConfig) (WordcountResult, er
 	res := WordcountResult{
 		Runtime:     runtime,
 		Counts:      counts,
-		Expected:    expected,
+		Expected:    slices.Clone(c.expected),
 		MeanCPUUtil: m.CPU.MeanUtilization(runtime),
 		DiskTrace:   m.SSD.ThroughputTrace(),
 	}
