@@ -37,7 +37,7 @@ import (
 // Version is the snapshot format version. Decode rejects snapshots
 // whose version differs: sections are compared byte-for-byte, so any
 // change to a subsystem's serialization is a format change.
-const Version = 1
+const Version = 2
 
 // Meta is the recipe that rebuilds the checkpointed run.
 type Meta struct {

@@ -93,10 +93,6 @@ type Slot struct {
 	trace callTrace
 }
 
-// Generation returns the slot generation of the invocation occupying the
-// slot (0 until the slot has ever been populated).
-func (s Slot) Generation() uint64 { return s.gen }
-
 // WaitMode selects how a blocking work-item awaits completion (§V-C).
 type WaitMode int
 

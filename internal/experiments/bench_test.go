@@ -9,7 +9,7 @@ import (
 // TestBenchDeterministic: the property CI's perf-snapshot artifacts rely
 // on — the same case and seed produce byte-identical JSON. The whole
 // suite runs twice in-process so engine-internal state (event pooling,
-// ready-queue reuse, proc reaping) from one run cannot leak into the
+// calendar slab reuse, proc reaping) from one run cannot leak into the
 // next machine's virtual-time behavior.
 func TestBenchDeterministic(t *testing.T) {
 	for _, name := range BenchNames() {

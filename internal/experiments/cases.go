@@ -291,28 +291,6 @@ func Fig16BMPDisplay(o Options) *Table {
 	return t
 }
 
-// All runs every experiment in paper order.
-func All(o Options) []*Table {
-	return []*Table{
-		Table2Classification(),
-		Table3Platform(o),
-		Table4AtomicCosts(o),
-		Fig7Granularity(o),
-		Fig8BlockingOrdering(o),
-		Fig9PollingContention(o),
-		Fig10Coalescing(o),
-		Fig11MiniAMR(o),
-		Fig12SignalSearch(o),
-		Fig13aGrep(o),
-		Fig13bWordcount(o),
-		Fig14WordcountTraces(o),
-		Fig15Memcached(o),
-		Fig16BMPDisplay(o),
-		Breakdown(o),
-		Ablation(o),
-	}
-}
-
 // ByID returns the experiment driver with the given ID.
 func ByID(id string) (func(Options) *Table, bool) {
 	m := map[string]func(Options) *Table{

@@ -132,9 +132,6 @@ func NewVFS() *VFS {
 	return &VFS{root: NewDir(nil)}
 }
 
-// Root returns the root directory.
-func (v *VFS) Root() *Dir { return v.root }
-
 // split breaks an absolute path into components.
 func split(path string) ([]string, error) {
 	if !strings.HasPrefix(path, "/") {

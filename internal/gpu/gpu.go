@@ -600,6 +600,3 @@ func (w *Wavefront) Halt() {
 	w.dev.utilHalted.Add(w.dev.e.Now(), -1)
 	w.dev.events.Span("gpu", "halt", obs.PIDGPU, w.HWSlot, start, w.dev.e.Now())
 }
-
-// Halted reports whether the wavefront is currently halted.
-func (w *Wavefront) Halted() bool { return w.halted }

@@ -64,13 +64,14 @@ type Stack struct {
 	inject *fault.Injector
 	events *obs.EventLog
 
-	// Hot-path recycling: in-flight payloads and their delivery callbacks
-	// are drawn from these freelists so steady-state traffic allocates
-	// nothing per packet. bufFree is segregated by power-of-two capacity
-	// class; each class is bounded so a burst cannot pin memory forever.
+	// Hot-path recycling: in-flight payloads and datagram delivery
+	// callbacks are drawn from these freelists so steady-state datagram
+	// traffic allocates nothing per packet (a stream segment allocates
+	// only its delivery closure). bufFree is segregated by power-of-two
+	// capacity class; each class is bounded so a burst cannot pin memory
+	// forever.
 	bufFree  [bufClasses][][]byte
 	inflFree []*inflight
-	hopFree  []*streamHop
 	pollFree []*Poller
 
 	Sent    sim.Counter

@@ -208,36 +208,12 @@ func (sk *Socket) sendStream(data []byte) (int, error) {
 	if st.inject.Should(fault.NetDrop) {
 		d += 2 * st.delay() // retransmit: reliable stream turns loss into delay
 	}
-	var h *streamHop
-	if k := len(st.hopFree); k > 0 {
-		h = st.hopFree[k-1]
-		st.hopFree[k-1] = nil
-		st.hopFree = st.hopFree[:k-1]
-	} else {
-		h = &streamHop{st: st}
-		h.fn = h.land
-	}
-	h.peer, h.data, h.n = peer, payload, n
-	st.e.CallAfter(d, h.fn)
+	st.e.CallAfter(d, func() { st.land(peer, payload, n) })
 	return n, nil
 }
 
-// streamHop is one stream segment on the wire: a pooled carrier (see
-// inflight) whose pre-built callback lands the bytes in the peer's
-// receive buffer.
-type streamHop struct {
-	st   *Stack
-	peer *Socket
-	data []byte
-	n    int
-	fn   func()
-}
-
 // land delivers one stream segment to the receive buffer.
-func (h *streamHop) land() {
-	st, peer, data, n := h.st, h.peer, h.data, h.n
-	h.peer, h.data = nil, nil
-	st.hopFree = append(st.hopFree, h)
+func (st *Stack) land(peer *Socket, data []byte, n int) {
 	peer.inFlight -= n
 	if !peer.open {
 		st.PutBuf(data)

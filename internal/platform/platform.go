@@ -229,8 +229,9 @@ func (m *Machine) wireObservability(pool *vmm.Pool) {
 	})
 
 	// Engine hot-path telemetry: how much scheduling work the simulation
-	// itself performs, and how much of it rides the allocation-free fast
-	// paths (ready queue, engine callbacks) versus full proc switches.
+	// itself performs, how much of it is scheduled for the current
+	// instant, and how much runs as inline callbacks versus full proc
+	// switches.
 	reg.RegisterGauge("sim.events_total", func() int64 {
 		return int64(m.E.Stats().Scheduled)
 	})

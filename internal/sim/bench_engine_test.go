@@ -43,10 +43,10 @@ func BenchmarkEngineHeapSchedulePop(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineReadyQueue measures the same-instant fast path: each
+// BenchmarkEngineSameInstant measures same-instant scheduling: each
 // callback schedules its successor at the current instant, so every
-// event rides the FIFO ready queue and never touches the calendar.
-func BenchmarkEngineReadyQueue(b *testing.B) {
+// event goes through the calendar's current bucket.
+func BenchmarkEngineSameInstant(b *testing.B) {
 	e := NewEngine(1)
 	n := 0
 	var step func()
@@ -277,7 +277,7 @@ func BenchmarkEngineSpawn(b *testing.B) {
 }
 
 // BenchmarkEngineProcHandoff ping-pongs two procs through a pair of
-// capacity-1 queues: the full unblock → ready queue → coroutine-switch
+// capacity-1 queues: the full unblock → calendar → coroutine-switch
 // cost of proc-mode communication, for comparison against
 // BenchmarkEngineCallbackHop. Both sides block on every operation, and
 // the round trip allocates nothing.

@@ -16,10 +16,9 @@ type eventRec struct {
 }
 
 // TestInterleavingMatchesReferenceOrder is the determinism property test
-// for the three-container design (ready queue / calendar / timer wheel):
-// a random workload where callbacks recursively schedule more work at the
-// current instant (ready-queue path), in the near future (calendar path),
-// and far enough out to park in every wheel level and the
+// for the two-container design (calendar / timer wheel): a random
+// workload where callbacks recursively schedule more work at the current
+// instant, in the near future (both in the calendar), and far enough out to park in every wheel level and the
 // overflow list, with a random subset of timers canceled from whichever
 // container holds them, must execute in exactly the (t, seq) total order
 // a single reference priority queue would produce.
@@ -41,7 +40,7 @@ func TestInterleavingMatchesReferenceOrder(t *testing.T) {
 				var d Time
 				switch rng.Intn(6) {
 				case 0, 1:
-					d = 0 // same-instant: exercises the ready queue
+					d = 0 // same-instant: the calendar's current bucket
 				case 2, 3:
 					d = Time(rng.Intn(40) + 1) // near future: the calendar
 				case 4:
@@ -73,9 +72,9 @@ func TestInterleavingMatchesReferenceOrder(t *testing.T) {
 					tm := e.After(d, func() {
 						t.Errorf("canceled timer fired (seed %d)", seed)
 					})
-					// Cancel while both containers hold live events, so
-					// unlinking from a calendar bucket and hole-punching in
-					// the ready queue are both exercised.
+					// Cancel while the calendar holds live events at this
+					// instant and later, so unlinking from the current
+					// bucket and from later ones are both exercised.
 					tm.Cancel()
 					canceled = append(canceled, tm)
 				}
@@ -107,9 +106,9 @@ func TestInterleavingMatchesReferenceOrder(t *testing.T) {
 	}
 }
 
-// TestReadyQueueFIFOAtInstant checks that same-instant events — mixed
+// TestSameInstantFIFO checks that same-instant events — mixed
 // zero-delay callbacks, yields and unblocks — run in scheduling order.
-func TestReadyQueueFIFOAtInstant(t *testing.T) {
+func TestSameInstantFIFO(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
 	e.Spawn("driver", func(p *Proc) {
@@ -128,26 +127,25 @@ func TestReadyQueueFIFOAtInstant(t *testing.T) {
 	}
 }
 
-// TestCalendarBeforeReadyAtSameInstant: an event scheduled earlier (lower
-// seq) for time T from afar (calendar) must run before a ready-queue event
-// created at T with a higher seq — the cross-container comparison.
-func TestCalendarBeforeReadyAtSameInstant(t *testing.T) {
+// TestEarlierSeqFirstAtSameInstant: an event scheduled from afar for time
+// T (lower seq) must run before a same-instant event created at T with a
+// higher seq, although the latter is pushed into the calendar later.
+func TestEarlierSeqFirstAtSameInstant(t *testing.T) {
 	e := NewEngine(1)
 	var got []string
 	// Scheduled first: sits in the calendar until t=10.
 	e.CallAt(10, func() { got = append(got, "cal-early") })
 	e.Spawn("driver", func(p *Proc) {
 		p.Sleep(10)
-		// Wait: driver wakes at t=10. Its wake event has seq 3 (spawn=2),
-		// so it runs after cal-early (seq 1)? The resume event was
-		// scheduled by Sleep at t=0 with seq 3, so calendar order at t=10
-		// is (10,1) cal-early then (10,3) driver.
-		e.CallAfter(0, func() { got = append(got, "ready-late") })
+		// The driver's wake event was scheduled by Sleep at t=0 with seq 3
+		// (spawn=2), so calendar order at t=10 is (10,1) cal-early, then
+		// (10,3) driver, then the (10,4) event scheduled here.
+		e.CallAfter(0, func() { got = append(got, "now-late") })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(got) != "[cal-early ready-late]" {
+	if fmt.Sprint(got) != "[cal-early now-late]" {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -186,9 +184,9 @@ func TestCancelReleasesEventImmediately(t *testing.T) {
 	}
 }
 
-// TestCancelInReadyQueue: canceling a same-instant timer (parked in the
-// ready queue, not the calendar) must also suppress and release it.
-func TestCancelInReadyQueue(t *testing.T) {
+// TestCancelSameInstant: canceling a timer armed for the current instant
+// (in the calendar's current bucket) must also suppress and release it.
+func TestCancelSameInstant(t *testing.T) {
 	e := NewEngine(1)
 	var ran []string
 	e.CallAt(5, func() {
@@ -196,7 +194,7 @@ func TestCancelInReadyQueue(t *testing.T) {
 		e.CallAfter(0, func() { ran = append(ran, "kept") })
 		tm.Cancel()
 		if e.Pending() != 1 {
-			t.Errorf("pending=%d after ready-queue cancel, want 1", e.Pending())
+			t.Errorf("pending=%d after same-instant cancel, want 1", e.Pending())
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -295,11 +293,11 @@ func TestDeadlockReportAfterReaping(t *testing.T) {
 func TestEngineStatsCounts(t *testing.T) {
 	e := NewEngine(1)
 	e.Spawn("a", func(p *Proc) {
-		p.Sleep(5) // calendar event
-		p.Yield()  // ready-queue event
+		p.Sleep(5) // future event
+		p.Yield()  // same-instant event
 	})
-	e.CallAfter(3, func() {}) // calendar + callback
-	e.CallAfter(0, func() {}) // ready + callback
+	e.CallAfter(3, func() {}) // future + callback
+	e.CallAfter(0, func() {}) // same-instant + callback
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -307,16 +305,14 @@ func TestEngineStatsCounts(t *testing.T) {
 	if st.CallbacksRun != 2 {
 		t.Fatalf("CallbacksRun=%d, want 2", st.CallbacksRun)
 	}
-	// spawn(now) + yield + CallAfter(0) took the ready queue.
-	if st.ReadyFast < 3 {
-		t.Fatalf("ReadyFast=%d, want >= 3", st.ReadyFast)
+	// spawn(now) + yield + CallAfter(0) were scheduled for the current
+	// instant; sleep and CallAfter(3) were not.
+	if st.ReadyFast != 3 || st.Scheduled != 5 {
+		t.Fatalf("ReadyFast=%d Scheduled=%d, want 3/5", st.ReadyFast, st.Scheduled)
 	}
 	// spawn wake + sleep wake + yield wake = 3 resumptions.
 	if st.ProcSwitches != 3 {
 		t.Fatalf("ProcSwitches=%d, want 3", st.ProcSwitches)
-	}
-	if st.Scheduled != st.ReadyFast+uint64(st.CalendarPeak) && st.Scheduled < st.ReadyFast {
-		t.Fatalf("inconsistent stats: %+v", st)
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("pending=%d at quiescence", e.Pending())
@@ -324,7 +320,7 @@ func TestEngineStatsCounts(t *testing.T) {
 }
 
 // TestSchedulePathsAllocFree pins the engine's three schedule paths at
-// zero steady-state allocations: calendar inserts, same-instant ready-queue
+// zero steady-state allocations: future and same-instant calendar
 // inserts, and wheel-resident AtReuse/Cancel pairs. Containers are
 // warmed first so the assertion measures the hot path, not first-touch
 // slice growth.
@@ -345,7 +341,7 @@ func TestSchedulePathsAllocFree(t *testing.T) {
 		t.Errorf("calendar CallAfter allocates %.2f/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(1000, func() { e.CallAfter(0, fn) }); avg != 0 {
-		t.Errorf("ready-queue CallAfter allocates %.2f/op, want 0", avg)
+		t.Errorf("same-instant CallAfter allocates %.2f/op, want 0", avg)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -368,9 +364,10 @@ func TestSchedulePathsAllocFree(t *testing.T) {
 	}
 }
 
-// TestRunUntilWithReadyBacklog: stopping at a limit mid-instant and
-// resuming later must preserve order across the ready/calendar boundary.
-func TestRunUntilWithReadyBacklog(t *testing.T) {
+// TestRunUntilWithSameInstantBacklog: stopping at a limit mid-instant and
+// resuming later must preserve order between same-instant and later
+// events.
+func TestRunUntilWithSameInstantBacklog(t *testing.T) {
 	e := NewEngine(1)
 	var got []string
 	e.CallAt(10, func() {
@@ -381,7 +378,7 @@ func TestRunUntilWithReadyBacklog(t *testing.T) {
 	if err := e.RunUntil(10); err != nil {
 		t.Fatal(err)
 	}
-	// a and b run at t=10; c is beyond... both a and b are at t=10 ≤ 10.
+	// a and b run at t=10 ≤ limit; c, at t=15, is beyond it.
 	if fmt.Sprint(got) != "[a b]" {
 		t.Fatalf("at limit: got %v, want [a b]", got)
 	}

@@ -169,7 +169,5 @@ func (e *Engine) Shutdown() {
 		e.resume(p)
 	}
 	e.cal = calendar{}
-	e.ready = nil
-	e.readyHead, e.readyHoles = 0, 0
 	e.wheelReset()
 }

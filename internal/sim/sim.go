@@ -17,15 +17,13 @@
 // bit-deterministic for a given seed and free of data races by
 // construction.
 //
-// Internally the engine keeps three event containers whose union is
-// always consumed in strict (time, sequence) order:
+// Internally the engine keeps two event containers whose union is always
+// consumed in strict (time, sequence) order:
 //
-//   - a same-instant ready queue (FIFO by sequence) for events scheduled
-//     at the current virtual time — unblocks, yields, spawns and
-//     zero-delay callbacks;
 //   - a calendar queue of fixed-width time buckets for events less than
-//     wheelCutoff ahead (calendar.go), where scheduling, canceling and
-//     finding the next event are O(1) in the common case; and
+//     wheelCutoff ahead, same-instant ones included (calendar.go), where
+//     scheduling, canceling and finding the next event are O(1) in the
+//     common case; and
 //   - a hierarchical timer wheel for events further out (wheel.go), whose
 //     buckets drain into the calendar before the clock can reach them.
 //
@@ -83,9 +81,9 @@ func (t Time) String() string {
 	}
 }
 
-// event is one scheduled occurrence, stored by value in the ready queue,
-// a calendar node or a wheel bucket. Exactly one of p or fn is set; tmr
-// is non-nil only for cancellable At/After callbacks.
+// event is one scheduled occurrence, stored by value in a calendar node
+// or a wheel bucket. Exactly one of p or fn is set; tmr is non-nil only
+// for cancellable At/After callbacks.
 type event struct {
 	t   Time
 	seq uint64
@@ -100,14 +98,13 @@ type event struct {
 const (
 	timerInert      = -1 // fired or canceled
 	timerInCal      = -2 // calendar, at node index pos
-	timerInReady    = -3 // ready queue, at index pos
-	timerInOverflow = -4 // wheel overflow list, at index pos
+	timerInOverflow = -3 // wheel overflow list, at index pos
 )
 
 // Timer is a handle to a scheduled callback that can be canceled. loc
-// identifies the container currently holding the event (ready queue,
-// calendar, a wheel bucket, or the wheel overflow list) and pos its index
-// there, so cancellation is O(1) whichever container holds it.
+// identifies the container currently holding the event (the calendar, a
+// wheel bucket, or the wheel overflow list) and pos its index there, so
+// cancellation is O(1) whichever container holds it.
 type Timer struct {
 	e   *Engine
 	pos int
@@ -129,9 +126,6 @@ func (t *Timer) Cancel() {
 	switch t.loc {
 	case timerInCal:
 		e.cal.remove(int32(t.pos))
-	case timerInReady:
-		e.ready[t.pos] = event{}
-		e.readyHoles++
 	default: // a wheel bucket or the overflow list
 		e.wheelCancel(t)
 	}
@@ -139,16 +133,15 @@ func (t *Timer) Cancel() {
 }
 
 // EngineStats counts the engine's own mechanics: how many events were
-// scheduled, how many took the same-instant ready-queue fast path
-// (bypassing the calendar), how many callbacks ran inline versus process
-// resumptions (each resumption is one coroutine switch in and one out), and
-// timer/process lifecycle totals. They never influence virtual-time
-// behavior; they exist so host-throughput work (events per host-second)
-// is measurable, and are exported in the obs metrics registry under
-// sim.*.
+// scheduled, how many of those were for the current instant, how many
+// callbacks ran inline versus process resumptions (each resumption is one
+// coroutine switch in and one out), and timer/process lifecycle totals.
+// They never influence virtual-time behavior; they exist so
+// host-throughput work (events per host-second) is measurable, and are
+// exported in the obs metrics registry under sim.*.
 type EngineStats struct {
-	Scheduled      uint64 // events ever scheduled (ready queue, calendar or wheel)
-	ReadyFast      uint64 // events that bypassed the calendar via the ready queue
+	Scheduled      uint64 // events ever scheduled (calendar or wheel)
+	ReadyFast      uint64 // events scheduled for the current instant
 	CallbacksRun   uint64 // callback events executed inline
 	ProcSwitches   uint64 // engine→process coroutine resumptions
 	TimersCanceled uint64 // At/After timers canceled before firing
@@ -157,7 +150,6 @@ type EngineStats struct {
 	ProcsSpawned   uint64 // processes ever spawned
 	ProcsReaped    uint64 // completed processes removed from the proc table
 	CalendarPeak   int    // high-water mark of calendar-resident events
-	ReadyPeak      int    // high-water mark of live ready-queue entries
 	WheelPeak      int    // high-water mark of wheel-resident events
 }
 
@@ -169,15 +161,6 @@ type Engine struct {
 	// cal is the calendar queue holding events less than wheelCutoff in
 	// the future, plus everything the wheel has drained (see calendar.go).
 	cal calendar
-
-	// ready is the same-instant fast path: events scheduled at the
-	// current virtual time, consumed FIFO (which is (t, seq) order, since
-	// the clock and seq are both non-decreasing as entries are appended).
-	// readyHead indexes the next entry; canceled entries leave zeroed
-	// holes that the pop loop skips, counted by readyHoles.
-	ready      []event
-	readyHead  int
-	readyHoles int
 
 	// wh is the hierarchical timer wheel holding far-future events; its
 	// buckets drain into the calendar before the clock can reach them (see
@@ -211,10 +194,8 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Stats() EngineStats { return e.stats }
 
 // Pending returns the number of events currently scheduled and not yet
-// executed (canceled ready-queue holes excluded).
-func (e *Engine) Pending() int {
-	return e.cal.count + e.wh.count + (len(e.ready) - e.readyHead - e.readyHoles)
-}
+// executed.
+func (e *Engine) Pending() int { return e.cal.count + e.wh.count }
 
 // WheelPending returns the number of far-future events currently parked
 // in the timer wheel (not yet migrated to the near-term calendar).
@@ -233,28 +214,13 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// place routes a newly scheduled event: same-instant events append to the
-// ready queue, near-future events go into the calendar, and far-future
-// events (at least wheelCutoff away) park in the timer wheel.
+// place routes a newly scheduled event: events less than wheelCutoff
+// ahead, same-instant ones included, go into the calendar, and far-future
+// events park in the timer wheel.
 func (e *Engine) place(ev event) {
 	if ev.t == e.now {
-		if e.readyHead == len(e.ready) && e.readyHead > 0 {
-			// The queue fully drained; reuse its storage from the start.
-			e.ready = e.ready[:0]
-			e.readyHead, e.readyHoles = 0, 0
-		}
-		if ev.tmr != nil {
-			ev.tmr.loc = timerInReady
-			ev.tmr.pos = len(e.ready)
-		}
-		e.ready = append(e.ready, ev)
 		e.stats.ReadyFast++
-		if live := len(e.ready) - e.readyHead - e.readyHoles; live > e.stats.ReadyPeak {
-			e.stats.ReadyPeak = live
-		}
-		return
-	}
-	if ev.t-e.now >= wheelCutoff {
+	} else if ev.t-e.now >= wheelCutoff {
 		e.wheelInsert(ev)
 		return
 	}
@@ -397,30 +363,19 @@ func (e *Engine) RunUntil(limit Time) error {
 		if e.fatal != nil {
 			return e.fatal
 		}
-		// Advance past canceled holes at the ready-queue head.
-		for e.readyHead < len(e.ready) && e.ready[e.readyHead].p == nil && e.ready[e.readyHead].fn == nil {
-			e.readyHead++
-			e.readyHoles--
-		}
-		if e.readyHead == len(e.ready) && e.readyHead > 0 {
-			e.ready = e.ready[:0]
-			e.readyHead, e.readyHoles = 0, 0
-		}
-		hasReady := e.readyHead < len(e.ready)
 		// Bring the wheel's drain frontier past the next committed instant:
-		// wheel residents are strictly beyond the current time (ready-queue
-		// entries can never race them), so draining against the calendar's
-		// minimum — or, with an empty calendar, advancing until a drain
-		// fills it — is enough to keep the global (t, seq) order exact.
+		// wheel residents are strictly beyond the current time, so draining
+		// against the calendar's minimum — or, with an empty calendar,
+		// advancing until a drain fills it — is enough to keep the global
+		// (t, seq) order exact.
 		if e.wh.count > 0 {
 			if e.cal.count > 0 {
 				e.wheelCatchUp(e.calMin().t)
-			} else if !hasReady {
+			} else {
 				e.wheelAdvanceUntilCal(limit)
 			}
 		}
-		hasCal := e.cal.count > 0
-		if !hasReady && !hasCal {
+		if e.cal.count == 0 {
 			if e.wh.count > 0 {
 				// Only wheel events remain, all beyond limit.
 				e.now = limit
@@ -431,27 +386,11 @@ func (e *Engine) RunUntil(limit Time) error {
 			}
 			return nil
 		}
-		// The ready queue is FIFO by (t, seq) and the calendar yields its
-		// minimum by (t, seq), so the global next event is whichever head
-		// is smaller — this comparison is what keeps the fast path
-		// bit-identical to a single ordered queue.
-		useReady := hasReady && !(hasCal && eventLess(e.calMin(), &e.ready[e.readyHead]))
-		var ev event
-		if useReady {
-			if e.ready[e.readyHead].t > limit {
-				e.now = limit
-				return nil
-			}
-			ev = e.ready[e.readyHead]
-			e.ready[e.readyHead] = event{} // release references
-			e.readyHead++
-		} else {
-			if e.calMin().t > limit {
-				e.now = limit
-				return nil
-			}
-			ev = e.calPop()
+		if e.calMin().t > limit {
+			e.now = limit
+			return nil
 		}
+		ev := e.calPop()
 		e.now = ev.t
 		if ev.tmr != nil {
 			ev.tmr.loc = timerInert

@@ -139,12 +139,12 @@ func (e *Engine) wheelCatchUp(target Time) {
 
 // wheelAdvanceUntilCal advances the frontier, never past limit's tick,
 // until a drain lands events in the calendar (or the wheel empties). Used
-// when the calendar and ready queue are empty and only wheel events
-// remain. Before each drain the clock moves to the start of the tick
-// being drained, so the drained events are within one tick of it and the
-// calendar's horizon holds however long the idle gap; no simulation code
-// runs before the next event sets the clock again (or RunUntil leaves it
-// at limit, which is not earlier), so the move is unobservable.
+// when the calendar is empty and only wheel events remain. Before each
+// drain the clock moves to the start of the tick being drained, so the
+// drained events are within one tick of it and the calendar's horizon
+// holds however long the idle gap; no simulation code runs before the
+// next event sets the clock again (or RunUntil leaves it at limit, which
+// is not earlier), so the move is unobservable.
 func (e *Engine) wheelAdvanceUntilCal(limit Time) {
 	tl := wheelTick(limit)
 	w := &e.wh

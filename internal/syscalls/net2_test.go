@@ -175,4 +175,10 @@ func TestPollSyscallBadArgs(t *testing.T) {
 	if bad.Err != errno.EBADF {
 		t.Fatalf("poll with bad fd = %v, want EBADF", bad.Err)
 	}
+	// nfds·PollFDSize wraps to 4, which a 5-byte buffer would cover.
+	wrap := &Request{NR: SYS_poll, Args: [6]uint64{0x3333333333333334, 0}, Buf: make([]byte, 5)}
+	ev.call(t, wrap)
+	if wrap.Err != errno.EINVAL {
+		t.Fatalf("poll with wrapping nfds = %v, want EINVAL", wrap.Err)
+	}
 }

@@ -111,18 +111,16 @@ func iovecs(r *Request) (lens []int, data []byte, err error) {
 	if cnt <= 0 || cnt > 1024 || len(r.Buf) < 8*cnt {
 		return nil, nil, errno.EINVAL
 	}
+	data = r.Buf[8*cnt:]
 	total := 0
 	lens = make([]int, cnt)
 	for i := 0; i < cnt; i++ {
 		lens[i] = int(binary.LittleEndian.Uint64(r.Buf[8*i:]))
-		if lens[i] < 0 {
+		// Compared against what is left, so the sum cannot wrap.
+		if lens[i] < 0 || lens[i] > len(data)-total {
 			return nil, nil, errno.EINVAL
 		}
 		total += lens[i]
-	}
-	data = r.Buf[8*cnt:]
-	if len(data) < total {
-		return nil, nil, errno.EINVAL
 	}
 	return lens, data, nil
 }

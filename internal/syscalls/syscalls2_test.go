@@ -3,6 +3,7 @@ package syscalls
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
@@ -102,6 +103,26 @@ func TestReadvWritev(t *testing.T) {
 	ev.call(t, bad)
 	if bad.Err != errno.EINVAL {
 		t.Fatalf("bad iovcnt = %v", bad.Err)
+	}
+}
+
+// TestReadvWritevBadArgs: segment lengths whose sum wraps around must be
+// rejected, not trusted to slice the data area.
+func TestReadvWritevBadArgs(t *testing.T) {
+	ev := newEnv(t)
+	open := &Request{NR: SYS_open, Args: [6]uint64{fs.O_CREAT | fs.O_RDWR}, Buf: []byte("/tmp/v")}
+	ev.call(t, open)
+	fd := uint64(open.Ret)
+	for _, nr := range []int{SYS_writev, SYS_readv} {
+		// MaxInt64 + 2 wraps to a negative total, which any data area covers.
+		buf := make([]byte, 16+4)
+		binary.LittleEndian.PutUint64(buf[0:], math.MaxInt64)
+		binary.LittleEndian.PutUint64(buf[8:], 2)
+		r := &Request{NR: nr, Args: [6]uint64{fd, 2}, Buf: buf}
+		ev.call(t, r)
+		if r.Err != errno.EINVAL {
+			t.Fatalf("nr %d with wrapping segment lengths = %v, want EINVAL", nr, r.Err)
+		}
 	}
 }
 
