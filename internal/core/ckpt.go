@@ -35,15 +35,15 @@ func (g *Genesys) CheckpointState() []byte {
 
 	// Non-free slots, in slot-ID order (the array is already ordered).
 	busy := 0
-	for i := range g.slots {
-		if g.slots[i].State != SlotFree {
+	for i := range g.hot {
+		if g.hot[i].state != SlotFree {
 			busy++
 		}
 	}
 	fmt.Fprintf(&b, "slots %d busy %d\n", len(g.slots), busy)
 	for i := range g.slots {
-		s := &g.slots[i]
-		if s.State == SlotFree {
+		s, h := &g.slots[i], g.hot[i]
+		if h.state == SlotFree {
 			continue
 		}
 		owner := ""
@@ -51,7 +51,7 @@ func (g *Genesys) CheckpointState() []byte {
 			owner = fmt.Sprintf("%d:%s", s.owner.PID, s.owner.Name)
 		}
 		fmt.Fprintf(&b, "slot %d state=%s gen=%d blocking=%v nr=%d trace=%d owner=%q ret=%d err=%d\n",
-			s.ID, s.State, s.gen, s.Blocking, s.Req.NR, s.trace.id, owner,
+			s.ID, h.state, h.gen, h.blocking, s.Req.NR, s.trace.id, owner,
 			s.Req.Ret, int(s.Req.Err))
 	}
 
@@ -135,7 +135,7 @@ func (g *Genesys) noteReady(s *Slot) {
 	}
 	g.rec.SyscallReady(SyscallEvent{
 		Trace: s.trace.id, NR: s.Req.NR, Slot: s.ID, Wave: s.trace.wave,
-		Gen: s.gen, Blocking: s.Blocking, At: g.E.Now(),
+		Gen: g.hot[s.ID].gen, Blocking: g.hot[s.ID].blocking, At: g.E.Now(),
 		Args: s.Req.Args, Buf: buf,
 	})
 }
@@ -146,7 +146,7 @@ func (g *Genesys) noteDone(s *Slot) {
 	}
 	g.rec.SyscallDone(SyscallEvent{
 		Trace: s.trace.id, NR: s.trace.nr, Slot: s.ID, Wave: s.trace.wave,
-		Gen: s.gen, Blocking: s.Blocking, At: g.E.Now(),
+		Gen: g.hot[s.ID].gen, Blocking: g.hot[s.ID].blocking, At: g.E.Now(),
 		Ret: s.Req.Ret, Err: s.Req.Err,
 	})
 }
@@ -176,8 +176,8 @@ func (g *Genesys) InjectReady(slotID int, gen uint64, req syscalls.Request) erro
 	if g.proc == nil {
 		return fmt.Errorf("genesys: inject: no process bound; call BindProcess first")
 	}
-	s := &g.slots[slotID]
-	if s.State != SlotFree {
+	s, h := &g.slots[slotID], &g.hot[slotID]
+	if h.state != SlotFree {
 		return ErrSlotBusy
 	}
 	id := req.Trace
@@ -189,18 +189,18 @@ func (g *Genesys) InjectReady(slotID int, gen uint64, req syscalls.Request) erro
 	}
 	simd := g.GPU.Config().SIMDWidth
 	now := g.E.Now()
-	s.State = SlotPopulating
+	h.state = SlotPopulating
 	s.trace = callTrace{
 		id: id, nr: req.NR, wave: slotID / simd, gen: gen,
 		worker: -1, claim: now, ready: now,
 	}
 	s.owner = g.proc
-	s.gen = gen
+	h.gen = gen
 	req.Ret, req.Err = 0, errno.OK
 	req.Trace = id
 	s.Req = req
-	s.Blocking = false
-	s.State = SlotReady
+	h.blocking = false
+	h.state = SlotReady
 	g.Invocations.Inc()
 	g.outstanding++
 	g.noteReady(s)

@@ -45,7 +45,7 @@ import (
 )
 
 // SlotState is the lifecycle of one syscall-area slot (paper Figure 6).
-type SlotState uint32
+type SlotState uint8
 
 const (
 	SlotFree SlotState = iota
@@ -71,16 +71,33 @@ func (s SlotState) String() string {
 	return "invalid"
 }
 
-// Slot is one 64-byte syscall-area entry: call number, request state, up
-// to six arguments (re-purposed for the return value), a blocking bit,
-// and padding to a full cache line to avoid false sharing (Figure 5).
+// Slot is one 64-byte syscall-area entry: call number, up to six
+// arguments (re-purposed for the return value), and padding to a full
+// cache line to avoid false sharing (Figure 5). The entry's request
+// state, blocking bit and generation live apart from it, in Genesys.hot.
 type Slot struct {
 	// ID is the slot's hardware work-item index in the syscall area.
-	ID       int
-	State    SlotState
-	Blocking bool
-	Req      syscalls.Request
+	ID  int
+	Req syscalls.Request
 
+	owner *oskern.Process
+	trace callTrace
+}
+
+// slotHot is the part of a syscall-area entry that pollers and batch
+// scans read on every pass: the request state, the blocking bit and the
+// slot generation. Genesys keeps it in one 16-byte-per-slot array
+// indexed by slot ID, apart from the ~230-byte Slot, so a scan of one
+// wavefront's 64 slots touches 16 host cache lines instead of 250 — the
+// paper's one-slot-per-line argument applied to the simulator's own
+// memory. It is the only copy of these fields.
+type slotHot struct {
+	state    SlotState
+	blocking bool
+	// next links the slot into its poll waiter's list of slots not yet
+	// read finished (-1 ends the list). Only that waiter reads it, and
+	// only while it polls the slot; it fills what would be padding.
+	next int32
 	// gen is the slot generation of the owning wavefront tenancy
 	// (gpu.Wavefront.Gen), stamped at populate time. The hardware
 	// recycles wavefront slots the moment a wavefront retires, so every
@@ -88,9 +105,7 @@ type Slot struct {
 	// wavefront ID (batch scans, retransmit watchdogs, doorbells) must
 	// match gen before touching it — a raw hardware ID may already name
 	// a successor tenant.
-	gen   uint64
-	owner *oskern.Process
-	trace callTrace
+	gen uint64
 }
 
 // WaitMode selects how a blocking work-item awaits completion (§V-C).
@@ -213,6 +228,7 @@ type Genesys struct {
 
 	cfg   Config
 	slots []Slot
+	hot   []slotHot       // hot fields of slots[i]
 	proc  *oskern.Process // default context GPU syscalls borrow
 
 	// kernelProcs maps kernels to the processes that launched them, for
@@ -276,8 +292,8 @@ func (g *Genesys) SetFlight(f *obs.Flight) { g.flight = f }
 // view.
 func (g *Genesys) SlotStateCounts() map[SlotState]int {
 	out := make(map[SlotState]int, 5)
-	for i := range g.slots {
-		out[g.slots[i].State]++
+	for i := range g.hot {
+		out[g.hot[i].state]++
 	}
 	return out
 }
@@ -319,6 +335,7 @@ func New(e *sim.Engine, dev *gpu.Device, os *oskern.OS, m *mem.System,
 		CPU:         c,
 		cfg:         cfg,
 		slots:       make([]Slot, dev.HWWorkItems()),
+		hot:         make([]slotHot, dev.HWWorkItems()),
 		drainCond:   sim.NewCond(e),
 		pendingSet:  make(map[doorbell]bool),
 		kernelProcs: make(map[*gpu.KernelRun]*oskern.Process),
@@ -407,8 +424,9 @@ func (g *Genesys) Injector() *fault.Injector { return g.inject }
 // bit-identical to a machine without the fault subsystem.
 func (g *Genesys) FaultsActive() bool { return g.inject.Active() }
 
-// Slot returns a copy of slot i (for tests and debugging).
-func (g *Genesys) Slot(i int) Slot { return g.slots[i] }
+// SlotState returns the lifecycle state of slot i (for tests and
+// debugging).
+func (g *Genesys) SlotState(i int) SlotState { return g.hot[i].state }
 
 // Outstanding returns the number of system calls in flight.
 func (g *Genesys) Outstanding() int { return g.outstanding }
@@ -477,8 +495,8 @@ func (g *Genesys) falseSharingPenalty(idx int) sim.Time {
 	}
 	base := idx &^ 3
 	var n sim.Time
-	for i := base; i < base+4 && i < len(g.slots); i++ {
-		if i != idx && g.slots[i].State != SlotFree {
+	for i := base; i < base+4 && i < len(g.hot); i++ {
+		if i != idx && g.hot[i].state != SlotFree {
 			n++
 		}
 	}
@@ -489,15 +507,15 @@ func (g *Genesys) falseSharingPenalty(idx int) sim.Time {
 // the cmp-swap claim, the line store, and the swap to ready.
 func (g *Genesys) populateSlot(w *gpu.Wavefront, lane int, req syscalls.Request, blocking bool) *Slot {
 	id := w.HWWorkItemID(lane)
-	s := &g.slots[id]
+	s, h := &g.slots[id], &g.hot[id]
 	claimStart := g.E.Now()
 	for {
 		g.Mem.GPUAtomic(w.P, mem.OpCmpSwap, 0)
 		if pen := g.falseSharingPenalty(id); pen > 0 {
 			w.P.Sleep(pen)
 		}
-		if s.State == SlotFree {
-			s.State = SlotPopulating
+		if h.state == SlotFree {
+			h.state = SlotPopulating
 			break
 		}
 		// A previous (non-blocking) call on this work-item is still being
@@ -519,14 +537,14 @@ func (g *Genesys) populateSlot(w *gpu.Wavefront, lane int, req syscalls.Request,
 		claim:  claimStart,
 	}
 	s.owner = g.procFor(w)
-	s.gen = w.Gen
+	h.gen = w.Gen
 	req.Ret, req.Err = 0, errno.OK
 	req.Trace = s.trace.id
 	s.Req = req
-	s.Blocking = blocking
+	h.blocking = blocking
 	g.Mem.GPUWriteLine(w.P)
 	g.Mem.GPUAtomic(w.P, mem.OpSwap, 0)
-	s.State = SlotReady
+	h.state = SlotReady
 	s.trace.ready = g.E.Now()
 	g.Invocations.Inc()
 	g.outstanding++
@@ -547,19 +565,26 @@ func (g *Genesys) populateSlot(w *gpu.Wavefront, lane int, req syscalls.Request,
 // that observes completion: an N-interval wait costs N inline callbacks
 // and a single process switch instead of ~2N switches.
 //
+// The waiter keeps its own list of the slots it has not yet read
+// finished, linked through slotHot.next, and drops a slot the first time
+// a read finds it finished. That is exact: a finished slot costs the
+// scan no virtual time (the classic loop skips it without a load) and
+// stays finished until awaitSlots harvests it, so every later round
+// would skip it too.
+//
 // phase encodes where in the loop body the next callback resumes:
 //
-//	phaseScan     — arriving at slots[i] (top of the inner loop body)
+//	phaseScan     — arriving at slot cur (top of the inner loop body)
 //	phaseLoadDone — the polling load completed; settle L2 hit/miss
 //	phaseSettled  — load fully charged; apply the false-sharing penalty
 //	phaseChecked  — penalty charged; recheck the slot and advance
 type pollWaiter struct {
 	g     *Genesys
 	w     *gpu.Wavefront
-	slots []*Slot
-	i     int
+	head  int32 // first slot not yet read finished, -1 when none is left
+	cur   int32 // slot the scan is at, -1 at the end of a round
+	prev  int32 // slot before cur in the list, -1 when cur is the head
 	phase int
-	done  bool
 	fn    func() // the tick closure, built once per waiter and reused
 }
 
@@ -577,23 +602,25 @@ const (
 func (pw *pollWaiter) step() (d sim.Time, finished bool) {
 	g := pw.g
 	for {
-		if pw.i == len(pw.slots) {
-			if pw.done {
+		if pw.cur < 0 {
+			// Every slot still listed was read unfinished this round.
+			if pw.head < 0 {
 				return 0, true
 			}
-			pw.i, pw.done = 0, true
+			pw.cur, pw.prev = pw.head, -1
 			return g.cfg.PollInterval, false // w.P.Sleep(PollInterval)
 		}
-		s := pw.slots[pw.i]
+		h := &g.hot[pw.cur]
 		switch pw.phase {
 		case phaseScan:
-			if s.State != SlotFinished {
+			if h.state != SlotFinished {
 				pw.phase = phaseLoadDone
 				if d := g.Mem.PollLoadStart(); d > 0 {
 					return d, false // the atomic-load latency sleep
 				}
 				continue
 			}
+			pw.unlink(h)
 		case phaseLoadDone:
 			pw.phase = phaseSettled
 			if d := g.Mem.PollLoadFinish(); d > 0 {
@@ -602,17 +629,28 @@ func (pw *pollWaiter) step() (d sim.Time, finished bool) {
 			continue
 		case phaseSettled:
 			pw.phase = phaseChecked
-			if pen := g.falseSharingPenalty(s.ID); pen > 0 {
+			if pen := g.falseSharingPenalty(int(pw.cur)); pen > 0 {
 				return pen, false // w.P.Sleep(pen)
 			}
 			continue
 		case phaseChecked:
 			pw.phase = phaseScan
-			if s.State != SlotFinished {
-				pw.done = false
+			if h.state == SlotFinished {
+				pw.unlink(h)
+			} else {
+				pw.prev = pw.cur
 			}
 		}
-		pw.i++
+		pw.cur = h.next
+	}
+}
+
+// unlink drops slot cur, whose hot state is h, from the waiter's list.
+func (pw *pollWaiter) unlink(h *slotHot) {
+	if pw.prev < 0 {
+		pw.head = h.next
+	} else {
+		pw.g.hot[pw.prev].next = h.next
 	}
 }
 
@@ -634,8 +672,14 @@ func (g *Genesys) pollWait(w *gpu.Wavefront, slots []*Slot) {
 			pw.g.E.CallAfter(d, pw.fn)
 		}
 	}
-	pw.g, pw.w, pw.slots = g, w, slots
-	pw.i, pw.phase, pw.done = 0, phaseScan, true
+	pw.g, pw.w = g, w
+	pw.head = -1
+	for i := len(slots) - 1; i >= 0; i-- {
+		id := slots[i].ID
+		g.hot[id].next = pw.head
+		pw.head = int32(id)
+	}
+	pw.cur, pw.prev, pw.phase = pw.head, -1, phaseScan
 	// The first stretch — up to the first sleep — runs inline in process
 	// context, just as the classic loop's did.
 	d, finished := pw.step()
@@ -643,7 +687,7 @@ func (g *Genesys) pollWait(w *gpu.Wavefront, slots []*Slot) {
 		g.E.CallAfter(d, pw.fn)
 		w.P.Park("syscall poll")
 	}
-	pw.w, pw.slots = nil, nil
+	pw.w = nil
 	g.pwFree = append(g.pwFree, pw)
 }
 
@@ -652,7 +696,7 @@ func (g *Genesys) pollWait(w *gpu.Wavefront, slots []*Slot) {
 func (g *Genesys) awaitSlots(w *gpu.Wavefront, slots []*Slot, mode WaitMode) []Result {
 	switch mode {
 	case WaitHaltResume:
-		for !allFinished(slots) {
+		for !g.allFinished(slots) {
 			w.Halt()
 		}
 	default: // WaitPoll
@@ -666,7 +710,7 @@ func (g *Genesys) awaitSlots(w *gpu.Wavefront, slots []*Slot, mode WaitMode) []R
 	for i, s := range slots {
 		results[i] = Result{Ret: s.Req.Ret, Err: s.Req.Err, OutArgs: s.Req.OutArgs}
 		g.Mem.GPUAtomic(w.P, mem.OpSwap, 0)
-		s.State = SlotFree
+		g.hot[s.ID].state = SlotFree
 		g.slotReleased(s)
 		s.trace.harvest = g.E.Now()
 		g.finishTrace(s)
@@ -675,9 +719,9 @@ func (g *Genesys) awaitSlots(w *gpu.Wavefront, slots []*Slot, mode WaitMode) []R
 	return results
 }
 
-func allFinished(slots []*Slot) bool {
+func (g *Genesys) allFinished(slots []*Slot) bool {
 	for _, s := range slots {
-		if s.State != SlotFinished {
+		if g.hot[s.ID].state != SlotFinished {
 			return false
 		}
 	}
@@ -703,14 +747,14 @@ func (g *Genesys) adoptOrphans(hw int, gen uint64) {
 	simd := g.GPU.Config().SIMDWidth
 	base := hw * simd
 	for lane := 0; lane < simd; lane++ {
-		s := &g.slots[base+lane]
-		if s.State == SlotFree || s.gen != gen {
+		id := base + lane
+		if h := g.hot[id]; h.state == SlotFree || h.gen != gen {
 			continue
 		}
-		g.orphans[s.ID] = gen
+		g.orphans[id] = gen
 		g.OrphansAdopted.Inc()
 		if g.events.Enabled() {
-			g.events.Instant("genesys", "orphan-adopted", obs.PIDSyscalls, s.ID, g.E.Now())
+			g.events.Instant("genesys", "orphan-adopted", obs.PIDSyscalls, id, g.E.Now())
 		}
 	}
 }
@@ -718,7 +762,7 @@ func (g *Genesys) adoptOrphans(hw int, gen uint64) {
 // slotReleased retires the reaper's claim on a slot transitioning back
 // to free (called on every free transition; a no-op for non-orphans).
 func (g *Genesys) slotReleased(s *Slot) {
-	if gen, ok := g.orphans[s.ID]; ok && gen == s.gen {
+	if gen, ok := g.orphans[s.ID]; ok && gen == g.hot[s.ID].gen {
 		delete(g.orphans, s.ID)
 		g.OrphansCompleted.Inc()
 	}
@@ -847,8 +891,9 @@ func (g *Genesys) staleSlots(db doorbell) []*Slot {
 	simd := g.GPU.Config().SIMDWidth
 	var stale []*Slot
 	for lane := 0; lane < simd; lane++ {
-		if s := &g.slots[db.hw*simd+lane]; s.State == SlotReady && s.gen == db.gen {
-			stale = append(stale, s)
+		id := db.hw*simd + lane
+		if h := g.hot[id]; h.state == SlotReady && h.gen == db.gen {
+			stale = append(stale, &g.slots[id])
 		}
 	}
 	return stale
@@ -879,10 +924,10 @@ func (g *Genesys) checkRetransmit(db doorbell, st *retxState) {
 			s.trace.picked, s.trace.done = now, now
 			s.trace.aborted = true
 			g.inject.NoteSurfaced()
-			if s.Blocking {
-				s.State = SlotFinished
+			if h := &g.hot[s.ID]; h.blocking {
+				h.state = SlotFinished
 			} else {
-				s.State = SlotFree
+				h.state = SlotFree
 				g.slotReleased(s)
 				g.finishTrace(s)
 				g.noteCompleted()
@@ -952,8 +997,9 @@ func (g *Genesys) enqueueBatch(waves []doorbell) {
 	simd := g.GPU.Config().SIMDWidth
 	for _, db := range waves {
 		for lane := 0; lane < simd; lane++ {
-			if s := &g.slots[db.hw*simd+lane]; s.State == SlotReady && s.gen == db.gen {
-				s.trace.enqueued = g.E.Now()
+			id := db.hw*simd + lane
+			if h := g.hot[id]; h.state == SlotReady && h.gen == db.gen {
+				g.slots[id].trace.enqueued = g.E.Now()
 			}
 		}
 	}
@@ -982,8 +1028,8 @@ func (g *Genesys) processBatch(p *sim.Proc, waves []doorbell) {
 	for _, db := range waves {
 		base := db.hw * simd
 		for lane := 0; lane < simd; lane++ {
-			s := &g.slots[base+lane]
-			if s.State != SlotReady || s.gen != db.gen {
+			s, h := &g.slots[base+lane], &g.hot[base+lane]
+			if h.state != SlotReady || h.gen != db.gen {
 				continue
 			}
 			if g.inject.Should(fault.SlotSkip) {
@@ -1006,7 +1052,7 @@ func (g *Genesys) processBatch(p *sim.Proc, waves []doorbell) {
 			// slot — the loser's completion then lands on a slot the
 			// wavefront has already harvested and recycled, stranding it
 			// in finished with no caller left to free it.
-			s.State = SlotProcessing
+			h.state = SlotProcessing
 			// Context switches are charged only when the borrowed
 			// context actually changes within the batch.
 			if owner != current {
@@ -1019,7 +1065,7 @@ func (g *Genesys) processBatch(p *sim.Proc, waves []doorbell) {
 			// Snapshot the request before dispatch can mutate it (OutArgs,
 			// and any handler that rewrites its arguments), so an in-place
 			// restart reissues the original call, not a clobbered one.
-			restartable := !s.Blocking && g.inject.Active() && syscalls.Restartable(s.Req.NR)
+			restartable := !h.blocking && g.inject.Active() && syscalls.Restartable(s.Req.NR)
 			var orig syscalls.Request
 			if restartable {
 				orig = s.Req
@@ -1033,10 +1079,10 @@ func (g *Genesys) processBatch(p *sim.Proc, waves []doorbell) {
 				g.restartInPlace(p, ctx, s, orig)
 			}
 			s.trace.done = g.E.Now()
-			if s.Blocking {
-				s.State = SlotFinished
+			if h.blocking {
+				h.state = SlotFinished
 			} else {
-				s.State = SlotFree
+				h.state = SlotFree
 				g.slotReleased(s)
 				g.finishTrace(s)
 				g.noteCompleted()

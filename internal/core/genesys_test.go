@@ -700,7 +700,7 @@ func TestPackedSlotsAblation(t *testing.T) {
 
 func TestSlotStateStringAndIntrospection(t *testing.T) {
 	m := newMachine(t, 1)
-	if m.Genesys.Slot(0).State != core.SlotFree {
+	if m.Genesys.SlotState(0) != core.SlotFree {
 		t.Fatal("initial slot not free")
 	}
 	states := []core.SlotState{core.SlotFree, core.SlotPopulating, core.SlotReady,

@@ -112,7 +112,7 @@ func TestSlotMachineQuiescenceProperty(t *testing.T) {
 			return false
 		}
 		for i := 0; i < m.GPU.HWWorkItems(); i++ {
-			if m.Genesys.Slot(i).State != core.SlotFree {
+			if m.Genesys.SlotState(i) != core.SlotFree {
 				return false
 			}
 		}

@@ -20,11 +20,13 @@ const (
 	PhaseCompletion = "completion" // finished → result harvested (step 5)
 )
 
+// phaseNames is the life-cycle phases in order; the tracer's per-phase
+// histograms and sums are indexed by position in it.
+var phaseNames = [...]string{PhaseGPUSetup, PhaseDelivery, PhaseQueueing,
+	PhaseProcessing, PhaseCompletion}
+
 // Phases lists the life-cycle phases in order.
-func Phases() []string {
-	return []string{PhaseGPUSetup, PhaseDelivery, PhaseQueueing,
-		PhaseProcessing, PhaseCompletion}
-}
+func Phases() []string { return append([]string(nil), phaseNames[:]...) }
 
 // callTrace records the per-call timestamps the tracer aggregates, plus
 // the identity of the call: a machine-unique trace ID assigned at
@@ -72,7 +74,7 @@ func (c callTrace) stamped() bool {
 type nrStat struct {
 	calls   int
 	aborted int
-	phase   []float64 // per-phase summed latency (us), Phases() order
+	phase   [len(phaseNames)]float64 // per-phase summed latency (us)
 	totalUS float64
 	hist    *obs.Histogram
 }
@@ -83,8 +85,8 @@ type nrStat struct {
 // style percentile breakdowns); per-syscall-number stats feed the
 // critical-path attribution table (CritPath, /sys/genesys/critpath).
 type Tracer struct {
-	hist    map[string]*obs.Histogram
-	total   *obs.Histogram // end-to-end per-call latency
+	hist    [len(phaseNames)]*obs.Histogram // per phase, phaseNames order
+	total   *obs.Histogram                  // end-to-end per-call latency
 	n       int
 	skipped int
 	aborted int
@@ -93,17 +95,17 @@ type Tracer struct {
 
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer {
-	m := make(map[string]*obs.Histogram, 5)
-	for _, ph := range Phases() {
-		m[ph] = obs.NewHistogram()
+	t := &Tracer{total: obs.NewHistogram(), byNR: make(map[int]*nrStat)}
+	for i := range t.hist {
+		t.hist[i] = obs.NewHistogram()
 	}
-	return &Tracer{hist: m, total: obs.NewHistogram(), byNR: make(map[int]*nrStat)}
+	return t
 }
 
 func (t *Tracer) nrStatFor(nr int) *nrStat {
 	st, ok := t.byNR[nr]
 	if !ok {
-		st = &nrStat{phase: make([]float64, len(Phases())), hist: obs.NewHistogram()}
+		st = &nrStat{hist: obs.NewHistogram()}
 		t.byNR[nr] = st
 	}
 	return st
@@ -119,10 +121,10 @@ func (t *Tracer) record(c callTrace) {
 		st := t.nrStatFor(c.nr)
 		st.aborted++
 		if c.ready >= c.claim && c.ready > 0 {
-			t.hist[PhaseGPUSetup].Add((c.ready - c.claim).Micro())
+			t.hist[0].Add((c.ready - c.claim).Micro()) // gpu-setup
 		}
 		if c.enqueued >= c.ready && c.enqueued > 0 {
-			t.hist[PhaseDelivery].Add((c.enqueued - c.ready).Micro())
+			t.hist[1].Add((c.enqueued - c.ready).Micro()) // delivery
 		}
 		return
 	}
@@ -136,7 +138,7 @@ func (t *Tracer) record(c callTrace) {
 		c.harvest = c.done // non-blocking: no harvest step
 	}
 	t.n++
-	samples := []float64{
+	samples := [len(phaseNames)]float64{
 		(c.ready - c.claim).Micro(),
 		(c.enqueued - c.ready).Micro(),
 		(c.picked - c.enqueued).Micro(),
@@ -145,9 +147,9 @@ func (t *Tracer) record(c callTrace) {
 	}
 	st := t.nrStatFor(c.nr)
 	st.calls++
-	for i, ph := range Phases() {
-		t.hist[ph].Add(samples[i])
-		st.phase[i] += samples[i]
+	for i, v := range samples {
+		t.hist[i].Add(v)
+		st.phase[i] += v
 	}
 	totalUS := (c.harvest - c.claim).Micro()
 	t.total.AddEx(totalUS, c.id, c.harvest)
@@ -166,8 +168,16 @@ func (t *Tracer) Skipped() int { return t.skipped }
 // retransmit watchdog (fault paths).
 func (t *Tracer) Aborted() int { return t.aborted }
 
-// Phase returns the latency histogram (µs) of one phase.
-func (t *Tracer) Phase(name string) *obs.Histogram { return t.hist[name] }
+// Phase returns the latency histogram (µs) of one phase, or nil for a
+// name that is not a phase.
+func (t *Tracer) Phase(name string) *obs.Histogram {
+	for i, ph := range phaseNames {
+		if ph == name {
+			return t.hist[i]
+		}
+	}
+	return nil
+}
 
 // Total returns the end-to-end per-call latency histogram (µs).
 func (t *Tracer) Total() *obs.Histogram { return t.total }
@@ -175,8 +185,8 @@ func (t *Tracer) Total() *obs.Histogram { return t.total }
 // TotalMean returns the mean end-to-end latency in µs.
 func (t *Tracer) TotalMean() float64 {
 	var sum float64
-	for _, ph := range Phases() {
-		sum += t.hist[ph].Mean()
+	for _, h := range t.hist {
+		sum += h.Mean()
 	}
 	return sum
 }
@@ -188,8 +198,8 @@ func (t *Tracer) String() string {
 	fmt.Fprintf(&b, "  %-11s %8s  %6s  %8s %8s %8s\n",
 		"phase", "mean", "share", "p50", "p95", "p99")
 	total := t.TotalMean()
-	for _, ph := range Phases() {
-		h := t.hist[ph]
+	for i, ph := range phaseNames {
+		h := t.hist[i]
 		m := h.Mean()
 		share := 0.0
 		if total > 0 {
@@ -234,7 +244,7 @@ func (t *Tracer) CritPath() string {
 	}
 	fmt.Fprintf(&b, "  %-16s %6s %5s %9s %9s %9s %9s %9s  %-11s", "syscall", "calls",
 		"abrt", "mean-us", "p95-us", "p99-us", "min-us", "max-us", "dominant")
-	for _, ph := range Phases() {
+	for _, ph := range phaseNames {
 		fmt.Fprintf(&b, " %7s", shortPhase(ph)+"%")
 	}
 	b.WriteString("\n")
@@ -262,7 +272,7 @@ func (t *Tracer) CritPath() string {
 			sumPhases += st.phase[i]
 		}
 		sumTotal += st.totalUS
-		fmt.Fprintf(&b, "  %-11s", Phases()[dom])
+		fmt.Fprintf(&b, "  %-11s", phaseNames[dom])
 		for i := range st.phase {
 			share := 0.0
 			if st.totalUS > 0 {
@@ -274,7 +284,7 @@ func (t *Tracer) CritPath() string {
 	}
 	if sumTotal > 0 {
 		fmt.Fprintf(&b, "  attributed %.1f%% of end-to-end latency to the %d named stages\n",
-			100*sumPhases/sumTotal, len(Phases()))
+			100*sumPhases/sumTotal, len(phaseNames))
 	}
 	// Exemplars: the retained worst invocations per syscall, each naming
 	// the causal trace ID a flight-recorder bundle (or -trace export)

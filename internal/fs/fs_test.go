@@ -3,6 +3,7 @@ package fs
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -619,6 +620,49 @@ func TestAppendAllocatesLinearly(t *testing.T) {
 			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 3*size {
 				t.Fatalf("appending %d MiB allocated %d MiB, want <= %d MiB",
 					size>>20, alloc>>20, 3*size>>20)
+			}
+		})
+	}
+}
+
+// TestFileGrowthCapped: a write whose end wraps past MaxInt64, a write
+// ending one byte past MaxFileSize and a truncate one byte past it all
+// fail with EFBIG and leave the file as it was; the cap itself is never
+// reached, so the test asks the host for no large buffer.
+func TestFileGrowthCapped(t *testing.T) {
+	for _, c := range benchFileSystems() {
+		t.Run(c.name, func(t *testing.T) {
+			f := c.newFile()
+			io := &IOCtx{}
+			if _, err := f.WriteAt(io, []byte("abc"), 0); err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []struct {
+				off int64
+				n   int
+			}{
+				{math.MaxInt64 - 3, 8}, // off+n wraps negative
+				{MaxFileSize - 1, 2},
+				{MaxFileSize + 1, 0},
+			} {
+				if n, err := f.WriteAt(io, make([]byte, w.n), w.off); err != errno.EFBIG || n != 0 {
+					t.Errorf("WriteAt(%d bytes at %d) = %d, %v; want 0, EFBIG", w.n, w.off, n, err)
+				}
+			}
+			if err := f.Truncate(MaxFileSize + 1); err != errno.EFBIG {
+				t.Errorf("Truncate(MaxFileSize+1) = %v, want EFBIG", err)
+			}
+			if err := f.Truncate(math.MaxInt64); err != errno.EFBIG {
+				t.Errorf("Truncate(MaxInt64) = %v, want EFBIG", err)
+			}
+			if _, err := f.WriteAt(io, []byte("x"), -1); err != errno.EINVAL {
+				t.Errorf("WriteAt at -1 = %v, want EINVAL", err)
+			}
+			if err := f.Truncate(-1); err != errno.EINVAL {
+				t.Errorf("Truncate(-1) = %v, want EINVAL", err)
+			}
+			if f.Size() != 3 {
+				t.Errorf("size after rejected growth = %d, want 3", f.Size())
 			}
 		})
 	}

@@ -116,10 +116,10 @@ func (f *ssdFile) ReadAt(io *IOCtx, b []byte, off int64) (int, error) {
 }
 
 func (f *ssdFile) WriteAt(io *IOCtx, b []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, errno.EINVAL
+	end, err := fileEnd(off, int64(len(b)))
+	if err != nil {
+		return 0, err
 	}
-	end := off + int64(len(b))
 	f.data = grow(f.data, end)
 	n := copy(f.data[off:end], b)
 	// Write-back cache: pages become resident; device write is charged
@@ -139,8 +139,8 @@ func (f *ssdFile) WriteAt(io *IOCtx, b []byte, off int64) (int, error) {
 }
 
 func (f *ssdFile) Truncate(size int64) error {
-	if size < 0 {
-		return errno.EINVAL
+	if _, err := fileEnd(size, 0); err != nil {
+		return err
 	}
 	if size <= int64(len(f.data)) {
 		f.data = f.data[:size]

@@ -52,10 +52,10 @@ func (f *tmpFile) ReadAt(io *IOCtx, b []byte, off int64) (int, error) {
 }
 
 func (f *tmpFile) WriteAt(io *IOCtx, b []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, errno.EINVAL
+	end, err := fileEnd(off, int64(len(b)))
+	if err != nil {
+		return 0, err
 	}
-	end := off + int64(len(b))
 	f.data = grow(f.data, end)
 	n := copy(f.data[off:end], b)
 	f.charge(io, n)
@@ -63,8 +63,8 @@ func (f *tmpFile) WriteAt(io *IOCtx, b []byte, off int64) (int, error) {
 }
 
 func (f *tmpFile) Truncate(size int64) error {
-	if size < 0 {
-		return errno.EINVAL
+	if _, err := fileEnd(size, 0); err != nil {
+		return err
 	}
 	if size <= int64(len(f.data)) {
 		f.data = f.data[:size]
@@ -72,6 +72,26 @@ func (f *tmpFile) Truncate(size int64) error {
 	}
 	f.data = grow(f.data, size)
 	return nil
+}
+
+// MaxFileSize is the largest size a tmpfs or SSDFS file can reach. A
+// write or truncate past it fails with EFBIG instead of asking the host
+// for that much memory. It sits above the largest file any experiment
+// builds (Figure 7's 256 MiB).
+const MaxFileSize int64 = 4 << 30
+
+// fileEnd returns off+n, where a write of n bytes at off ends or a
+// truncate to size off (n = 0) leaves the file: EINVAL for a negative
+// offset, EFBIG past MaxFileSize. It compares off with what is left
+// below the cap, so the sum cannot wrap.
+func fileEnd(off, n int64) (int64, error) {
+	if off < 0 {
+		return 0, errno.EINVAL
+	}
+	if off > MaxFileSize-n {
+		return 0, errno.EFBIG
+	}
+	return off + n, nil
 }
 
 // grow returns data extended to n bytes, or data itself if it is already

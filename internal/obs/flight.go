@@ -28,6 +28,7 @@ type Flight struct {
 	order     []uint64 // insertion (trace-claim) order, oldest first (live from orderHead)
 	orderHead int      // index of the oldest live entry in order
 	free      []*chain // evicted chains recycled to keep the tee allocation-free
+	last      *chain   // chain of the previous span; a call's spans arrive back to back
 
 	byNR map[int]*Histogram // running per-NR total-latency distribution
 
@@ -153,12 +154,17 @@ func NewFlight(cfg FlightConfig) *Flight {
 // This is the hot tee off the engine loop: evicted chains (struct and
 // events backing array) go to a freelist and are reused for new traces,
 // and eviction advances a head index instead of re-slicing order, so
-// steady-state recording allocates nothing.
+// steady-state recording allocates nothing. Eviction happens only when a
+// new chain is filed, which also replaces the cached last chain, so the
+// cache never names an evicted chain.
 func (f *Flight) addSpan(e Event) {
 	if f == nil || e.Flow == 0 {
 		return
 	}
-	c := f.chains[e.Flow]
+	c := f.last
+	if c == nil || c.id != e.Flow {
+		c = f.chains[e.Flow]
+	}
 	if c == nil {
 		if n := len(f.free); n > 0 {
 			c = f.free[n-1]
@@ -186,6 +192,7 @@ func (f *Flight) addSpan(e Event) {
 			f.orderHead = 0
 		}
 	}
+	f.last = c
 	c.events = append(c.events, e)
 	if e.Start < c.start {
 		c.start = e.Start

@@ -69,6 +69,13 @@ type Histogram struct {
 	min    float64
 	max    float64
 	ex     []Exemplar // top-K samples by value, descending
+
+	// cur and below are where the last Quantile stopped: bucket cur and
+	// the exact number of samples in the buckets below it. Add keeps below
+	// exact and Merge resets both, so the next query resumes from there
+	// instead of rescanning from bucket 0.
+	cur   int
+	below int64
 }
 
 // NewHistogram returns an empty histogram.
@@ -95,6 +102,9 @@ func (h *Histogram) Add(v float64) {
 		h.counts = append(h.counts, 0)
 	}
 	h.counts[i]++
+	if i < h.cur {
+		h.below++
+	}
 }
 
 // AddEx records one sample carrying its causal identity; the top
@@ -143,7 +153,8 @@ func (h *Histogram) Max() float64 { return h.max }
 
 // Quantile returns the approximate p-th percentile (0 ≤ p ≤ 100),
 // interpolated within the bucket the rank falls in and clamped to the
-// exact observed [min, max].
+// exact observed [min, max]. It moves the histogram's read cursor, so it is
+// a write for synchronisation purposes, like Add.
 func (h *Histogram) Quantile(p float64) float64 {
 	if h.n == 0 {
 		return 0
@@ -155,20 +166,28 @@ func (h *Histogram) Quantile(p float64) float64 {
 		return h.max
 	}
 	rank := p / 100 * float64(h.n)
-	var cum float64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		prev := cum
-		cum += float64(c)
-		if cum >= rank {
+	// The answer is the first bucket whose samples, with all those below
+	// it, reach rank. Step back from the cursor until the buckets below
+	// hold fewer than rank samples, then forward to that bucket. Counts
+	// are integers well under 2^53, so float64(below) is exact and the
+	// result equals a scan from bucket 0.
+	i, below := h.cur, h.below
+	for i > 0 && float64(below) >= rank {
+		i--
+		below -= h.counts[i]
+	}
+	for ; i < len(h.counts); i++ {
+		c := h.counts[i]
+		if float64(below+c) >= rank {
+			h.cur, h.below = i, below
 			lo, hi := bucketBounds(i)
-			frac := (rank - prev) / float64(c)
+			frac := (rank - float64(below)) / float64(c)
 			v := lo + (hi-lo)*frac
 			return clamp(v, h.min, h.max)
 		}
+		below += c
 	}
+	h.cur, h.below = i, below
 	return h.max
 }
 
@@ -200,6 +219,7 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	h.n += other.n
 	h.sum += other.sum
+	h.cur, h.below = 0, 0
 	for len(h.counts) < len(other.counts) {
 		h.counts = append(h.counts, 0)
 	}

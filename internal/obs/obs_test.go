@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"testing"
 
 	"genesys/internal/sim"
@@ -288,6 +289,78 @@ func TestHistogramMerge(t *testing.T) {
 	}
 	if s := a.String(); s == "" {
 		t.Fatal("empty render")
+	}
+}
+
+// refQuantile is Quantile as a linear scan from bucket 0, the reference
+// the cursor-resuming Quantile must match bit for bit.
+func refQuantile(h *Histogram, p float64) float64 {
+	if h.n == 0 {
+		return 0
+	}
+	if p <= 0 {
+		return h.min
+	}
+	if p >= 100 {
+		return h.max
+	}
+	rank := p / 100 * float64(h.n)
+	var cum float64
+	for i, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		prev := cum
+		cum += float64(c)
+		if cum >= rank {
+			lo, hi := bucketBounds(i)
+			return clamp(lo+(hi-lo)*((rank-prev)/float64(c)), h.min, h.max)
+		}
+	}
+	return h.max
+}
+
+// TestHistogramQuantileCursorExact interleaves Add, Merge and Quantile
+// over seeded random samples spanning the whole bucket range (underflow,
+// negative and overflow values included) and requires every quantile to
+// equal the linear-scan reference exactly.
+func TestHistogramQuantileCursorExact(t *testing.T) {
+	ps := []float64{50, 95, 99, 99.9}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sample := func() float64 {
+			switch rng.Intn(20) {
+			case 0:
+				return -rng.Float64()
+			case 1:
+				return histMin * rng.Float64()
+			case 2:
+				return 1e300
+			}
+			return math.Exp(rng.Float64()*40 - 10)
+		}
+		h := NewHistogram()
+		for op := 0; op < 4000; op++ {
+			switch r := rng.Intn(100); {
+			case r < 70:
+				for n := rng.Intn(5) + 1; n > 0; n-- {
+					h.Add(sample())
+				}
+			case r < 75:
+				o := NewHistogram()
+				for n := rng.Intn(50); n > 0; n-- {
+					o.Add(sample())
+				}
+				h.Merge(o)
+			default:
+				p := ps[rng.Intn(len(ps))]
+				want := refQuantile(h, p)
+				if got := h.Quantile(p); got != want {
+					t.Fatalf("seed %d op %d: p%g = %v, linear scan %v (n=%d)",
+						seed, op, p, got, want, h.N())
+				}
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package syscalls
 
 import (
 	"encoding/binary"
+	"math"
 
 	"genesys/internal/cpu"
 	"genesys/internal/errno"
@@ -161,6 +162,26 @@ func fail(r *Request, err error) {
 	r.Err = errno.Of(err)
 }
 
+// signedArg returns a size or duration argument as the signed value the
+// kernel reads it as, or EINVAL when that is negative (a size_t above
+// SSIZE_MAX).
+func signedArg(v uint64) (int64, error) {
+	if v > math.MaxInt64 {
+		return 0, errno.EINVAL
+	}
+	return int64(v), nil
+}
+
+// countBuf returns the part of Buf a byte-count argument names: all of
+// Buf when the count reaches past it, EINVAL when the count is negative.
+func countBuf(r *Request, count uint64) ([]byte, error) {
+	n, err := signedArg(count)
+	if err != nil {
+		return nil, err
+	}
+	return r.Buf[:min(n, int64(len(r.Buf)))], nil
+}
+
 // cstr interprets b as a NUL-terminated pathname (C-string semantics:
 // anything past the first zero byte is ignored).
 func cstr(b []byte) string {
@@ -180,11 +201,12 @@ func sysRead(c *Ctx, r *Request) {
 		fail(r, err)
 		return
 	}
-	count := int(r.Args[1])
-	if count > len(r.Buf) {
-		count = len(r.Buf)
+	buf, err := countBuf(r, r.Args[1])
+	if err != nil {
+		fail(r, err)
+		return
 	}
-	n, err := f.Read(c.io(), r.Buf[:count])
+	n, err := f.Read(c.io(), buf)
 	if err != nil {
 		fail(r, err)
 		return
@@ -198,11 +220,12 @@ func sysWrite(c *Ctx, r *Request) {
 		fail(r, err)
 		return
 	}
-	count := int(r.Args[1])
-	if count > len(r.Buf) {
-		count = len(r.Buf)
+	buf, err := countBuf(r, r.Args[1])
+	if err != nil {
+		fail(r, err)
+		return
 	}
-	n, err := f.Write(c.io(), r.Buf[:count])
+	n, err := f.Write(c.io(), buf)
 	if err != nil {
 		fail(r, err)
 		return
@@ -216,11 +239,12 @@ func sysPread(c *Ctx, r *Request) {
 		fail(r, err)
 		return
 	}
-	count := int(r.Args[1])
-	if count > len(r.Buf) {
-		count = len(r.Buf)
+	buf, err := countBuf(r, r.Args[1])
+	if err != nil {
+		fail(r, err)
+		return
 	}
-	n, err := f.Pread(c.io(), r.Buf[:count], int64(r.Args[2]))
+	n, err := f.Pread(c.io(), buf, int64(r.Args[2]))
 	if err != nil {
 		fail(r, err)
 		return
@@ -234,11 +258,12 @@ func sysPwrite(c *Ctx, r *Request) {
 		fail(r, err)
 		return
 	}
-	count := int(r.Args[1])
-	if count > len(r.Buf) {
-		count = len(r.Buf)
+	buf, err := countBuf(r, r.Args[1])
+	if err != nil {
+		fail(r, err)
+		return
 	}
-	n, err := f.Pwrite(c.io(), r.Buf[:count], int64(r.Args[2]))
+	n, err := f.Pwrite(c.io(), buf, int64(r.Args[2]))
 	if err != nil {
 		fail(r, err)
 		return
@@ -525,14 +550,15 @@ func sysSendto(c *Ctx, r *Request) {
 		fail(r, err)
 		return
 	}
-	count := int(r.Args[1])
-	if count > len(r.Buf) {
-		count = len(r.Buf)
+	buf, err := countBuf(r, r.Args[1])
+	if err != nil {
+		fail(r, err)
+		return
 	}
 	t0 := c.OS.E.Now()
 	if sock.Type() == netstack.Stream {
 		// send(2): dstPort ignored, blocks for window space, writes all.
-		n, serr := sock.Send(c.P, r.Buf[:count])
+		n, serr := sock.Send(c.P, buf)
 		if serr != nil && n == 0 {
 			fail(r, serr)
 			return
@@ -541,12 +567,12 @@ func sysSendto(c *Ctx, r *Request) {
 		r.Ret = int64(n)
 		return
 	}
-	if err := sock.SendTo(int(r.Args[4]), r.Buf[:count]); err != nil {
+	if err := sock.SendTo(int(r.Args[4]), buf); err != nil {
 		fail(r, err)
 		return
 	}
 	netSpan(c, "sendto", r, sock.Port(), t0)
-	r.Ret = int64(count)
+	r.Ret = int64(len(buf))
 }
 
 // netSpan records a socket operation on the netstack process's timeline,
@@ -575,11 +601,16 @@ func sysRecvfrom(c *Ctx, r *Request) {
 	}
 	t0 := c.OS.E.Now()
 	if sock.Type() == netstack.Stream {
-		count := int(r.Args[1])
-		if count > len(r.Buf) || count == 0 {
-			count = len(r.Buf)
+		count := r.Args[1]
+		if count == 0 {
+			count = uint64(len(r.Buf))
 		}
-		n, rerr := sock.RecvTimeout(c.P, r.Buf[:count], sim.Time(r.Args[2]))
+		buf, err := countBuf(r, count)
+		if err != nil {
+			fail(r, err)
+			return
+		}
+		n, rerr := sock.RecvTimeout(c.P, buf, sim.Time(r.Args[2]))
 		if rerr != nil {
 			fail(r, rerr)
 			return

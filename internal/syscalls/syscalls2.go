@@ -198,9 +198,16 @@ func sysDup(c *Ctx, r *Request) {
 }
 
 // sysNanosleep: Args[0] = duration in nanoseconds. The OS worker thread
-// sleeps on the caller's behalf — a deliberately blocking call.
+// sleeps on the caller's behalf — a deliberately blocking call. A
+// negative duration, or one whose wake-up instant is past sim.MaxTime,
+// is EINVAL.
 func sysNanosleep(c *Ctx, r *Request) {
-	c.P.Sleep(sim.Time(r.Args[0]))
+	d, err := signedArg(r.Args[0])
+	if err != nil || sim.Time(d) > sim.MaxTime-c.P.Now() {
+		fail(r, errno.EINVAL)
+		return
+	}
+	c.P.Sleep(sim.Time(d))
 }
 
 func sysGetpid(c *Ctx, r *Request) {

@@ -9,6 +9,7 @@ import (
 
 	"genesys/internal/errno"
 	"genesys/internal/fs"
+	"genesys/internal/netstack"
 	"genesys/internal/sim"
 )
 
@@ -123,6 +124,42 @@ func TestReadvWritevBadArgs(t *testing.T) {
 		if r.Err != errno.EINVAL {
 			t.Fatalf("nr %d with wrapping segment lengths = %v, want EINVAL", nr, r.Err)
 		}
+	}
+}
+
+// TestCountArgsBadArgs: a byte count that is negative as a signed
+// value (size_t above SSIZE_MAX) must be rejected, not used to slice the
+// buffer, and so must a sleep that is negative or whose wake-up instant
+// overflows virtual time.
+func TestCountArgsBadArgs(t *testing.T) {
+	ev := newEnv(t)
+	open := &Request{NR: SYS_open, Args: [6]uint64{fs.O_CREAT | fs.O_RDWR}, Buf: []byte("/tmp/c")}
+	dgram := &Request{NR: SYS_socket, Args: [6]uint64{uint64(netstack.Dgram)}}
+	stream := &Request{NR: SYS_socket, Args: [6]uint64{uint64(netstack.Stream)}}
+	ev.callSeq(t, open, dgram, stream)
+	fd, dfd, sfd := uint64(open.Ret), uint64(dgram.Ret), uint64(stream.Ret)
+	const neg = math.MaxUint64 // -1 as a signed count
+	for _, r := range []*Request{
+		{NR: SYS_read, Args: [6]uint64{fd, neg}},
+		{NR: SYS_write, Args: [6]uint64{fd, neg}},
+		{NR: SYS_pread64, Args: [6]uint64{fd, neg, 0}},
+		{NR: SYS_pwrite64, Args: [6]uint64{fd, neg, 0}},
+		{NR: SYS_sendto, Args: [6]uint64{dfd, neg, 0, 0, 7000}},
+		{NR: SYS_sendto, Args: [6]uint64{sfd, neg}},
+		{NR: SYS_recvfrom, Args: [6]uint64{sfd, neg}},
+		{NR: SYS_nanosleep, Args: [6]uint64{1 << 63}},
+	} {
+		r.Buf = make([]byte, 8)
+		ev.call(t, r)
+		if r.Err != errno.EINVAL {
+			t.Errorf("%s%v = %v, want EINVAL", Name(r.NR), r.Args, r.Err)
+		}
+	}
+	short := &Request{NR: SYS_nanosleep, Args: [6]uint64{1000}}
+	long := &Request{NR: SYS_nanosleep, Args: [6]uint64{math.MaxInt64}}
+	ev.callSeq(t, short, long)
+	if short.Err != errno.OK || long.Err != errno.EINVAL {
+		t.Errorf("nanosleep(1us), nanosleep(MaxInt64) = %v, %v; want OK, EINVAL", short.Err, long.Err)
 	}
 }
 
