@@ -40,12 +40,12 @@ func (g *Genesys) CheckpointState() []byte {
 			busy++
 		}
 	}
-	fmt.Fprintf(&b, "slots %d busy %d\n", len(g.slots), busy)
-	for i := range g.slots {
-		s, h := &g.slots[i], g.hot[i]
+	fmt.Fprintf(&b, "slots %d busy %d\n", len(g.hot), busy)
+	for i, h := range g.hot {
 		if h.state == SlotFree {
 			continue
 		}
+		s := g.slot(i)
 		owner := ""
 		if s.owner != nil {
 			owner = fmt.Sprintf("%d:%s", s.owner.PID, s.owner.Name)
@@ -170,16 +170,17 @@ var ErrSlotBusy = fmt.Errorf("genesys: syscall slot busy")
 // The caller must follow up with RingDoorbell for the slot's hardware
 // wavefront, exactly as the GPU would.
 func (g *Genesys) InjectReady(slotID int, gen uint64, req syscalls.Request) error {
-	if slotID < 0 || slotID >= len(g.slots) {
+	if slotID < 0 || slotID >= len(g.hot) {
 		return fmt.Errorf("genesys: inject: slot %d out of range", slotID)
 	}
 	if g.proc == nil {
 		return fmt.Errorf("genesys: inject: no process bound; call BindProcess first")
 	}
-	s, h := &g.slots[slotID], &g.hot[slotID]
+	h := &g.hot[slotID]
 	if h.state != SlotFree {
 		return ErrSlotBusy
 	}
+	s := g.slot(slotID)
 	id := req.Trace
 	if id == 0 {
 		g.nextTrace++
@@ -187,11 +188,10 @@ func (g *Genesys) InjectReady(slotID int, gen uint64, req syscalls.Request) erro
 	} else if id > g.nextTrace {
 		g.nextTrace = id
 	}
-	simd := g.GPU.Config().SIMDWidth
 	now := g.E.Now()
 	h.state = SlotPopulating
 	s.trace = callTrace{
-		id: id, nr: req.NR, wave: slotID / simd, gen: gen,
+		id: id, nr: req.NR, wave: slotID / g.simd, gen: gen,
 		worker: -1, claim: now, ready: now,
 	}
 	s.owner = g.proc

@@ -87,7 +87,7 @@ type Slot struct {
 // slotHot is the part of a syscall-area entry that pollers and batch
 // scans read on every pass: the request state, the blocking bit and the
 // slot generation. Genesys keeps it in one 16-byte-per-slot array
-// indexed by slot ID, apart from the ~230-byte Slot, so a scan of one
+// indexed by slot ID, apart from the 224-byte Slot, so a scan of one
 // wavefront's 64 slots touches 16 host cache lines instead of 250 — the
 // paper's one-slot-per-line argument applied to the simulator's own
 // memory. It is the only copy of these fields.
@@ -226,9 +226,15 @@ type Genesys struct {
 	Mem *mem.System
 	CPU *cpu.CPU
 
-	cfg   Config
-	slots []Slot
-	hot   []slotHot       // hot fields of slots[i]
+	cfg Config
+	// slots is the host copy of the syscall area, one chunk of simd
+	// entries per hardware wavefront, allocated when one of its slots is
+	// first claimed (g.slot is the only way in). Most machines touch a
+	// few dozen of their hundreds of wavefronts, so the untouched chunks
+	// cost one nil slice header each.
+	slots [][]Slot
+	simd  int
+	hot   []slotHot       // hot fields of every slot, dense: scans read it
 	proc  *oskern.Process // default context GPU syscalls borrow
 
 	// kernelProcs maps kernels to the processes that launched them, for
@@ -334,7 +340,8 @@ func New(e *sim.Engine, dev *gpu.Device, os *oskern.OS, m *mem.System,
 		Mem:         m,
 		CPU:         c,
 		cfg:         cfg,
-		slots:       make([]Slot, dev.HWWorkItems()),
+		slots:       make([][]Slot, dev.HWWavefronts()),
+		simd:        dev.Config().SIMDWidth,
 		hot:         make([]slotHot, dev.HWWorkItems()),
 		drainCond:   sim.NewCond(e),
 		pendingSet:  make(map[doorbell]bool),
@@ -348,9 +355,6 @@ func New(e *sim.Engine, dev *gpu.Device, os *oskern.OS, m *mem.System,
 	if g.cfg.MaxRetransmits <= 0 {
 		g.cfg.MaxRetransmits = 32
 	}
-	for i := range g.slots {
-		g.slots[i].ID = i
-	}
 	dev.SetIRQHandler(g.handleIRQ)
 	dev.SetRetireHook(g.adoptOrphans)
 	g.registerSysfs()
@@ -358,7 +362,22 @@ func New(e *sim.Engine, dev *gpu.Device, os *oskern.OS, m *mem.System,
 }
 
 // AreaBytes returns the syscall area size (64 bytes per slot).
-func (g *Genesys) AreaBytes() int { return len(g.slots) * 64 }
+func (g *Genesys) AreaBytes() int { return len(g.hot) * 64 }
+
+// slot returns syscall-area entry id, allocating the chunk of its
+// hardware wavefront the first time any of the chunk's slots is reached.
+func (g *Genesys) slot(id int) *Slot {
+	w, lane := id/g.simd, id%g.simd
+	c := g.slots[w]
+	if c == nil {
+		c = make([]Slot, g.simd)
+		for i := range c {
+			c[i].ID = w*g.simd + i
+		}
+		g.slots[w] = c
+	}
+	return &c[lane]
+}
 
 // Config returns the current tunables.
 func (g *Genesys) Config() Config { return g.cfg }
@@ -507,7 +526,7 @@ func (g *Genesys) falseSharingPenalty(idx int) sim.Time {
 // the cmp-swap claim, the line store, and the swap to ready.
 func (g *Genesys) populateSlot(w *gpu.Wavefront, lane int, req syscalls.Request, blocking bool) *Slot {
 	id := w.HWWorkItemID(lane)
-	s, h := &g.slots[id], &g.hot[id]
+	s, h := g.slot(id), &g.hot[id]
 	claimStart := g.E.Now()
 	for {
 		g.Mem.GPUAtomic(w.P, mem.OpCmpSwap, 0)
@@ -744,9 +763,8 @@ func (g *Genesys) noteCompleted() {
 // completes them executes in the original process's context and can
 // never be confused with the slot's next tenant.
 func (g *Genesys) adoptOrphans(hw int, gen uint64) {
-	simd := g.GPU.Config().SIMDWidth
-	base := hw * simd
-	for lane := 0; lane < simd; lane++ {
+	base := hw * g.simd
+	for lane := 0; lane < g.simd; lane++ {
 		id := base + lane
 		if h := g.hot[id]; h.state == SlotFree || h.gen != gen {
 			continue
@@ -888,12 +906,11 @@ func (g *Genesys) armRetransmit(hw int, gen uint64) {
 // of any other generation on the same hardware wavefront belong to a
 // different tenant and are invisible here.
 func (g *Genesys) staleSlots(db doorbell) []*Slot {
-	simd := g.GPU.Config().SIMDWidth
 	var stale []*Slot
-	for lane := 0; lane < simd; lane++ {
-		id := db.hw*simd + lane
+	for lane := 0; lane < g.simd; lane++ {
+		id := db.hw*g.simd + lane
 		if h := g.hot[id]; h.state == SlotReady && h.gen == db.gen {
-			stale = append(stale, &g.slots[id])
+			stale = append(stale, g.slot(id))
 		}
 	}
 	return stale
@@ -994,12 +1011,11 @@ func (g *Genesys) enqueueBatch(waves []doorbell) {
 	// stamp that yields hugely negative delivery-phase samples. Only the
 	// ringing generation's slots are stamped — ready slots of another
 	// tenancy on the same hardware wavefront ride their own doorbell.
-	simd := g.GPU.Config().SIMDWidth
 	for _, db := range waves {
-		for lane := 0; lane < simd; lane++ {
-			id := db.hw*simd + lane
+		for lane := 0; lane < g.simd; lane++ {
+			id := db.hw*g.simd + lane
 			if h := g.hot[id]; h.state == SlotReady && h.gen == db.gen {
-				g.slots[id].trace.enqueued = g.E.Now()
+				g.slot(id).trace.enqueued = g.E.Now()
 			}
 		}
 	}
@@ -1023,15 +1039,15 @@ func (g *Genesys) enqueueBatch(waves []doorbell) {
 func (g *Genesys) processBatch(p *sim.Proc, waves []doorbell) {
 	var current *oskern.Process
 	ctx := &syscalls.Ctx{P: p, OS: g.OS, Events: g.events}
-	worker := g.OS.WorkerID(p)
-	simd := g.GPU.Config().SIMDWidth
+	worker := int32(g.OS.WorkerID(p))
 	for _, db := range waves {
-		base := db.hw * simd
-		for lane := 0; lane < simd; lane++ {
-			s, h := &g.slots[base+lane], &g.hot[base+lane]
+		base := db.hw * g.simd
+		for lane := 0; lane < g.simd; lane++ {
+			h := &g.hot[base+lane]
 			if h.state != SlotReady || h.gen != db.gen {
 				continue
 			}
+			s := g.slot(base + lane)
 			if g.inject.Should(fault.SlotSkip) {
 				// Scan skipped a ready slot; the retransmit watchdog
 				// redelivers the wavefront's interrupt to recover it.

@@ -37,11 +37,16 @@ func Phases() []string { return append([]string(nil), phaseNames[:]...) }
 // fully-stamped traces and never computes a negative phase from an
 // unset (zero) field.
 type callTrace struct {
-	id     uint64 // trace ID, assigned at slot claim
-	nr     int    // syscall number
-	wave   int    // issuing hardware wavefront slot
-	gen    uint64 // slot generation of the issuing tenancy (hw slots are recycled)
-	worker int    // OS worker that processed the call (-1 if none)
+	id   uint64 // trace ID, assigned at slot claim
+	nr   int    // syscall number
+	wave int    // issuing hardware wavefront slot
+	gen  uint64 // slot generation of the issuing tenancy (hw slots are recycled)
+
+	// worker is the OS worker that processed the call (-1 if none). It
+	// is an int32 beside aborted so the two share one word: that keeps
+	// Slot at 224 bytes, and a 64-slot chunk at 14,336 bytes, which is a
+	// Go allocation size class (at 232 bytes a chunk rounds up to 16 KiB).
+	worker int32
 
 	// aborted marks a call the retransmit watchdog gave up on (EINTR
 	// after MaxRetransmits): gpu-setup — and delivery, if the batch was
@@ -381,7 +386,7 @@ func (g *Genesys) emitSpans(s *Slot, c callTrace, name string) {
 	if !c.stamped() {
 		return
 	}
-	wtid := c.worker
+	wtid := int(c.worker)
 	if wtid < 0 {
 		wtid = 0
 	}

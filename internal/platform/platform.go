@@ -399,6 +399,19 @@ func (m *Machine) WriteFile(path string, data []byte) error {
 	return err
 }
 
+// CreateFile creates path, or truncates it if it exists, as a size-byte
+// file of zeros and returns it open for writing (setup helper).
+func (m *Machine) CreateFile(path string, size int64) (*fs.File, error) {
+	f, err := m.VFS.Open(path, fs.O_CREAT|fs.O_WRONLY|fs.O_TRUNC)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Node.Truncate(size); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 // ReadFile returns the contents of path (setup/verification helper).
 func (m *Machine) ReadFile(path string) ([]byte, error) {
 	f, err := m.VFS.Open(path, fs.O_RDONLY)

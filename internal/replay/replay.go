@@ -103,18 +103,42 @@ func (t *Trace) Write(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// Load reads and version-checks a trace file.
+// Load reads a trace file and decodes it with Decode.
 func Load(path string) (*Trace, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	t, err := Decode(b)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return t, nil
+}
+
+// Decode parses a JSON trace and validates it: the version must match,
+// every entry's instant must be non-negative (the engine cannot schedule
+// into the past), and every descriptor position, file size and buffer
+// length must lie in [0, fs.MaxFileSize]. A malformed trace thus fails
+// here with an error, not with a panic inside the replay machine, and no
+// one item makes replay allocate more than fs.MaxFileSize host bytes.
+func Decode(b []byte) (*Trace, error) {
 	var t Trace
 	if err := json.Unmarshal(b, &t); err != nil {
-		return nil, fmt.Errorf("replay: decode %s: %w", path, err)
+		return nil, fmt.Errorf("replay: decode: %w", err)
 	}
 	if t.Version != TraceVersion {
 		return nil, fmt.Errorf("replay: trace version %d, want %d", t.Version, TraceVersion)
+	}
+	for _, e := range t.Env {
+		if e.Pos < 0 || e.Pos > fs.MaxFileSize || e.Size < 0 || e.Size > fs.MaxFileSize {
+			return nil, fmt.Errorf("replay: env fd %d: pos %d, size %d out of range", e.FD, e.Pos, e.Size)
+		}
+	}
+	for _, e := range t.Entries {
+		if e.At < 0 || e.BufLen < 0 || int64(e.BufLen) > fs.MaxFileSize {
+			return nil, fmt.Errorf("replay: trace %d: at_ns %d, buf_len %d out of range", e.Trace, e.At, e.BufLen)
+		}
 	}
 	return &t, nil
 }
@@ -221,8 +245,8 @@ func RecreateEnv(m *platform.Machine, pr *oskern.Process, env []EnvFD) error {
 			continue // NewProcess wired fds 0-2 already
 		case "file":
 			if _, err := m.VFS.Resolve(e.Path); err != nil {
-				if werr := m.WriteFile(e.Path, make([]byte, e.Size)); werr != nil {
-					return fmt.Errorf("replay: env fd %d: create %s: %w", e.FD, e.Path, werr)
+				if _, cerr := m.CreateFile(e.Path, e.Size); cerr != nil {
+					return fmt.Errorf("replay: env fd %d: create %s: %w", e.FD, e.Path, cerr)
 				}
 			}
 			var err error

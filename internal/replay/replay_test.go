@@ -158,3 +158,42 @@ func TestLoadRejectsBadVersion(t *testing.T) {
 		t.Error("future-version trace loaded clean")
 	}
 }
+
+// TestReplayRejectsMalformedTrace: a trace whose entry instant is
+// negative (the engine would panic scheduling into the past), whose env
+// file size or position is negative, or whose position, file size or
+// buffer length exceeds fs.MaxFileSize fails to load with an error;
+// RecreateEnv given a negative file size returns an error instead of
+// panicking.
+func TestReplayRejectsMalformedTrace(t *testing.T) {
+	file := replay.EnvFD{FD: 3, Kind: "file", Path: "/data/x", Size: 4096, Flags: fs.O_RDWR}
+	call := replay.Entry{Trace: 1, NR: syscalls.SYS_getrusage, Slot: 0, Gen: 1, At: 1000}
+	for name, mutate := range map[string]func(*replay.Trace){
+		"negative at_ns":   func(tr *replay.Trace) { tr.Entries[0].At = -1 },
+		"negative buf_len": func(tr *replay.Trace) { tr.Entries[0].BufLen = -1 },
+		"huge buf_len":     func(tr *replay.Trace) { tr.Entries[0].BufLen = int(fs.MaxFileSize) + 1 },
+		"negative size":    func(tr *replay.Trace) { tr.Env[0].Size = -1 },
+		"huge size":        func(tr *replay.Trace) { tr.Env[0].Size = fs.MaxFileSize + 1 },
+		"negative pos":     func(tr *replay.Trace) { tr.Env[0].Pos = -1 },
+		"huge pos":         func(tr *replay.Trace) { tr.Env[0].Pos = fs.MaxFileSize + 1 },
+	} {
+		tr := &replay.Trace{Version: replay.TraceVersion, Case: "hand", Seed: 1,
+			Env: []replay.EnvFD{file}, Entries: []replay.Entry{call}}
+		mutate(tr)
+		path := filepath.Join(t.TempDir(), "trace.json")
+		if err := tr.Write(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := replay.Load(path); err == nil {
+			t.Errorf("%s: trace loaded clean", name)
+		}
+	}
+
+	m := platform.New(platform.DefaultConfig())
+	defer m.Shutdown()
+	bad := file
+	bad.Size = -1
+	if err := replay.RecreateEnv(m, m.NewProcess("replay"), []replay.EnvFD{bad}); err == nil {
+		t.Error("RecreateEnv created a file of negative size")
+	}
+}

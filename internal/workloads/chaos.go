@@ -80,9 +80,7 @@ func RunChaos(m *platform.Machine, cfg ChaosConfig) (ChaosResult, error) {
 	}
 
 	m.NewProcess("chaos")
-	content := make([]byte, cfg.ChunkBytes*int64(cfg.WorkGroups))
-	fillPattern(content, chaosPatternSeed)
-	if err := m.WriteFile("/data/chaos.dat", content); err != nil {
+	if err := stagePattern(m, "/data/chaos.dat", cfg.ChunkBytes*int64(cfg.WorkGroups), chaosPatternSeed); err != nil {
 		return ChaosResult{}, err
 	}
 

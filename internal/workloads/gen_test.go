@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"genesys/internal/platform"
 )
 
 // highSource replays a fixed list of Int63 values, cycling. It lets a
@@ -101,9 +103,56 @@ func TestPermuteBlockMatchesFormula(t *testing.T) {
 		for i := 0; i < n; i++ {
 			want[(i*257+31)%n] = b[i]
 		}
-		permuteBlock(b)
+		permuteBlock(b, make([]byte, n))
 		if !bytes.Equal(b, want) {
 			t.Fatalf("n %d: permuteBlock differs from (i*257+31)%%n", n)
+		}
+	}
+}
+
+// TestMCTableSharesValues: every memcached value is fillPattern with
+// seed byte(b*31+e), and entries with the same seed share one backing
+// array, so a table holds at most 256 distinct values however large.
+func TestMCTableSharesValues(t *testing.T) {
+	cfg := MemcachedConfig{Buckets: 64, ElemsPerBucket: 1024, ValueBytes: 1024}
+	tab := newMCTable(cfg)
+	arrays := map[*byte]bool{}
+	want := make([]byte, cfg.ValueBytes)
+	for b := 0; b < cfg.Buckets; b++ {
+		for e := 0; e < cfg.ElemsPerBucket; e++ {
+			val, _ := tab.get(b, e)
+			fillPattern(want, byte(b*31+e))
+			if !bytes.Equal(val, want) {
+				t.Fatalf("value (%d, %d) is not fillPattern(%d)", b, e, byte(b*31+e))
+			}
+			arrays[&val[0]] = true
+		}
+	}
+	if len(arrays) > 256 {
+		t.Fatalf("%d distinct value arrays, want at most 256", len(arrays))
+	}
+}
+
+// TestStagePatternMatchesFillPattern: the staged file equals a whole
+// fillPattern buffer, also at sizes that are not multiples of the 64 KiB
+// staging chunk.
+func TestStagePatternMatchesFillPattern(t *testing.T) {
+	m := platform.New(platform.DefaultConfig())
+	defer m.Shutdown()
+	for _, size := range []int64{0, 1, 255, 64<<10 - 1, 64 << 10, 64<<10 + 1, 3*64<<10 + 4097} {
+		for _, path := range []string{"/tmp/staged", "/data/staged"} {
+			if err := stagePattern(m, path, size, 7); err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]byte, size)
+			fillPattern(want, 7)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s staged at %d bytes differs from fillPattern", path, size)
+			}
 		}
 	}
 }

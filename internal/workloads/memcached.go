@@ -115,14 +115,22 @@ type mcEntry struct {
 	value []byte
 }
 
+// newMCTable builds the table. Entry (b, e) holds fillPattern with seed
+// byte(b*31+e), so the table has at most 256 distinct values; values are
+// only ever read (get, then a copy into the reply), so entries with the
+// same seed share one backing array.
 func newMCTable(cfg MemcachedConfig) *mcTable {
 	t := &mcTable{buckets: make([][]mcEntry, cfg.Buckets)}
+	var bySeed [256][]byte
 	for b := range t.buckets {
 		t.buckets[b] = make([]mcEntry, cfg.ElemsPerBucket)
 		for e := range t.buckets[b] {
-			val := make([]byte, cfg.ValueBytes)
-			fillPattern(val, byte(b*31+e))
-			t.buckets[b][e] = mcEntry{key: mcKey(b, e), value: val}
+			seed := byte(b*31 + e)
+			if bySeed[seed] == nil {
+				bySeed[seed] = make([]byte, cfg.ValueBytes)
+				fillPattern(bySeed[seed], seed)
+			}
+			t.buckets[b][e] = mcEntry{key: mcKey(b, e), value: bySeed[seed]}
 		}
 	}
 	return t

@@ -51,6 +51,27 @@ func fillPattern(b []byte, seed byte) {
 
 func patternByte(i int64, seed byte) byte { return byte(i)*31 + seed }
 
+// stagePattern creates path as a size-byte file holding fillPattern with
+// seed, without building the whole file in a host buffer first: it
+// creates the file at its full size, then writes one 64 KiB pattern
+// chunk at every chunk offset. The pattern's 256-byte period divides
+// 64 KiB, so the same chunk is the pattern at every such offset.
+func stagePattern(m *platform.Machine, path string, size int64, seed byte) error {
+	f, err := m.CreateFile(path, size)
+	if err != nil {
+		return err
+	}
+	chunk := make([]byte, min(size, 64<<10))
+	fillPattern(chunk, seed)
+	io := &fs.IOCtx{}
+	for off := int64(0); off < size; off += int64(len(chunk)) {
+		if _, err := f.Pwrite(io, chunk[:min(int64(len(chunk)), size-off)], off); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // PreadConfig parameterizes the Figure 7 / Figure 10 microbenchmark:
 // GPU work-items cooperatively pread a tmpfs file.
 type PreadConfig struct {
@@ -96,9 +117,7 @@ func RunPread(m *platform.Machine, cfg PreadConfig) (PreadResult, error) {
 	}
 
 	pr := m.NewProcess("pread-bench")
-	content := make([]byte, cfg.FileSize)
-	fillPattern(content, 7)
-	if err := m.WriteFile("/tmp/input", content); err != nil {
+	if err := stagePattern(m, "/tmp/input", cfg.FileSize, 7); err != nil {
 		return PreadResult{}, err
 	}
 	f, err := m.VFS.Open("/tmp/input", fs.O_RDONLY)
@@ -218,13 +237,14 @@ type PermuteResult struct {
 }
 
 // permuteBlock applies one round of the fixed block permutation: byte i
-// moves to (i*257+31) mod n, with the index stepped incrementally.
-func permuteBlock(b []byte) {
+// moves to (i*257+31) mod n, with the index stepped incrementally. tmp
+// is scratch of at least len(b) bytes.
+func permuteBlock(b, tmp []byte) {
 	n := len(b)
 	if n == 0 {
 		return
 	}
-	tmp := make([]byte, n)
+	tmp = tmp[:n]
 	j, step := 31%n, 257%n
 	for _, c := range b {
 		tmp[j] = c
@@ -263,6 +283,9 @@ func RunPermute(m *platform.Machine, cfg PermuteConfig) (PermuteResult, error) {
 		fillPattern(input[i], byte(i))
 	}
 
+	// scratch is permuteBlock's buffer for the whole run: the leaders'
+	// calls never yield, so they cannot overlap.
+	scratch := make([]byte, cfg.BlockSize)
 	g := m.Genesys
 	var res PermuteResult
 	m.E.Spawn("host", func(p *sim.Proc) {
@@ -277,7 +300,7 @@ func RunPermute(m *platform.Machine, cfg PermuteConfig) (PermuteResult, error) {
 				for it := 0; it < cfg.Iterations; it++ {
 					w.ComputeTime(cfg.ComputePerIter)
 					if w.IsLeader() {
-						permuteBlock(input[w.WG.ID])
+						permuteBlock(input[w.WG.ID], scratch)
 					}
 					w.Barrier()
 				}
@@ -302,7 +325,7 @@ func RunPermute(m *platform.Machine, cfg PermuteConfig) (PermuteResult, error) {
 	ref := make([]byte, cfg.BlockSize)
 	fillPattern(ref, 0)
 	for it := 0; it < cfg.Iterations; it++ {
-		permuteBlock(ref)
+		permuteBlock(ref, scratch)
 	}
 	out, err := m.ReadFile("/tmp/permuted")
 	if err != nil {
