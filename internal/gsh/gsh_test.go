@@ -197,7 +197,7 @@ func TestTopGolden(t *testing.T) {
 	const golden = `genesys top — t=209.06us
 util  cores=0 waiting=0 workers=1 cus=1 resident_waves=1 halted_waves=0 polling_waves=1
 engine  events=156 ready-fast=19 callbacks=83 switches=78 pending=1 procs=6
-wheel   scheduled=0 canceled=0 pending=0 peak=0
+far     scheduled=0 canceled=0 pending=0 peak=0
 kernel  workers=3 idle=2 queue=0 tasks=7
 slots   free=20479 populating=0 ready=0 processing=1 finished=0 outstanding=1
 calls   invocations=7 batches=7 retransmits=0 traced=6 p50=24.55us p99=24.55us min=24.55us max=24.55us
@@ -206,7 +206,7 @@ flight  chains=6 anomalies=0 bundles=0 burn=0/0 (0.0% bad)
 genesys top — t=831.81us
 util  cores=0 waiting=0 workers=1 cus=1 resident_waves=1 halted_waves=0 polling_waves=1
 engine  events=258 ready-fast=24 callbacks=143 switches=125 pending=1 procs=6
-wheel   scheduled=1 canceled=0 pending=0 peak=1
+far     scheduled=1 canceled=0 pending=0 peak=1
 kernel  workers=3 idle=2 queue=0 tasks=12
 slots   free=20479 populating=0 ready=0 processing=1 finished=0 outstanding=1
 calls   invocations=12 batches=12 retransmits=0 traced=11 p50=24.55us p99=24.55us min=24.55us max=24.55us

@@ -29,8 +29,8 @@ func (m *Machine) RenderTop() string {
 	fmt.Fprintf(&b, "engine  events=%d ready-fast=%d callbacks=%d switches=%d pending=%d procs=%d\n",
 		st.Scheduled, st.ReadyFast, st.CallbacksRun, st.ProcSwitches,
 		m.E.Pending(), m.E.LiveProcs())
-	fmt.Fprintf(&b, "wheel   scheduled=%d canceled=%d pending=%d peak=%d\n",
-		st.WheelScheduled, st.WheelCanceled, m.E.WheelPending(), st.WheelPeak)
+	fmt.Fprintf(&b, "far     scheduled=%d canceled=%d pending=%d peak=%d\n",
+		st.FarScheduled, st.FarCanceled, m.E.FarPending(), st.FarPeak)
 
 	fmt.Fprintf(&b, "kernel  workers=%d idle=%d queue=%d tasks=%d\n",
 		m.OS.Workers(), m.OS.IdleWorkers(), m.OS.QueueDepth(), m.OS.TasksRun.Value())

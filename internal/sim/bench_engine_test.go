@@ -135,7 +135,7 @@ func BenchmarkEngineTimerCancel(b *testing.B) {
 // pattern — with `pending` other timers already resident, so the cost
 // of touching a populated container is what's on the clock. Near-term
 // delays exercise the calendar (O(1) list unlink); far delays exercise
-// the wheel (O(1) bucket swap-remove).
+// the far heap (an O(log n) sift on insert and on removal).
 func benchArmCancel(b *testing.B, pending int, d Time) {
 	e := NewEngine(1)
 	hold := make([]*Timer, pending)
@@ -157,8 +157,8 @@ func benchArmCancel(b *testing.B, pending int, d Time) {
 
 // BenchmarkEngineArmCancel compares schedule+cancel cost between the
 // two scheduler levels at 1k and 100k pending timers: heap-* arm in the
-// calendar, wheel-* in the wheel. Both should be flat across
-// pending-set size.
+// calendar, far-* in the far heap. heap-* should be flat across
+// pending-set size; far-* grows with its logarithm.
 func BenchmarkEngineArmCancel(b *testing.B) {
 	for _, tc := range []struct {
 		name    string
@@ -167,14 +167,14 @@ func BenchmarkEngineArmCancel(b *testing.B) {
 	}{
 		{"heap-1k", 1_000, 1000},
 		{"heap-100k", 100_000, 1000},
-		{"wheel-1k", 1_000, wheelCutoff + 10*wheelGran},
-		{"wheel-100k", 100_000, wheelCutoff + 10*wheelGran},
+		{"far-1k", 1_000, farCutoff + 10*farGran},
+		{"far-100k", 100_000, farCutoff + 10*farGran},
 	} {
 		b.Run(tc.name, func(b *testing.B) { benchArmCancel(b, tc.pending, tc.d) })
 	}
 }
 
-// benchDrain measures end-to-end schedule → (cascade/drain →) pop → run
+// benchDrain measures end-to-end schedule → (far drain →) pop → run
 // for batches of `pending` events, the j-th at offset off(j) from the
 // batch's start.
 func benchDrain(b *testing.B, pending int, off func(j int) Time) {
@@ -200,11 +200,12 @@ func benchDrain(b *testing.B, pending int, off func(j int) Time) {
 // and 100k event batches: heap-* scatter events over the calendar's
 // first 4µs (about 24 per nanosecond at 100k, so buckets are dense and
 // unsorted); burst-100k puts every event at one instant, which must stay
-// on the O(1) append path; wheel-* spread events across the wheel's
-// level-0/1 span, so frontier advance, cascades and drains are included.
+// on the O(1) append path; far-* spread events over ~4.2 ms beyond the
+// far cutoff (65 granules), so heap pops, idle advances and granule
+// drains into the calendar are included.
 func BenchmarkEngineDrain(b *testing.B) {
 	near := func(j int) Time { return Time((j*2654435761)>>16&4095 + 1) }
-	wheel := func(j int) Time { return wheelCutoff + Time((j*2654435761)>>8&(1<<22-1)) }
+	far := func(j int) Time { return farCutoff + Time((j*2654435761)>>8&(1<<22-1)) }
 	for _, tc := range []struct {
 		name    string
 		pending int
@@ -213,8 +214,8 @@ func BenchmarkEngineDrain(b *testing.B) {
 		{"heap-1k", 1_000, near},
 		{"heap-100k", 100_000, near},
 		{"burst-100k", 100_000, func(int) Time { return 1000 }},
-		{"wheel-1k", 1_000, wheel},
-		{"wheel-100k", 100_000, wheel},
+		{"far-1k", 1_000, far},
+		{"far-100k", 100_000, far},
 	} {
 		b.Run(tc.name, func(b *testing.B) { benchDrain(b, tc.pending, tc.off) })
 	}

@@ -8,7 +8,7 @@ import (
 
 // The calendar queue: the near half of the engine's two-level scheduler.
 // Events less than one horizon ahead of the clock — direct placements
-// under wheelCutoff, and wheel drains and fallbacks — live in a ring of
+// under farCutoff, and far-heap drains and fallbacks — live in a ring of
 // calBuckets fixed-width time buckets. A bucket is a circular doubly
 // linked list of nodes in one pooled slab, so appending and canceling are
 // O(1) and steady-state scheduling allocates nothing. A two-level
@@ -32,9 +32,9 @@ import (
 //
 // so residents occupy distinct absolute buckets within one turn of the
 // ring and a circular scan from the clock's bucket cannot alias. Direct
-// placements are under wheelCutoff ahead, and wheel drains and fallbacks
-// under wheelCutoff+wheelGran ahead (the idle advance moves the clock to
-// each tick before draining it), which the constant below bounds. calPush
+// placements are under farCutoff ahead, and far-heap drains and fallbacks
+// under farCutoff+farGran ahead (the idle advance moves the clock to a
+// granule's start before draining it), which the constant below bounds. calPush
 // panics if the invariant is ever broken, which only an engine bug can do.
 const (
 	calShift   = 7
@@ -52,9 +52,9 @@ const (
 	calWalkMax = 8
 )
 
-// Compile-time horizon check: a resident under wheelCutoff+wheelGran
-// ahead of the clock spans fewer than calBuckets bucket boundaries.
-const _ = uint64(calSpan - calWidth - (wheelCutoff + wheelGran))
+// Compile-time horizon check: a resident under farCutoff+farGran ahead
+// of the clock spans fewer than calBuckets bucket boundaries.
+const _ = uint64(calSpan - calWidth - (farCutoff + farGran))
 
 // calNode is one slab entry. Live nodes sit on their bucket's circular
 // list; free nodes are chained through next. Index 0 is never used, so 0
@@ -215,8 +215,8 @@ func (e *Engine) calFindMin() {
 // sortBucket relinks bucket b's list in (t, seq) order. Instants in one
 // bucket differ only in their low calShift bits, so a stable counting
 // pass over those bits orders a large bucket by t in O(n); the insertion
-// pass then only has to fix equal-t runs out of seq order (wheel drains
-// append events older than the bucket's other residents), and on its own
+// pass then only has to fix equal-t runs out of seq order (far-heap
+// drains append events older than the bucket's other residents), and on its own
 // sorts small buckets.
 func (c *calendar) sortBucket(b int64) {
 	nodes := c.nodes

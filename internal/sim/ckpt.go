@@ -8,8 +8,8 @@ import (
 
 // CheckpointState renders the engine's complete schedulable state as a
 // deterministic byte string: the virtual clock, the event sequence
-// counter, the mechanical stats, every pending event (calendar and wheel
-// merged, in (time, sequence) order) and every live process.
+// counter, the mechanical stats, every pending event (calendar and far
+// heap merged, in (time, sequence) order) and every live process.
 //
 // Closures and coroutine stacks cannot be serialized from Go, so the
 // encoding describes each pending event by its instant, sequence number
@@ -28,19 +28,22 @@ func (e *Engine) CheckpointState() []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "engine v1\nnow %d\nseq %d\n", int64(e.now), e.seq)
 	st := e.stats
+	// The wheel_* and heap_peak keys predate the far heap; they keep their
+	// names so snapshots stay byte-identical across that change.
 	fmt.Fprintf(&b, "stats scheduled=%d ready_fast=%d callbacks=%d proc_switches=%d timers_canceled=%d wheel_scheduled=%d wheel_canceled=%d spawned=%d reaped=%d heap_peak=%d wheel_peak=%d\n",
 		st.Scheduled, st.ReadyFast, st.CallbacksRun, st.ProcSwitches,
-		st.TimersCanceled, st.WheelScheduled, st.WheelCanceled,
-		st.ProcsSpawned, st.ProcsReaped, st.CalendarPeak, st.WheelPeak)
+		st.TimersCanceled, st.FarScheduled, st.FarCanceled,
+		st.ProcsSpawned, st.ProcsReaped, st.CalendarPeak, st.FarPeak)
 	fmt.Fprintf(&b, "live %d user %d\n", e.live, e.liveUser)
 
 	// Pending events, in the global (t, seq) execution order. The
-	// calendar and wheel's internal layouts are themselves deterministic
-	// for a fixed history, but sorting makes the section meaningful to
-	// read and independent of bucket and slab implementation details.
-	evs := make([]event, 0, e.cal.count+e.wh.count)
+	// calendar and far heap's internal layouts are themselves
+	// deterministic for a fixed history, but sorting makes the section
+	// meaningful to read and independent of bucket and slab
+	// implementation details.
+	evs := make([]event, 0, e.Pending())
 	evs = e.calAppendPending(evs)
-	evs = e.wheelAppendPending(evs)
+	evs = append(evs, e.far.evs...)
 	sort.Slice(evs, func(i, j int) bool { return eventLess(&evs[i], &evs[j]) })
 	fmt.Fprintf(&b, "pending %d\n", len(evs))
 	for _, ev := range evs {

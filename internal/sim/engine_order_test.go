@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"testing"
@@ -16,12 +17,13 @@ type eventRec struct {
 }
 
 // TestInterleavingMatchesReferenceOrder is the determinism property test
-// for the two-container design (calendar / timer wheel): a random
-// workload where callbacks recursively schedule more work at the current
-// instant, in the near future (both in the calendar), and far enough out to park in every wheel level and the
-// overflow list, with a random subset of timers canceled from whichever
-// container holds them, must execute in exactly the (t, seq) total order
-// a single reference priority queue would produce.
+// for the two-container design (calendar / far heap): a random workload
+// where callbacks recursively schedule more work at the current instant,
+// in the near future (both in the calendar), and far out in the far heap
+// (from the cutoff to ~17 s ahead, and a second band beyond it), with a
+// random subset of timers canceled from whichever container holds them,
+// must execute in exactly the (t, seq) total order a single reference
+// priority queue would produce.
 func TestInterleavingMatchesReferenceOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -44,13 +46,12 @@ func TestInterleavingMatchesReferenceOrder(t *testing.T) {
 				case 2, 3:
 					d = Time(rng.Intn(40) + 1) // near future: the calendar
 				case 4:
-					// Wheel range: level 0 through level 2 (cutoff ≤ d
-					// < full level-2 span), crossing cascade boundaries.
-					d = wheelCutoff + Time(rng.Int63n(int64(wheelGran)*wheelSlotsPer*wheelSlotsPer*wheelSlotsPer))
+					// Far heap: from the cutoff out to 64³ granules
+					// (~17 s), so heap residents are many granules apart.
+					d = farCutoff + Time(rng.Int63n(int64(farGran)*64*64*64))
 				default:
-					// Beyond the level-2 span: the overflow list, re-filed
-					// at level-2 cascade boundaries.
-					d = Time(int64(wheelGran)*wheelSlotsPer*wheelSlotsPer*wheelSlotsPer + rng.Int63n(int64(wheelGran)*wheelSlotsPer*wheelSlotsPer))
+					// Far heap, a dense band just beyond 64³ granules.
+					d = Time(int64(farGran)*64*64*64 + rng.Int63n(int64(farGran)*64*64))
 				}
 				sq := e.seq + 1 // seq the next schedule call will assign
 				rec := eventRec{e.now + d, sq}
@@ -321,7 +322,7 @@ func TestEngineStatsCounts(t *testing.T) {
 
 // TestSchedulePathsAllocFree pins the engine's three schedule paths at
 // zero steady-state allocations: future and same-instant calendar
-// inserts, and wheel-resident AtReuse/Cancel pairs. Containers are
+// inserts, and far-heap AtReuse/Cancel pairs. Containers are
 // warmed first so the assertion measures the hot path, not first-touch
 // slice growth.
 func TestSchedulePathsAllocFree(t *testing.T) {
@@ -347,17 +348,17 @@ func TestSchedulePathsAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Far-future arm/disarm — the fleet timeout pattern: the timer parks
-	// in the wheel, is canceled in O(1), and AtReuse recycles the Timer.
+	// Far-future arm/disarm — the fleet timeout pattern: the timer waits
+	// in the far heap, is canceled from it, and AtReuse recycles the Timer.
 	var tm *Timer
 	if avg := testing.AllocsPerRun(1000, func() {
-		tm = e.AtReuse(e.Now()+wheelCutoff+10*wheelGran, fn, tm)
+		tm = e.AtReuse(e.Now()+farCutoff+10*farGran, fn, tm)
 		tm.Cancel()
 	}); avg != 0 {
-		t.Errorf("wheel AtReuse+Cancel allocates %.2f/op, want 0", avg)
+		t.Errorf("far AtReuse+Cancel allocates %.2f/op, want 0", avg)
 	}
-	if e.WheelPending() != 0 {
-		t.Fatalf("wheel holds %d events after cancel loop", e.WheelPending())
+	if e.FarPending() != 0 {
+		t.Fatalf("far heap holds %d events after cancel loop", e.FarPending())
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -396,7 +397,7 @@ func TestRunUntilWithSameInstantBacklog(t *testing.T) {
 // calResidents walks every calendar bucket's list and returns how many
 // events it holds, failing t if a resident is dead, sits in the wrong
 // bucket, or breaks the horizon invariant (now ≤ t < now+calSpan, and
-// in fact under wheelCutoff+wheelGran ahead), or if the cached minimum
+// in fact under farCutoff+farGran ahead), or if the cached minimum
 // is not the earliest resident.
 func calResidents(t *testing.T, e *Engine) int {
 	t.Helper()
@@ -414,7 +415,7 @@ func calResidents(t *testing.T, e *Engine) int {
 				t.Errorf("bucket %d holds a dead node", b)
 			case int(int64(ev.t)>>calShift&calMask) != b:
 				t.Errorf("event at %v filed in bucket %d", ev.t, b)
-			case ev.t < e.now || ev.t-e.now >= calSpan || ev.t-e.now >= wheelCutoff+wheelGran:
+			case ev.t < e.now || ev.t-e.now >= calSpan || ev.t-e.now >= farCutoff+farGran:
 				t.Errorf("event at %v outside the horizon of now=%v", ev.t, e.now)
 			}
 			if first == nil || eventLess(ev, first) {
@@ -435,111 +436,132 @@ func calResidents(t *testing.T, e *Engine) int {
 	return n
 }
 
-// TestRunUntilStopsMatchReferenceOrder drives a random workload through
-// RunUntil stops at random instants — including long idle gaps in which
-// only wheel events remain — scheduling and canceling between stops. The
-// run must execute in the reference (t, seq) order, and after every stop
-// each calendar resident must lie within the horizon of the clock.
-func TestRunUntilStopsMatchReferenceOrder(t *testing.T) {
+// runRandomStops drives a seeded random workload through RunUntil stops
+// at random instants — including long idle gaps in which only far events
+// remain — scheduling and canceling between stops. Events are near and
+// far CallAt and At callbacks, some planted from inside callbacks, and
+// timers canceled between stops are re-armed through AtReuse. After
+// every stop it checks the calendar's invariants and calls stop with the
+// number of events executed so far. It returns the order the events ran
+// in and the reference (t, seq) order of every event not canceled.
+func runRandomStops(t *testing.T, seed int64, stop func(e *Engine, executed int)) (got, expect []eventRec) {
 	type armed struct {
 		tm  *Timer
 		rec eventRec
 	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		e := NewEngine(1)
-		var got []eventRec
-		keep := map[eventRec]bool{} // every scheduled event; false once canceled
-		var timers []armed
-		count := 0
+	rng := rand.New(rand.NewSource(seed))
+	e := NewEngine(1)
+	keep := map[eventRec]bool{} // every scheduled event; false once canceled
+	var timers []armed
+	var spare []*Timer // canceled timers, for AtReuse
+	count := 0
 
-		var plant func(n int, inRun bool)
-		plant = func(n int, inRun bool) {
-			for i := 0; i < n && count < 400; i++ {
-				count++
-				var d Time
-				switch rng.Intn(7) {
-				case 0:
-					d = 0
-				case 1, 2:
-					d = Time(rng.Intn(300) + 1) // a few calendar buckets
-				case 3:
-					d = Time(rng.Int63n(int64(wheelCutoff))) // anywhere in the calendar's direct range
-				case 4, 5:
-					d = wheelCutoff + Time(rng.Int63n(int64(20*wheelGran))) // near wheel levels
-				default:
-					d = wheelCutoff + Time(rng.Int63n(int64(wheelGran)*wheelSlotsPer*wheelSlotsPer)) // idle gaps
-				}
-				rec := eventRec{e.now + d, e.seq + 1}
-				keep[rec] = true
-				fire := func() {
-					got = append(got, eventRec{e.now, rec.seq})
-					if rng.Intn(3) == 0 {
-						plant(rng.Intn(3), true)
-					}
-				}
-				if rng.Intn(2) == 0 {
-					e.CallAfter(d, fire)
-				} else {
-					timers = append(timers, armed{e.After(d, fire), rec})
-				}
-			}
-		}
-
-		plant(20, false)
-		for stop := 0; stop < 60 && e.Pending() > 0; stop++ {
-			var step Time
-			switch rng.Intn(4) {
+	var plant func(n int)
+	plant = func(n int) {
+		for i := 0; i < n && count < 400; i++ {
+			count++
+			var d Time
+			switch rng.Intn(7) {
 			case 0:
-				step = Time(rng.Intn(200))
-			case 1:
-				step = Time(rng.Int63n(int64(calSpan)))
+				d = 0
+			case 1, 2:
+				d = Time(rng.Intn(300) + 1) // a few calendar buckets
+			case 3:
+				d = Time(rng.Int63n(int64(farCutoff))) // anywhere in the calendar's direct range
+			case 4, 5:
+				d = farCutoff + Time(rng.Int63n(int64(20*farGran))) // far, a few granules out
 			default:
-				step = Time(rng.Int63n(int64(wheelGran) * wheelSlotsPer * 4))
+				d = farCutoff + Time(rng.Int63n(int64(farGran)*64*64)) // idle gaps
 			}
-			limit := e.Now() + step
-			if err := e.RunUntil(limit); err != nil {
-				t.Errorf("seed %d: %v", seed, err)
-				return false
-			}
-			if e.Pending() > 0 && e.Now() != limit {
-				t.Errorf("seed %d: RunUntil(%v) left the clock at %v", seed, limit, e.Now())
-				return false
-			}
-			calResidents(t, e)
-			// Between stops: cancel some armed timers (fired ones are
-			// no-ops) and schedule more work from outside the run.
-			for i := 0; i < len(timers); {
-				if rng.Intn(4) != 0 {
-					i++
-					continue
+			rec := eventRec{e.now + d, e.seq + 1}
+			keep[rec] = true
+			fire := func() {
+				got = append(got, eventRec{e.now, rec.seq})
+				if rng.Intn(3) == 0 {
+					plant(rng.Intn(3))
 				}
-				a := timers[i]
-				if a.tm.loc != timerInert {
-					keep[a.rec] = false
+			}
+			if rng.Intn(2) == 0 {
+				e.CallAt(rec.t, fire)
+			} else {
+				var tm *Timer
+				if k := len(spare); k > 0 {
+					tm, spare = spare[k-1], spare[:k-1]
 				}
-				a.tm.Cancel()
-				timers[i] = timers[len(timers)-1]
-				timers = timers[:len(timers)-1]
-			}
-			calResidents(t, e)
-			plant(rng.Intn(4), false)
-		}
-		if err := e.Run(); err != nil {
-			t.Errorf("seed %d: %v", seed, err)
-			return false
-		}
-		var expect []eventRec
-		for rec, ok := range keep {
-			if ok {
-				expect = append(expect, rec)
+				timers = append(timers, armed{e.AtReuse(rec.t, fire, tm), rec})
 			}
 		}
-		sort.Slice(expect, func(i, j int) bool {
-			if expect[i].t != expect[j].t {
-				return expect[i].t < expect[j].t
+	}
+
+	plant(20)
+	for i := 0; i < 60 && e.Pending() > 0; i++ {
+		var step Time
+		switch rng.Intn(4) {
+		case 0:
+			step = Time(rng.Intn(200))
+		case 1:
+			step = Time(rng.Int63n(int64(calSpan)))
+		default:
+			step = Time(rng.Int63n(int64(farGran) * 64 * 4))
+		}
+		limit := e.Now() + step
+		if err := e.RunUntil(limit); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if e.Pending() > 0 && e.Now() != limit {
+			t.Fatalf("seed %d: RunUntil(%v) left the clock at %v", seed, limit, e.Now())
+		}
+		calResidents(t, e)
+		stop(e, len(got))
+		// Between stops: cancel some armed timers (fired ones are
+		// no-ops) and schedule more work from outside the run.
+		for j := 0; j < len(timers); {
+			if rng.Intn(4) != 0 {
+				j++
+				continue
 			}
-			return expect[i].seq < expect[j].seq
+			a := timers[j]
+			if a.tm.loc != timerInert {
+				keep[a.rec] = false
+			}
+			a.tm.Cancel()
+			spare = append(spare, a.tm)
+			timers[j] = timers[len(timers)-1]
+			timers = timers[:len(timers)-1]
+		}
+		calResidents(t, e)
+		plant(rng.Intn(4))
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	for rec, ok := range keep {
+		if ok {
+			expect = append(expect, rec)
+		}
+	}
+	sort.Slice(expect, func(i, j int) bool {
+		if expect[i].t != expect[j].t {
+			return expect[i].t < expect[j].t
+		}
+		return expect[i].seq < expect[j].seq
+	})
+	return got, expect
+}
+
+// TestRunUntilStopsMatchReferenceOrder: the runRandomStops workload must
+// execute in the reference (t, seq) order, each calendar resident must
+// lie within the horizon of the clock after every stop, and the engine
+// must conserve events: every event scheduled has run, been canceled or
+// is still pending.
+func TestRunUntilStopsMatchReferenceOrder(t *testing.T) {
+	f := func(seed int64) bool {
+		got, expect := runRandomStops(t, seed, func(e *Engine, executed int) {
+			st := e.Stats()
+			if st.Scheduled != uint64(executed)+st.TimersCanceled+uint64(e.Pending()) {
+				t.Errorf("seed %d at %v: scheduled %d != executed %d + canceled %d + pending %d",
+					seed, e.Now(), st.Scheduled, executed, st.TimersCanceled, e.Pending())
+			}
 		})
 		if fmt.Sprint(got) != fmt.Sprint(expect) {
 			t.Errorf("seed %d: order diverged from reference\n got: %v\nwant: %v", seed, got, expect)
@@ -549,6 +571,149 @@ func TestRunUntilStopsMatchReferenceOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// farStop is the engine's far-heap bookkeeping at one RunUntil stop.
+type farStop struct {
+	now                              Time
+	scheduled, farSched, farCanceled uint64
+	farPeak, farPending              int
+}
+
+// farStops runs runRandomStops for seed and returns the far-heap
+// bookkeeping at every stop, and an FNV-1a digest of all of it.
+func farStops(t *testing.T, seed int64) ([]farStop, uint64) {
+	var rows []farStop
+	runRandomStops(t, seed, func(e *Engine, _ int) {
+		st := e.Stats()
+		rows = append(rows, farStop{e.Now(), st.Scheduled, st.FarScheduled, st.FarCanceled, st.FarPeak, e.FarPending()})
+	})
+	h := fnv.New64a()
+	for _, r := range rows {
+		fmt.Fprintf(h, "%d %d %d %d %d %d\n", int64(r.now), r.scheduled, r.farSched, r.farCanceled, r.farPeak, r.farPending)
+	}
+	return rows, h.Sum64()
+}
+
+// TestFarCountersMatchParent pins the far heap's observable contract to
+// the hierarchical timer wheel it replaced. The sim.wheel_* gauges and the
+// checkpoint stats line hash these counters into golden digests, so which
+// events count as far, when they drain and which cancels find them still
+// far must not move. The constants were recorded on the wheel for the
+// runRandomStops workload: every stop of seed 1, and a digest of every
+// stop for seeds 1–32.
+func TestFarCountersMatchParent(t *testing.T) {
+	seed1 := []farStop{
+		{4967734, 23, 14, 0, 14, 8},
+		{17146817, 26, 16, 2, 14, 7},
+		{17163501, 28, 18, 3, 14, 8},
+		{22595031, 28, 18, 5, 14, 5},
+		{34871697, 30, 18, 6, 14, 4},
+		{41372537, 32, 19, 8, 14, 2},
+		{41372585, 35, 21, 8, 14, 4},
+		{41491003, 37, 22, 8, 14, 5},
+		{45925755, 38, 23, 8, 14, 3},
+		{55934464, 39, 24, 8, 14, 3},
+		{69316418, 40, 24, 8, 14, 3},
+		{80384077, 40, 24, 8, 14, 3},
+		{80545787, 40, 24, 8, 14, 3},
+		{80785854, 44, 25, 8, 14, 3},
+		{94013805, 46, 25, 9, 14, 2},
+		{94092098, 47, 26, 9, 14, 3},
+		{94092151, 47, 26, 10, 14, 2},
+		{104655018, 56, 28, 10, 14, 2},
+		{115110229, 64, 31, 10, 14, 1},
+		{115110388, 66, 31, 10, 14, 1},
+		{115266552, 66, 31, 10, 14, 1},
+		{115266557, 69, 32, 10, 14, 2},
+		{120446270, 77, 37, 10, 14, 3},
+		{120446321, 77, 37, 10, 14, 3},
+		{120607051, 79, 37, 10, 14, 3},
+		{129738840, 84, 39, 10, 14, 3},
+		{142846271, 84, 39, 10, 14, 3},
+		{155623636, 86, 40, 10, 14, 3},
+		{156952785, 86, 40, 11, 14, 2},
+		{169917188, 88, 40, 11, 14, 2},
+		{185295286, 88, 40, 11, 14, 2},
+		{193093043, 89, 40, 11, 14, 2},
+		{201379850, 91, 41, 11, 14, 3},
+		{201379864, 93, 42, 11, 14, 4},
+		{208547772, 97, 45, 11, 14, 5},
+		{208547943, 98, 46, 11, 14, 6},
+		{209046731, 99, 47, 11, 14, 7},
+		{223073020, 100, 48, 11, 14, 5},
+		{232821804, 102, 48, 11, 14, 5},
+		{245943063, 107, 49, 11, 14, 3},
+		{257433832, 108, 49, 11, 14, 3},
+		{271517942, 109, 50, 11, 14, 3},
+		{271622862, 112, 53, 11, 14, 6},
+		{271635077, 114, 54, 11, 14, 7},
+		{271804558, 117, 55, 11, 14, 8},
+		{271804637, 118, 55, 11, 14, 8},
+		{271804799, 121, 56, 11, 14, 9},
+		{278154729, 121, 56, 11, 14, 3},
+		{278154735, 122, 56, 11, 14, 3},
+		{278154847, 124, 56, 11, 14, 3},
+		{278409123, 133, 58, 11, 14, 5},
+		{283142337, 136, 59, 11, 14, 4},
+		{283184508, 140, 59, 11, 14, 4},
+		{292132300, 142, 60, 11, 14, 4},
+		{292132328, 143, 61, 11, 14, 5},
+		{303800393, 150, 66, 11, 14, 7},
+		{304011197, 155, 67, 11, 14, 8},
+		{304088690, 155, 67, 12, 14, 7},
+		{304190895, 155, 67, 13, 14, 6},
+		{304191022, 158, 70, 13, 14, 9},
+	}
+	digests := [32]uint64{
+		0xc08d6ee8ba56a535,
+		0xaa33ea7e4bb5d8a4,
+		0xc8ca1beb2aa6ff73,
+		0xa576d0cb3d7b8f5f,
+		0x36e991ab7b5d15be,
+		0x5f3f2d3a9aa42ee1,
+		0x3887b198fbfa6ae4,
+		0x2ea483a91aabc573,
+		0x4e1a115d6e88aaa1,
+		0x36a5ad3cc037905c,
+		0x9a090734a0e73627,
+		0xe8a39041a995a6c5,
+		0x842dd083f62faa92,
+		0xc4394917f0b61380,
+		0x5a000f35ffa3dd8f,
+		0xfda8ec628408b3d3,
+		0xdacc495f6b6623b1,
+		0xa22faae3e49c5e0f,
+		0x5b151d4d6dbbb65f,
+		0x717e883bdf6d6a5a,
+		0xf71546eeb5cddddb,
+		0x9eadaf404196409,
+		0xe62c0ecadeef14ec,
+		0x69dfd680a5c2a49b,
+		0xfaed685735986fba,
+		0x32058dc19071b25d,
+		0xed7966265386a9b6,
+		0x1c5a4d77292af498,
+		0x291dcf1de5edec5c,
+		0x9b19dae7cfeb583d,
+		0x2df07a6befc04e58,
+		0x426824ae9d012fe5,
+	}
+	rows, _ := farStops(t, 1)
+	if len(rows) != len(seed1) {
+		t.Fatalf("seed 1: %d stops, want %d", len(rows), len(seed1))
+	}
+	for i, r := range rows {
+		if r != seed1[i] {
+			t.Fatalf("seed 1, stop %d: got %+v, want %+v", i, r, seed1[i])
+		}
+	}
+	for i, want := range digests {
+		seed := int64(i + 1)
+		if rows, got := farStops(t, seed); got != want {
+			t.Errorf("seed %d: far bookkeeping digest %#x, want %#x; last stop %+v", seed, got, want, rows[len(rows)-1])
+		}
 	}
 }
 
@@ -614,7 +779,7 @@ func TestCalendarInsertBeforeMinBucket(t *testing.T) {
 }
 
 // TestRunUntilIdleGapKeepsHorizon: stopping inside a long idle gap must
-// leave far events in the wheel and the clock at the limit, not drain
+// leave far events in the far heap and the clock at the limit, not drain
 // them into the calendar beyond its horizon.
 func TestRunUntilIdleGapKeepsHorizon(t *testing.T) {
 	e := NewEngine(1)
@@ -623,8 +788,8 @@ func TestRunUntilIdleGapKeepsHorizon(t *testing.T) {
 	if err := e.RunUntil(5 * Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if e.Now() != 5*Millisecond || e.WheelPending() != 1 || e.Pending() != 1 {
-		t.Fatalf("now=%v wheel=%d pending=%d, want 5ms/1/1", e.Now(), e.WheelPending(), e.Pending())
+	if e.Now() != 5*Millisecond || e.FarPending() != 1 || e.Pending() != 1 {
+		t.Fatalf("now=%v far=%d pending=%d, want 5ms/1/1", e.Now(), e.FarPending(), e.Pending())
 	}
 	calResidents(t, e)
 	e.CallAfter(50*Microsecond, func() { got = append(got, e.Now()) })
@@ -640,34 +805,34 @@ func TestRunUntilIdleGapKeepsHorizon(t *testing.T) {
 	}
 }
 
-// TestWheelDrainSortsBySeqWithinInstant: wheel events drained into a
+// TestFarDrainSortsBySeqWithinInstant: far events drained into a
 // calendar bucket that already holds later-scheduled events for the same
-// instant land behind them, out of seq order, and a canceled wheel timer
-// reorders its wheel bucket. An earlier event in the same wheel tick makes
-// the drain happen while another calendar bucket is the minimum, so the
+// instant land behind them, out of seq order, and a canceled far timer
+// reorders the heap. An earlier event in the same far granule makes the
+// drain happen while another calendar bucket is the minimum, so the
 // drained events are appended, not inserted in order. The bucket is large
 // enough for sortBucket's counting pass, which orders by t alone; the
 // result must still be exact (t, seq) order.
-func TestWheelDrainSortsBySeqWithinInstant(t *testing.T) {
+func TestFarDrainSortsBySeqWithinInstant(t *testing.T) {
 	e := NewEngine(1)
-	T := 3*wheelCutoff + wheelGran/2
+	T := 3*farCutoff + farGran/2
 	var got []uint64
 	var tms []*Timer
 	for i := 0; i < 2*calCountingMin; i++ {
 		seq := e.seq + 1
 		tms = append(tms, e.At(T, func() { got = append(got, seq) }))
 	}
-	if e.WheelPending() != len(tms) {
-		t.Fatalf("wheel holds %d of %d events", e.WheelPending(), len(tms))
+	if e.FarPending() != len(tms) {
+		t.Fatalf("far heap holds %d of %d events", e.FarPending(), len(tms))
 	}
-	tms[0].Cancel() // swap-removes: the bucket's last event moves to the front
+	tms[0].Cancel() // the heap's last event moves to the root and sifts down
 	tms[5].Cancel()
-	e.CallAt(T-wheelCutoff+1, func() {
+	e.CallAt(T-farCutoff+1, func() {
 		for i := 0; i < calCountingMin; i++ {
 			seq := e.seq + 1
 			e.CallAt(T, func() { got = append(got, seq) })
 		}
-		e.CallAt(T-1000, func() {}) // same wheel tick as T, earlier bucket
+		e.CallAt(T-1000, func() {}) // same far granule as T, earlier bucket
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -169,5 +169,5 @@ func (e *Engine) Shutdown() {
 		e.resume(p)
 	}
 	e.cal = calendar{}
-	e.wheelReset()
+	e.far.evs = nil
 }

@@ -21,11 +21,11 @@
 // consumed in strict (time, sequence) order:
 //
 //   - a calendar queue of fixed-width time buckets for events less than
-//     wheelCutoff ahead, same-instant ones included (calendar.go), where
+//     farCutoff ahead, same-instant ones included (calendar.go), where
 //     scheduling, canceling and finding the next event are O(1) in the
 //     common case; and
-//   - a hierarchical timer wheel for events further out (wheel.go), whose
-//     buckets drain into the calendar before the clock can reach them.
+//   - a min-heap for events further out (far.go), which drains into the
+//     calendar one granule at a time before the clock can reach them.
 //
 // Events are plain values stored inline in those containers, so
 // steady-state scheduling performs no allocation; only the cancellable
@@ -82,7 +82,7 @@ func (t Time) String() string {
 }
 
 // event is one scheduled occurrence, stored by value in a calendar node
-// or a wheel bucket. Exactly one of p or fn is set; tmr is non-nil only
+// or the far heap. Exactly one of p or fn is set; tmr is non-nil only
 // for cancellable At/After callbacks.
 type event struct {
 	t   Time
@@ -92,19 +92,17 @@ type event struct {
 	tmr *Timer
 }
 
-// Timer.loc values. A non-negative loc is a wheel bucket id
-// (level*wheelSlotsPer + slot); the sentinels identify the other
-// containers an event can live in.
+// Timer.loc values: the container an event lives in, if any.
 const (
-	timerInert      = -1 // fired or canceled
-	timerInCal      = -2 // calendar, at node index pos
-	timerInOverflow = -3 // wheel overflow list, at index pos
+	timerInert = -1 // fired or canceled
+	timerInCal = -2 // calendar, at node index pos
+	timerInFar = -3 // far heap, at heap index pos
 )
 
 // Timer is a handle to a scheduled callback that can be canceled. loc
-// identifies the container currently holding the event (the calendar, a
-// wheel bucket, or the wheel overflow list) and pos its index there, so
-// cancellation is O(1) whichever container holds it.
+// identifies the container currently holding the event (the calendar or
+// the far heap) and pos its index there, so cancellation removes the
+// event at once: O(1) from the calendar, O(log n) from the far heap.
 type Timer struct {
 	e   *Engine
 	pos int
@@ -115,7 +113,7 @@ type Timer struct {
 // from the engine immediately — its closure (and any state the closure
 // captures) is released at cancel time, not when the event's instant is
 // reached — so mass cancellation (e.g. retransmit watchdogs disarmed by
-// fast completions) leaves no dead weight in the calendar or the wheel.
+// fast completions) leaves no dead weight in the calendar or the far heap.
 // Canceling an already-fired or already-canceled timer is a no-op.
 func (t *Timer) Cancel() {
 	if t == nil || t.e == nil || t.loc == timerInert {
@@ -123,11 +121,11 @@ func (t *Timer) Cancel() {
 	}
 	e := t.e
 	e.stats.TimersCanceled++
-	switch t.loc {
-	case timerInCal:
+	if t.loc == timerInCal {
 		e.cal.remove(int32(t.pos))
-	default: // a wheel bucket or the overflow list
-		e.wheelCancel(t)
+	} else {
+		e.far.remove(t.pos)
+		e.stats.FarCanceled++
 	}
 	t.loc = timerInert
 }
@@ -140,17 +138,17 @@ func (t *Timer) Cancel() {
 // host-throughput work (events per host-second) is measurable, and are
 // exported in the obs metrics registry under sim.*.
 type EngineStats struct {
-	Scheduled      uint64 // events ever scheduled (calendar or wheel)
+	Scheduled      uint64 // events ever scheduled (calendar or far heap)
 	ReadyFast      uint64 // events scheduled for the current instant
 	CallbacksRun   uint64 // callback events executed inline
 	ProcSwitches   uint64 // engine→process coroutine resumptions
 	TimersCanceled uint64 // At/After timers canceled before firing
-	WheelScheduled uint64 // far-future events routed to the timer wheel
-	WheelCanceled  uint64 // timers canceled while wheel-resident (O(1) removals)
+	FarScheduled   uint64 // far-future events routed to the far heap
+	FarCanceled    uint64 // timers canceled while in the far heap
 	ProcsSpawned   uint64 // processes ever spawned
 	ProcsReaped    uint64 // completed processes removed from the proc table
 	CalendarPeak   int    // high-water mark of calendar-resident events
-	WheelPeak      int    // high-water mark of wheel-resident events
+	FarPeak        int    // high-water mark of far-heap-resident events
 }
 
 // Engine is the discrete-event simulation core.
@@ -158,14 +156,15 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// cal is the calendar queue holding events less than wheelCutoff in
-	// the future, plus everything the wheel has drained (see calendar.go).
+	// cal is the calendar queue holding events less than farCutoff in
+	// the future, plus everything the far heap has drained (see
+	// calendar.go).
 	cal calendar
 
-	// wh is the hierarchical timer wheel holding far-future events; its
-	// buckets drain into the calendar before the clock can reach them (see
-	// wheel.go), which keeps every calendar resident within its horizon.
-	wh timerWheel
+	// far holds the far-future events; it drains into the calendar before
+	// the clock can reach them (see far.go), which keeps every calendar
+	// resident within its horizon.
+	far farHeap
 
 	// inProc is true while a process body is running; it guards
 	// ResumeInline against being called outside callback context.
@@ -195,11 +194,11 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 
 // Pending returns the number of events currently scheduled and not yet
 // executed.
-func (e *Engine) Pending() int { return e.cal.count + e.wh.count }
+func (e *Engine) Pending() int { return e.cal.count + len(e.far.evs) }
 
-// WheelPending returns the number of far-future events currently parked
-// in the timer wheel (not yet migrated to the near-term calendar).
-func (e *Engine) WheelPending() int { return e.wh.count }
+// FarPending returns the number of far-future events currently in the
+// far heap (not yet drained into the near-term calendar).
+func (e *Engine) FarPending() int { return len(e.far.evs) }
 
 // LiveProcs returns the number of processes spawned and not yet finished.
 func (e *Engine) LiveProcs() int { return e.live }
@@ -214,14 +213,14 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// place routes a newly scheduled event: events less than wheelCutoff
+// place routes a newly scheduled event: events less than farCutoff
 // ahead, same-instant ones included, go into the calendar, and far-future
-// events park in the timer wheel.
+// events wait in the far heap.
 func (e *Engine) place(ev event) {
 	if ev.t == e.now {
 		e.stats.ReadyFast++
-	} else if ev.t-e.now >= wheelCutoff {
-		e.wheelInsert(ev)
+	} else if ev.t-e.now >= farCutoff {
+		e.farInsert(ev)
 		return
 	}
 	e.calPush(ev)
@@ -363,21 +362,21 @@ func (e *Engine) RunUntil(limit Time) error {
 		if e.fatal != nil {
 			return e.fatal
 		}
-		// Bring the wheel's drain frontier past the next committed instant:
-		// wheel residents are strictly beyond the current time, so draining
-		// against the calendar's minimum — or, with an empty calendar,
-		// advancing until a drain fills it — is enough to keep the global
-		// (t, seq) order exact.
-		if e.wh.count > 0 {
+		// Bring the far heap's drain frontier past the next committed
+		// instant: far events are strictly beyond the current time, so
+		// draining against the calendar's minimum — or, with an empty
+		// calendar, draining the first far granule — is enough to keep
+		// the global (t, seq) order exact.
+		if len(e.far.evs) > 0 {
 			if e.cal.count > 0 {
-				e.wheelCatchUp(e.calMin().t)
+				e.farCatchUp(e.calMin().t)
 			} else {
-				e.wheelAdvanceUntilCal(limit)
+				e.farAdvance(limit)
 			}
 		}
 		if e.cal.count == 0 {
-			if e.wh.count > 0 {
-				// Only wheel events remain, all beyond limit.
+			if len(e.far.evs) > 0 {
+				// Only far events remain, all beyond limit.
 				e.now = limit
 				return nil
 			}
