@@ -20,7 +20,8 @@ func main() {
 		workloads.GrepGPUWorkItemPoll,
 		workloads.GrepGPUWorkItemHalt,
 	}
-	// Every variant greps the same files; each machine stages its own copy.
+	// Every variant greps the same files; each machine's files borrow
+	// the corpus's pages.
 	corpus := workloads.NewGrepCorpus(workloads.DefaultGrepConfig(workloads.GrepCPU))
 	var cpuTime genesys.Time
 	for _, v := range variants {

@@ -96,7 +96,7 @@ func Fig12SignalSearch(o Options) *Table {
 
 // corpusFor returns the corpus for seed, building it from cfg the first
 // time a variant needs it: every variant at one seed reads the same
-// read-only corpus, and each machine stages its own copy of it.
+// read-only corpus, and each machine's files borrow its pages.
 func corpusFor[Cfg any, C any](corpora map[int64]*C, seed int64, cfg Cfg, build func(Cfg) *C) *C {
 	c := corpora[seed]
 	if c == nil {

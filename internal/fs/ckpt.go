@@ -50,10 +50,7 @@ func digestNode(n FileNode) uint64 {
 	io := &IOCtx{}
 	size := n.Size()
 	for off < size {
-		want := size - off
-		if want > int64(len(buf)) {
-			want = int64(len(buf))
-		}
+		want := min(size-off, int64(len(buf)))
 		r, err := n.ReadAt(io, buf[:want], off)
 		if r > 0 {
 			h.Write(buf[:r])

@@ -98,7 +98,7 @@ func TestFileIoctlAndAccessors(t *testing.T) {
 	if _, err := f.Ioctl(&IOCtx{}, FBIOGET_VSCREENINFO, arg); err != nil {
 		t.Fatal(err)
 	}
-	plain := NewFile(&tmpFile{fs: NewTmpfs()}, O_RDWR, "/x")
+	plain := NewFile(NewTmpfs().NewFile(), O_RDWR, "/x")
 	if _, err := plain.Ioctl(&IOCtx{}, 1, nil); err != errno.ENOTTY {
 		t.Fatalf("ioctl on regular file = %v", err)
 	}

@@ -262,6 +262,7 @@ func TestSSDFSPageCache(t *testing.T) {
 	sfs.DropCaches()
 
 	var cold, warm sim.Time
+	var faults []int64 // device bytes read by each later read
 	e.Spawn("reader", func(p *sim.Proc) {
 		io := &IOCtx{P: p}
 		buf := make([]byte, 1<<20)
@@ -271,12 +272,26 @@ func TestSSDFSPageCache(t *testing.T) {
 		t1 := p.Now()
 		f.Pread(io, buf, 0)
 		warm = p.Now() - t1
+
+		// A file cached before DropCaches and one created after it
+		// must each fault on their next read, and only on that one.
+		sfs.DropCaches()
+		late, _ := v.Open("/data/late", O_RDWR|O_CREAT)
+		late.Pwrite(&IOCtx{}, bytes.Repeat([]byte("y"), 1<<20), 0)
+		for _, g := range []*File{f, late, f, late} {
+			before := dev.BytesRead.Value()
+			g.Pread(io, buf, 0)
+			faults = append(faults, dev.BytesRead.Value()-before)
+		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if dev.BytesRead.Value() != 1<<20 {
-		t.Fatalf("device read %d bytes, want 1MiB exactly (merged, once)", dev.BytesRead.Value())
+	if fmt.Sprint(faults) != fmt.Sprint([]int64{1 << 20, 1 << 20, 0, 0}) {
+		t.Fatalf("device bytes per read after DropCaches = %v, want [1MiB 1MiB 0 0]", faults)
+	}
+	if dev.BytesRead.Value() != 3<<20 {
+		t.Fatalf("device read %d bytes, want 3MiB exactly (merged, once per cold file)", dev.BytesRead.Value())
 	}
 	if cold < 10*warm {
 		t.Fatalf("cold=%v warm=%v: page cache ineffective", cold, warm)
@@ -464,30 +479,90 @@ func refTruncate(ref []byte, size int64) []byte {
 	return append(ref, make([]byte, size-int64(len(ref)))...)
 }
 
-// randomFileOp draws one mutation for the file property tests: a write
-// near the start, a write far past EOF that leaves a hole, or a
-// truncate that shrinks or grows the file. A shrink followed by a later
-// growth must read zeros where the old bytes were.
-func randomFileOp(rng *rand.Rand, size int64) (data []byte, off, trunc int64) {
-	trunc = -1
-	switch rng.Intn(5) {
-	case 0: // far past EOF
-		off = size + int64(rng.Intn(1<<16))
-		data = make([]byte, rng.Intn(512))
-	case 1: // shrink or grow
-		trunc = int64(rng.Intn(int(2*size) + 1024))
-		return nil, 0, trunc
-	default:
-		off = int64(rng.Intn(2048))
-		data = make([]byte, rng.Intn(256))
+// fileOp is one mutation for the file property tests and FuzzFileOps:
+// a truncate to trunc when trunc >= 0, otherwise data stored at off, by
+// Share when share is set and by Pwrite otherwise.
+type fileOp struct {
+	data  []byte
+	off   int64
+	trunc int64
+	share bool
+}
+
+// apply runs op on f; a Pwrite is charged to io and must write all of
+// op.data.
+func (op fileOp) apply(io *IOCtx, f *File) error {
+	switch {
+	case op.trunc >= 0:
+		return f.Node.Truncate(op.trunc)
+	case op.share:
+		return Share(f.Node, op.off, op.data)
 	}
-	rng.Read(data)
-	return data, off, trunc
+	n, err := f.Pwrite(io, op.data, op.off)
+	if err == nil && n != len(op.data) {
+		err = fmt.Errorf("pwrite wrote %d of %d bytes", n, len(op.data))
+	}
+	return err
+}
+
+// model applies op to the reference model.
+func (op fileOp) model(ref []byte) []byte {
+	if op.trunc >= 0 {
+		return refTruncate(ref, op.trunc)
+	}
+	return refWrite(ref, op.data, op.off)
+}
+
+// lent keeps every buffer handed to Share beside a copy of its bytes.
+type lent [][2][]byte
+
+func (l *lent) add(op fileOp) {
+	if op.share {
+		*l = append(*l, [2][]byte{op.data, bytes.Clone(op.data)})
+	}
+}
+
+// intact reports whether no file operation wrote through a borrowed page.
+func (l lent) intact() bool {
+	for _, b := range l {
+		if !bytes.Equal(b[0], b[1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// randomFileOp draws one mutation for the file property tests: a write
+// near the start, a write far past EOF that leaves a hole, a truncate
+// that shrinks or grows the file, or a Share of up to three pages at a
+// page-aligned or unaligned offset. A shrink followed by a later growth
+// must read zeros where the old bytes were, and a later write into a
+// shared page must not reach the shared buffer.
+func randomFileOp(rng *rand.Rand, size int64) fileOp {
+	op := fileOp{trunc: -1}
+	switch rng.Intn(6) {
+	case 0: // far past EOF
+		op.off = size + int64(rng.Intn(1<<16))
+		op.data = make([]byte, rng.Intn(512))
+	case 1: // shrink or grow
+		op.trunc = int64(rng.Intn(int(2*size) + 1024))
+		return op
+	case 2: // share
+		op.share = true
+		op.off = int64(rng.Intn(4))*PageSize + int64(rng.Intn(2)*rng.Intn(PageSize))
+		op.data = make([]byte, rng.Intn(3*PageSize+1))
+	default:
+		op.off = int64(rng.Intn(2048))
+		op.data = make([]byte, rng.Intn(256))
+	}
+	rng.Read(op.data)
+	return op
 }
 
 // Property: a tmpfs file behaves exactly like a growable byte slice
-// under random pwrite/pread/truncate sequences, including writes far
-// past EOF and shrinks followed by re-extension.
+// under random pwrite/share/pread/truncate sequences, including writes
+// far past EOF and shrinks followed by re-extension, and never changes
+// a buffer it borrowed.
 func TestTmpfsMatchesReferenceModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -499,20 +574,15 @@ func TestTmpfsMatchesReferenceModel(t *testing.T) {
 		}
 		io := &IOCtx{}
 		var ref []byte
+		var shared lent
 		for op := 0; op < 80; op++ {
 			if rng.Intn(2) == 0 {
-				data, off, trunc := randomFileOp(rng, int64(len(ref)))
-				if trunc >= 0 {
-					if file.Node.Truncate(trunc) != nil {
-						return false
-					}
-					ref = refTruncate(ref, trunc)
-					continue
-				}
-				if n, err := file.Pwrite(io, data, off); n != len(data) || err != nil {
+				op := randomFileOp(rng, int64(len(ref)))
+				shared.add(op)
+				if op.apply(io, file) != nil {
 					return false
 				}
-				ref = refWrite(ref, data, off)
+				ref = op.model(ref)
 				continue
 			}
 			off := int64(rng.Intn(len(ref) + 256))
@@ -529,7 +599,7 @@ func TestTmpfsMatchesReferenceModel(t *testing.T) {
 		}
 		all := make([]byte, len(ref)+1)
 		n, _ := file.Pread(io, all, 0)
-		return file.Node.Size() == int64(len(ref)) && bytes.Equal(all[:n], ref)
+		return file.Node.Size() == int64(len(ref)) && bytes.Equal(all[:n], ref) && shared.intact()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -537,8 +607,8 @@ func TestTmpfsMatchesReferenceModel(t *testing.T) {
 }
 
 // Property: an SSDFS file returns identical data to tmpfs for the same
-// operation sequence (caching must never change contents), truncates
-// and writes past EOF included.
+// operation sequence (caching must never change contents), truncates,
+// shares and writes past EOF included.
 func TestSSDFSContentMatchesTmpfs(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -551,23 +621,19 @@ func TestSSDFSContentMatchesTmpfs(t *testing.T) {
 		a, _ := v.Open("/d/f", O_RDWR|O_CREAT)
 		b, _ := v.Open("/t/f", O_RDWR|O_CREAT)
 		io := &IOCtx{}
-		for op := 0; op < 60; op++ {
-			var data []byte
-			var off, trunc int64 = 0, -1
+		var shared lent
+		for i := 0; i < 60; i++ {
+			op := fileOp{trunc: -1}
 			if rng.Intn(2) == 0 {
-				data, off, trunc = randomFileOp(rng, b.Node.Size())
+				op = randomFileOp(rng, b.Node.Size())
 			} else {
-				off = int64(rng.Intn(16384))
-				data = make([]byte, rng.Intn(4096))
-				rng.Read(data)
+				op.off = int64(rng.Intn(16384))
+				op.data = make([]byte, rng.Intn(4096))
+				rng.Read(op.data)
 			}
-			if trunc >= 0 {
-				a.Node.Truncate(trunc)
-				b.Node.Truncate(trunc)
-			} else {
-				a.Pwrite(io, data, off)
-				b.Pwrite(io, data, off)
-			}
+			shared.add(op)
+			op.apply(io, a)
+			op.apply(io, b)
 			if rng.Intn(4) == 0 {
 				sfs.DropCaches()
 			}
@@ -583,7 +649,7 @@ func TestSSDFSContentMatchesTmpfs(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return shared.intact()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -592,7 +658,8 @@ func TestSSDFSContentMatchesTmpfs(t *testing.T) {
 
 // Appending a file in 4 KiB pwrites must cost amortised linear time and
 // memory: the total bytes allocated while building a 32 MiB file stay
-// within 3x its size (capacity doubling allocates about 2x; growing by
+// within 3x its size (each page is allocated once, about 1x, and the
+// page table's capacity doubling adds 16 B per page; growing by
 // single-byte appends allocated about 6x).
 func TestAppendAllocatesLinearly(t *testing.T) {
 	const size, chunk = 32 << 20, 4096
@@ -673,8 +740,7 @@ func TestFileGrowthCapped(t *testing.T) {
 const appendsPerFile = 4096
 
 // benchFileSystems returns fresh-file constructors for the two data
-// file systems. Each ssdfs file gets its own SSDFS, whose file list
-// would otherwise keep every finished file alive.
+// file systems.
 func benchFileSystems() []struct {
 	name    string
 	newFile func() FileNode
@@ -685,7 +751,7 @@ func benchFileSystems() []struct {
 		newFile func() FileNode
 	}{
 		{"tmpfs", NewTmpfs().NewFile},
-		{"ssdfs", func() FileNode { return NewSSDFS(dev).NewFile() }},
+		{"ssdfs", NewSSDFS(dev).NewFile},
 	}
 }
 
@@ -709,8 +775,9 @@ func BenchmarkFileAppend4K(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteFile64M measures staging a 64 MiB input into an empty
-// file in one write, as Machine.WriteFile does before a run.
+// BenchmarkWriteFile64M measures copying a 64 MiB input into an empty
+// file in one write. Machine.WriteFile stages its input with Share
+// instead, which borrows the pages rather than copying them.
 func BenchmarkWriteFile64M(b *testing.B) {
 	data := make([]byte, 64<<20)
 	for _, c := range benchFileSystems() {

@@ -68,9 +68,7 @@ type ZeroDev struct{}
 
 func (ZeroDev) Size() int64 { return 0 }
 func (ZeroDev) ReadAt(_ *IOCtx, b []byte, _ int64) (int, error) {
-	for i := range b {
-		b[i] = 0
-	}
+	clear(b)
 	return len(b), nil
 }
 func (ZeroDev) WriteAt(_ *IOCtx, b []byte, _ int64) (int, error) { return len(b), nil }

@@ -43,7 +43,8 @@ func New(m *platform.Machine) *Shell {
 // WriteFile creates path with the given contents host-side (setup
 // helper) and records the write in the session history, so a restored
 // session replays it. Use this instead of Machine.WriteFile when the
-// session may be checkpointed.
+// session may be checkpointed. As there, data must not change after the
+// call.
 func (s *Shell) WriteFile(path string, data []byte) error {
 	if err := s.M.WriteFile(path, data); err != nil {
 		return err

@@ -390,14 +390,15 @@ func (m *Machine) NewProcess(name string) *oskern.Process {
 }
 
 // WriteFile creates path with the given contents (setup helper; costs
-// nothing in virtual time).
+// nothing in virtual time). A tmpfs or SSDFS file borrows data's pages
+// (fs.Share) instead of copying them, so data must not change after the
+// call.
 func (m *Machine) WriteFile(path string, data []byte) error {
 	f, err := m.VFS.Open(path, fs.O_CREAT|fs.O_WRONLY|fs.O_TRUNC)
 	if err != nil {
 		return err
 	}
-	_, err = f.Pwrite(&fs.IOCtx{}, data, 0)
-	return err
+	return fs.Share(f.Node, 0, data)
 }
 
 // CreateFile creates path, or truncates it if it exists, as a size-byte

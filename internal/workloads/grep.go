@@ -121,7 +121,7 @@ func noiseFill(rng *rand.Rand, b []byte) {
 // file set (lowercase noise with a word planted into half the files at a
 // random offset) and the reference answer. It is a pure function of the
 // config's Files, FileBytes, Words and Seed, so every variant run at one
-// seed can share one corpus; each machine stages its own copy of the files.
+// seed can share one corpus; each machine's files borrow its pages.
 type GrepCorpus struct {
 	key      grepKey
 	words    []string
@@ -191,7 +191,7 @@ func scanChunk(chunk []byte, words []string) int {
 }
 
 // RunGrep executes one grep variant over c, which must have been built
-// for cfg. c is only read: the machine gets its own copy of every file.
+// for cfg. c is only read: the machine's files borrow its pages.
 func RunGrep(m *platform.Machine, cfg GrepConfig, c *GrepCorpus) (GrepResult, error) {
 	if err := c.fits(cfg); err != nil {
 		return GrepResult{}, err

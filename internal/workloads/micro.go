@@ -52,10 +52,11 @@ func fillPattern(b []byte, seed byte) {
 func patternByte(i int64, seed byte) byte { return byte(i)*31 + seed }
 
 // stagePattern creates path as a size-byte file holding fillPattern with
-// seed, without building the whole file in a host buffer first: it
-// creates the file at its full size, then writes one 64 KiB pattern
-// chunk at every chunk offset. The pattern's 256-byte period divides
-// 64 KiB, so the same chunk is the pattern at every such offset.
+// seed, without building the whole file in a host buffer: it creates the
+// file at its full size, then shares (fs.Share) one 64 KiB pattern chunk
+// at every chunk offset, so every page of the file borrows the chunk.
+// The pattern's 256-byte period divides 64 KiB, so the same chunk is the
+// pattern at every such offset.
 func stagePattern(m *platform.Machine, path string, size int64, seed byte) error {
 	f, err := m.CreateFile(path, size)
 	if err != nil {
@@ -63,9 +64,8 @@ func stagePattern(m *platform.Machine, path string, size int64, seed byte) error
 	}
 	chunk := make([]byte, min(size, 64<<10))
 	fillPattern(chunk, seed)
-	io := &fs.IOCtx{}
 	for off := int64(0); off < size; off += int64(len(chunk)) {
-		if _, err := f.Pwrite(io, chunk[:min(int64(len(chunk)), size-off)], off); err != nil {
+		if err := fs.Share(f.Node, off, chunk[:min(int64(len(chunk)), size-off)]); err != nil {
 			return err
 		}
 	}

@@ -131,7 +131,7 @@ func wcFileName(i int) string { return fmt.Sprintf("/data/corpus/doc%04d", i) }
 // strings, the per-file contents with planted words, and the reference
 // counts. It is a pure function of the config's Files, FileBytes, Words
 // and Seed, so every variant run at one seed can share one corpus; each
-// machine stages its own copy of the files.
+// machine's files borrow its pages.
 type WordcountCorpus struct {
 	key      wcKey
 	words    []string
@@ -214,8 +214,8 @@ func countChunk(chunk []byte, words []string, into []int64) {
 }
 
 // RunWordcount executes one wordcount variant over c, which must have
-// been built for cfg. c is only read: the machine gets its own copy of
-// every file. The SSD page cache is dropped first so every variant reads
+// been built for cfg. c is only read: the machine's files borrow its
+// pages. The SSD page cache is dropped first so every variant reads
 // cold.
 func RunWordcount(m *platform.Machine, cfg WordcountConfig, c *WordcountCorpus) (WordcountResult, error) {
 	if err := c.fits(cfg); err != nil {
