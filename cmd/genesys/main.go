@@ -35,7 +35,8 @@ import (
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  genesys run [-runs N] [-seed S] [-trace FILE] [-trace-cap N] [-flight-out DIR] [-metrics] [-critpath] [-faults P] <experiment|all> [...]
+  genesys run [-runs N] [-seed S] [-parallel N] [-trace FILE] [-trace-cap N] [-flight-out DIR]
+              [-metrics] [-critpath] [-faults P] <experiment|all> [...]
   genesys bench [-seed S | -seeds S1,S2,..] [-parallel N] [-out DIR] [-ckpt-at DUR]
                 [-cpuprofile FILE] [-memprofile FILE] [case ...]
   genesys sentry [-baseline DIR] -fresh DIR
@@ -49,6 +50,8 @@ func usage() {
   genesys platform
 
 run flags:
+  -parallel N   simulate up to N data points (one machine each) at once
+                (default: host cores); tables are identical at any N
   -trace FILE   write a Chrome trace-event JSON (chrome://tracing, Perfetto)
                 of the first simulated machine to FILE
   -trace-cap N  event-log ring capacity per machine (default %d; long
@@ -143,6 +146,7 @@ func runCmd(args []string) {
 	faultRate := fs.Float64("fault-rate", 0, "per-opportunity injection probability (0 = profile default)")
 	traceCap := fs.Int("trace-cap", 0, "event-log ring capacity per machine (0 = default)")
 	flightOut := fs.String("flight-out", "", "write flight-recorder anomaly bundles to this directory")
+	parallel := fs.Int("parallel", runtime.NumCPU(), "max data points simulated concurrently")
 	_ = fs.Parse(args)
 	if *faults == "help" {
 		fmt.Print(fault.ProfileHelp())
@@ -158,28 +162,31 @@ func runCmd(args []string) {
 	if len(ids) == 0 {
 		usage()
 	}
-	o := experiments.Options{Runs: *runs, BaseSeed: *seed,
+	o := experiments.Options{Runs: *runs, BaseSeed: *seed, Parallel: *parallel,
 		FaultProfile: *faults, FaultRate: *faultRate, EventCap: *traceCap}
 
-	// Observe every machine the experiments build: event tracing is
-	// enabled on the first machine only (so the exported trace is one
-	// coherent virtual-time timeline), and the metrics registry of the
-	// most recent machine backs -metrics. Flight recorders are collected
-	// from every machine — with -faults the first machine is usually the
-	// fault-free baseline, so bundles come from the later ones.
+	// Observe every machine the experiments build, in submission order
+	// once it has finished: event tracing is enabled on the first machine
+	// only (so the exported trace is one coherent virtual-time timeline),
+	// and the metrics registry of the most recent machine backs -metrics.
+	// Flight recorders are collected from every machine — with -faults
+	// the first machine is usually the fault-free baseline, so bundles
+	// come from the later ones. Only what a flag asks for is kept, so a
+	// plain run holds no finished machine.
 	var traceLog *obs.EventLog
 	var lastMetrics *obs.Registry
 	var firstGenesys *core.Genesys
 	var flights []*obs.Flight
 	o.Observe = func(m *platform.Machine) {
 		if *tracePath != "" && traceLog == nil {
-			m.Obs.Events.SetEnabled(true)
 			traceLog = m.Obs.Events
 		}
-		if firstGenesys == nil {
+		if *critpath && firstGenesys == nil {
 			firstGenesys = m.Genesys
 		}
-		lastMetrics = m.Obs.Metrics
+		if *showMetrics {
+			lastMetrics = m.Obs.Metrics
+		}
 		if *flightOut != "" {
 			flights = append(flights, m.Obs.Flight)
 		}
@@ -194,6 +201,9 @@ func runCmd(args []string) {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
 			os.Exit(1)
 		}
+		// Until an experiment has built a machine, the next one's first
+		// machine records its timeline.
+		o.TraceFirst = *tracePath != "" && traceLog == nil
 		start := time.Now()
 		tbl := fn(o)
 		fmt.Println(tbl.Render())

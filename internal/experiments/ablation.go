@@ -23,10 +23,9 @@ func Ablation(o Options) *Table {
 		Header: []string{"design point", "variant", "read time (ms)", "vs default"},
 	}
 
-	flood := func(tweak func(*platform.Config)) *sim.Summary {
-		return sweep(o, func(seed int64) float64 {
-			m := newMachine(o, seed, tweak)
-			defer m.Shutdown()
+	g := &grid{o: o}
+	flood := func(tweak func(*platform.Config)) []float64 {
+		return each(g, tweak, func(m *platform.Machine, _ int64) float64 {
 			res, err := workloads.RunPread(m, workloads.PreadConfig{
 				FileSize: 512 * 4096, ChunkPerWI: 4096, WGSize: 64,
 				Granularity: workloads.GranWorkItem, Wait: core.WaitPoll,
@@ -38,38 +37,43 @@ func Ablation(o Options) *Table {
 		})
 	}
 
-	base := flood(nil)
-	add := func(point, variant string, s *sim.Summary) {
-		t.AddRow(point, variant, ms(s), fmt.Sprintf("%.2fx", s.Mean()/base.Mean()))
+	type row struct {
+		point, variant string
+		times          []float64
 	}
-	t.AddRow("(default)", "padded slots, dynamic workers, 5us irq", ms(base), "1.00x")
-
-	// ⚗2: slot layout.
-	add("slot layout", "packed 4/line (false sharing)",
-		flood(func(c *platform.Config) { c.Genesys.PackedSlots = true }))
-
-	// Dynamic worker pool (cmwq): pin the pool at its initial size.
-	add("worker pool", "static 1 worker",
-		flood(func(c *platform.Config) { c.Kernel.Workers, c.Kernel.MaxWorkers = 1, 1 }))
-	add("worker pool", "static 3 workers",
-		flood(func(c *platform.Config) { c.Kernel.MaxWorkers = c.Kernel.Workers }))
-	add("worker pool", "static 16 workers",
-		flood(func(c *platform.Config) { c.Kernel.Workers, c.Kernel.MaxWorkers = 16, 16 }))
-
+	base := flood(nil)
+	rows := []row{
+		// ⚗2: slot layout.
+		{"slot layout", "packed 4/line (false sharing)",
+			flood(func(c *platform.Config) { c.Genesys.PackedSlots = true })},
+		// Dynamic worker pool (cmwq): pin the pool at its initial size.
+		{"worker pool", "static 1 worker",
+			flood(func(c *platform.Config) { c.Kernel.Workers, c.Kernel.MaxWorkers = 1, 1 })},
+		{"worker pool", "static 3 workers",
+			flood(func(c *platform.Config) { c.Kernel.MaxWorkers = c.Kernel.Workers })},
+		{"worker pool", "static 16 workers",
+			flood(func(c *platform.Config) { c.Kernel.Workers, c.Kernel.MaxWorkers = 16, 16 })},
+	}
 	// Interrupt delivery latency sensitivity.
 	for _, us := range []int64{1, 20, 80} {
-		us := us
-		add("irq latency", fmt.Sprintf("%dus delivery", us),
+		rows = append(rows, row{"irq latency", fmt.Sprintf("%dus delivery", us),
 			flood(func(c *platform.Config) {
 				c.GPU.InterruptLatency = sim.Time(us) * sim.Microsecond
-			}))
+			})})
 	}
-
 	// Coalescing on the same flood.
-	add("coalescing", "8-way, 50us window",
+	rows = append(rows, row{"coalescing", "8-way, 50us window",
 		flood(func(c *platform.Config) {
 			c.Genesys.CoalesceWindow = 50 * sim.Microsecond
 			c.Genesys.CoalesceMax = 8
-		}))
+		})})
+	g.run()
+
+	b := summary(base)
+	t.AddRow("(default)", "padded slots, dynamic workers, 5us irq", ms(b), "1.00x")
+	for _, r := range rows {
+		s := summary(r.times)
+		t.AddRow(r.point, r.variant, ms(s), fmt.Sprintf("%.2fx", s.Mean()/b.Mean()))
+	}
 	return t
 }

@@ -9,7 +9,6 @@ import (
 	"genesys/internal/platform"
 	"genesys/internal/sim"
 	"genesys/internal/syscalls"
-	"genesys/internal/workloads"
 )
 
 // quantCell renders a histogram's p50/p95/p99 as one table cell.
@@ -33,17 +32,27 @@ func Breakdown(o Options) *Table {
 			"between these phases.",
 		Header: append([]string{"configuration"}, append(core.Phases(), "total (us)")...),
 	}
-	run := func(label string, wait core.WaitMode, wgs int, tweak func(*platform.Config)) {
-		phase := map[string]*sim.Summary{}
-		phaseHist := map[string]*obs.Histogram{}
-		for _, ph := range core.Phases() {
-			phase[ph] = &sim.Summary{}
-			phaseHist[ph] = obs.NewHistogram()
-		}
-		totalHist := obs.NewHistogram()
-		total := sweep(o, func(seed int64) float64 {
-			m := newMachine(o, seed, tweak)
-			defer m.Shutdown()
+	type config struct {
+		label string
+		wait  core.WaitMode
+		wgs   int
+		tweak func(*platform.Config)
+	}
+	// Discrete GPU (§VI: "generalizes to discrete GPUs"): every phase
+	// that crosses PCIe gets more expensive.
+	dgpu := func(c *platform.Config) { *c = platform.DiscreteGPUConfig() }
+	configs := []config{
+		{"idle, polling", core.WaitPoll, 1, nil},
+		{"idle, halt-resume", core.WaitHaltResume, 1, nil},
+		{"loaded (64 WGs), polling", core.WaitPoll, 64, nil},
+		{"loaded (64 WGs), halt-resume", core.WaitHaltResume, 64, nil},
+		{"discrete GPU, polling", core.WaitPoll, 1, dgpu},
+		{"discrete GPU, halt-resume", core.WaitHaltResume, 1, dgpu},
+	}
+	g := &grid{o: o}
+	tracers := make([][]*core.Tracer, len(configs))
+	for i, c := range configs {
+		tracers[i] = each(g, c.tweak, func(m *platform.Machine, _ int64) *core.Tracer {
 			pr := m.NewProcess("bd")
 			tr := core.NewTracer()
 			m.Genesys.SetTracer(tr)
@@ -54,14 +63,14 @@ func Breakdown(o Options) *Table {
 			fd, _ := pr.FDs.Install(f)
 			m.E.Spawn("host", func(p *sim.Proc) {
 				k := m.GPU.Launch(p, gpu.Kernel{
-					Name: "bd", WorkGroups: wgs, WGSize: 64,
+					Name: "bd", WorkGroups: c.wgs, WGSize: 64,
 					Fn: func(w *gpu.Wavefront) {
 						for i := 0; i < 4; i++ {
 							m.Genesys.InvokeWG(w, syscalls.Request{
 								NR:   syscalls.SYS_pwrite64,
 								Args: [6]uint64{uint64(fd), 64, uint64(64 * w.WG.ID)},
 								Buf:  make([]byte, 64),
-							}, core.Options{Blocking: true, Wait: wait,
+							}, core.Options{Blocking: true, Wait: c.wait,
 								Ordering: core.Relaxed, Kind: core.Consumer})
 						}
 					},
@@ -72,18 +81,32 @@ func Breakdown(o Options) *Table {
 			if err := m.Run(); err != nil {
 				panic(err)
 			}
+			return tr
+		})
+	}
+	g.run()
+	for i, c := range configs {
+		phase := map[string]*sim.Summary{}
+		phaseHist := map[string]*obs.Histogram{}
+		for _, ph := range core.Phases() {
+			phase[ph] = &sim.Summary{}
+			phaseHist[ph] = obs.NewHistogram()
+		}
+		var total sim.Summary
+		totalHist := obs.NewHistogram()
+		for _, tr := range tracers[i] {
 			for _, ph := range core.Phases() {
 				phase[ph].Add(tr.Phase(ph).Mean())
 				phaseHist[ph].Merge(tr.Phase(ph))
 			}
 			totalHist.Merge(tr.Total())
-			return tr.TotalMean()
-		})
-		row := []string{label}
+			total.Add(tr.TotalMean())
+		}
+		row := []string{c.label}
 		for _, ph := range core.Phases() {
 			row = append(row, fmt.Sprintf("%.2f", phase[ph].Mean()))
 		}
-		row = append(row, f2(total))
+		row = append(row, f2(&total))
 		t.AddRow(row...)
 		prow := []string{"  p50/p95/p99"}
 		for _, ph := range core.Phases() {
@@ -92,16 +115,5 @@ func Breakdown(o Options) *Table {
 		prow = append(prow, quantCell(totalHist))
 		t.AddRow(prow...)
 	}
-	run("idle, polling", core.WaitPoll, 1, nil)
-	run("idle, halt-resume", core.WaitHaltResume, 1, nil)
-	run("loaded (64 WGs), polling", core.WaitPoll, 64, nil)
-	run("loaded (64 WGs), halt-resume", core.WaitHaltResume, 64, nil)
-	// Discrete GPU (§VI: "generalizes to discrete GPUs"): every phase
-	// that crosses PCIe gets more expensive.
-	dgpu := func(c *platform.Config) { *c = platform.DiscreteGPUConfig() }
-	run("discrete GPU, polling", core.WaitPoll, 1, dgpu)
-	run("discrete GPU, halt-resume", core.WaitHaltResume, 1, dgpu)
 	return t
 }
-
-var _ = workloads.GranWorkGroup // anchor the import for future sweeps

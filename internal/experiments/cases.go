@@ -28,34 +28,39 @@ func Fig11MiniAMR(o Options) *Table {
 		name      string
 		watermark int64
 	}
-	for _, v := range []variant{
+	variants := []variant{
 		{"baseline (no madvise)", 0},
 		{"rss-3gb (scaled: 192 MiB)", 192 << 20},
 		{"rss-4gb (scaled: 248 MiB)", 248 << 20},
-	} {
-		v := v
-		var completed bool
-		var peak, madvises sim.Summary
-		rt := sweep(o, func(seed int64) float64 {
-			m := newMachine(o, seed, miniAMRTweak)
-			defer m.Shutdown()
+	}
+	g := &grid{o: o}
+	results := make([][]workloads.MiniAMRResult, len(variants))
+	for i, v := range variants {
+		results[i] = each(g, miniAMRTweak, func(m *platform.Machine, _ int64) workloads.MiniAMRResult {
 			cfg := workloads.DefaultMiniAMRConfig()
 			cfg.WatermarkBytes = v.watermark
 			res, err := workloads.RunMiniAMR(m, cfg)
 			if err != nil {
 				panic(err)
 			}
-			completed = res.Completed
+			return res
+		})
+	}
+	g.run()
+	for i, v := range variants {
+		var rt, peak, madvises sim.Summary
+		for _, res := range results[i] {
 			peak.Add(float64(res.PeakRSS) / (1 << 20))
 			madvises.Add(float64(res.Madvises))
-			if !res.Completed {
-				return 0
+			if res.Completed {
+				rt.Add(res.Runtime.Milli())
+			} else {
+				rt.Add(0)
 			}
-			return res.Runtime.Milli()
-		})
-		runtime := ms(rt)
-		completes := "yes"
-		if !completed {
+		}
+		runtime, completes := ms(&rt), "yes"
+		// Whether the variant completes is the last seed's verdict.
+		if !results[i][len(results[i])-1].Completed {
 			completes = "NO (GPU watchdog)"
 			runtime = "DNF"
 		}
@@ -73,10 +78,9 @@ func Fig12SignalSearch(o Options) *Table {
 		Note:   "Paper: work-group-granularity non-blocking signals give ~14% speedup.",
 		Header: []string{"variant", "runtime (ms)"},
 	}
-	run := func(useSignals bool) *sim.Summary {
-		return sweep(o, func(seed int64) float64 {
-			m := newMachine(o, seed, nil)
-			defer m.Shutdown()
+	g := &grid{o: o}
+	run := func(useSignals bool) []float64 {
+		return each(g, nil, func(m *platform.Machine, _ int64) float64 {
 			cfg := workloads.DefaultSignalSearchConfig()
 			cfg.UseSignals = useSignals
 			res, err := workloads.RunSignalSearch(m, cfg)
@@ -86,24 +90,23 @@ func Fig12SignalSearch(o Options) *Table {
 			return res.Runtime.Milli()
 		})
 	}
-	base := run(false)
-	sig := run(true)
+	baseVals, sigVals := run(false), run(true)
+	g.run()
+	base, sig := summary(baseVals), summary(sigVals)
 	t.AddRow("baseline (phase-separated)", ms(base))
 	t.AddRow("GENESYS (signals overlap)", ms(sig))
 	t.AddRow("speedup", ratio(base, sig))
 	return t
 }
 
-// corpusFor returns the corpus for seed, building it from cfg the first
-// time a variant needs it: every variant at one seed reads the same
-// read-only corpus, and each machine's files borrow its pages.
-func corpusFor[Cfg any, C any](corpora map[int64]*C, seed int64, cfg Cfg, build func(Cfg) *C) *C {
-	c := corpora[seed]
-	if c == nil {
-		c = build(cfg)
-		corpora[seed] = c
-	}
-	return c
+// corpora builds one corpus per seed, the seeds side by side on the
+// worker pool, before any data point runs: every variant at one seed
+// reads the same read-only corpus, and each machine's files borrow its
+// pages, so concurrent machines share it.
+func corpora[C any](o Options, build func(seed int64) *C) []*C {
+	out := make([]*C, o.runs())
+	forEach(len(out), o.workers(), func(i int) { out[i] = build(o.BaseSeed + int64(i)) }, nil)
+	return out
 }
 
 // Fig13aGrep regenerates the grep case study across all five variants.
@@ -115,17 +118,21 @@ func Fig13aGrep(o Options) *Table {
 			"3-4% (here: near-parity; see EXPERIMENTS.md).",
 		Header: []string{"variant", "runtime (ms)", "vs CPU"},
 	}
-	corpora := map[int64]*workloads.GrepCorpus{}
-	var cpuSummary *sim.Summary
-	for _, v := range []workloads.GrepVariant{workloads.GrepCPU, workloads.GrepOpenMP,
-		workloads.GrepGPUWorkGroup, workloads.GrepGPUWorkItemPoll, workloads.GrepGPUWorkItemHalt} {
-		v := v
-		s := sweep(o, func(seed int64) float64 {
-			m := newMachine(o, seed, nil)
-			defer m.Shutdown()
-			cfg := workloads.DefaultGrepConfig(v)
-			cfg.Seed = seed
-			res, err := workloads.RunGrep(m, cfg, corpusFor(corpora, seed, cfg, workloads.NewGrepCorpus))
+	grepConfig := func(v workloads.GrepVariant, seed int64) workloads.GrepConfig {
+		cfg := workloads.DefaultGrepConfig(v)
+		cfg.Seed = seed
+		return cfg
+	}
+	corpus := corpora(o, func(seed int64) *workloads.GrepCorpus {
+		return workloads.NewGrepCorpus(grepConfig(workloads.GrepCPU, seed))
+	})
+	variants := []workloads.GrepVariant{workloads.GrepCPU, workloads.GrepOpenMP,
+		workloads.GrepGPUWorkGroup, workloads.GrepGPUWorkItemPoll, workloads.GrepGPUWorkItemHalt}
+	g := &grid{o: o}
+	runtimes := make([][]float64, len(variants))
+	for i, v := range variants {
+		runtimes[i] = each(g, nil, func(m *platform.Machine, seed int64) float64 {
+			res, err := workloads.RunGrep(m, grepConfig(v, seed), corpus[seed-o.BaseSeed])
 			if err != nil {
 				panic(err)
 			}
@@ -134,12 +141,27 @@ func Fig13aGrep(o Options) *Table {
 			}
 			return res.Runtime.Milli()
 		})
-		if v == workloads.GrepCPU {
-			cpuSummary = s
-		}
-		t.AddRow(v.String(), ms(s), ratio(cpuSummary, s))
+	}
+	g.run()
+	cpu := summary(runtimes[0])
+	for i, v := range variants {
+		s := summary(runtimes[i])
+		t.AddRow(v.String(), ms(s), ratio(cpu, s))
 	}
 	return t
+}
+
+// wordcountCorpora builds the wordcount corpus of every seed.
+func wordcountCorpora(o Options) []*workloads.WordcountCorpus {
+	return corpora(o, func(seed int64) *workloads.WordcountCorpus {
+		return workloads.NewWordcountCorpus(wordcountConfig(workloads.WordcountCPU, seed))
+	})
+}
+
+func wordcountConfig(v workloads.WordcountVariant, seed int64) workloads.WordcountConfig {
+	cfg := workloads.DefaultWordcountConfig(v)
+	cfg.Seed = seed
+	return cfg
 }
 
 // Fig13bWordcount regenerates the wordcount comparison.
@@ -150,17 +172,14 @@ func Fig13bWordcount(o Options) *Table {
 		Note:   "Paper: GENESYS ~6x over the CPU version; the GPU version without system\ncalls is worse than the CPU version.",
 		Header: []string{"variant", "runtime (ms)", "vs CPU"},
 	}
-	corpora := map[int64]*workloads.WordcountCorpus{}
-	var cpuSummary *sim.Summary
-	for _, v := range []workloads.WordcountVariant{workloads.WordcountCPU,
-		workloads.WordcountGPUNoSyscall, workloads.WordcountGENESYS} {
-		v := v
-		s := sweep(o, func(seed int64) float64 {
-			m := newMachine(o, seed, nil)
-			defer m.Shutdown()
-			cfg := workloads.DefaultWordcountConfig(v)
-			cfg.Seed = seed
-			res, err := workloads.RunWordcount(m, cfg, corpusFor(corpora, seed, cfg, workloads.NewWordcountCorpus))
+	corpus := wordcountCorpora(o)
+	variants := []workloads.WordcountVariant{workloads.WordcountCPU,
+		workloads.WordcountGPUNoSyscall, workloads.WordcountGENESYS}
+	g := &grid{o: o}
+	runtimes := make([][]float64, len(variants))
+	for i, v := range variants {
+		runtimes[i] = each(g, nil, func(m *platform.Machine, seed int64) float64 {
+			res, err := workloads.RunWordcount(m, wordcountConfig(v, seed), corpus[seed-o.BaseSeed])
 			if err != nil {
 				panic(err)
 			}
@@ -169,10 +188,12 @@ func Fig13bWordcount(o Options) *Table {
 			}
 			return res.Runtime.Milli()
 		})
-		if v == workloads.WordcountCPU {
-			cpuSummary = s
-		}
-		t.AddRow(v.String(), ms(s), ratio(cpuSummary, s))
+	}
+	g.run()
+	cpu := summary(runtimes[0])
+	for i, v := range variants {
+		s := summary(runtimes[i])
+		t.AddRow(v.String(), ms(s), ratio(cpu, s))
 	}
 	return t
 }
@@ -187,24 +208,28 @@ func Fig14WordcountTraces(o Options) *Table {
 			"~30 MB/s, while using less CPU (the GPU does the searching).",
 		Header: []string{"variant", "mean disk (MB/s)", "peak disk (MB/s)", "mean CPU util (%)"},
 	}
-	corpora := map[int64]*workloads.WordcountCorpus{}
-	for _, v := range []workloads.WordcountVariant{workloads.WordcountCPU, workloads.WordcountGENESYS} {
-		v := v
-		var peak, util sim.Summary
-		mean := sweep(o, func(seed int64) float64 {
-			m := newMachine(o, seed, nil)
-			defer m.Shutdown()
-			cfg := workloads.DefaultWordcountConfig(v)
-			cfg.Seed = seed
-			res, err := workloads.RunWordcount(m, cfg, corpusFor(corpora, seed, cfg, workloads.NewWordcountCorpus))
+	corpus := wordcountCorpora(o)
+	variants := []workloads.WordcountVariant{workloads.WordcountCPU, workloads.WordcountGENESYS}
+	g := &grid{o: o}
+	results := make([][]workloads.WordcountResult, len(variants))
+	for i, v := range variants {
+		results[i] = each(g, nil, func(m *platform.Machine, seed int64) workloads.WordcountResult {
+			res, err := workloads.RunWordcount(m, wordcountConfig(v, seed), corpus[seed-o.BaseSeed])
 			if err != nil || !res.Correct() {
 				panic(fmt.Sprint("fig14: ", err))
 			}
+			return res
+		})
+	}
+	g.run()
+	for i, v := range variants {
+		var mean, peak, util sim.Summary
+		for _, res := range results[i] {
+			mean.Add(res.MeanDiskMBs)
 			peak.Add(res.PeakDiskMBs)
 			util.Add(res.MeanCPUUtil)
-			return res.MeanDiskMBs
-		})
-		t.AddRow(v.String(), f0(mean), f0(&peak), f0(&util))
+		}
+		t.AddRow(v.String(), f0(&mean), f0(&peak), f0(&util))
 	}
 	return t
 }
@@ -217,13 +242,12 @@ func Fig15Memcached(o Options) *Table {
 		Note:   "Paper: GENESYS achieves 30-40% better latency and throughput than both the\nCPU version and the GPU version without direct system calls.",
 		Header: []string{"variant", "mean latency (us)", "p99 latency (us)", "throughput (K req/s)", "served"},
 	}
-	for _, v := range []workloads.MemcachedVariant{workloads.MemcachedCPU,
-		workloads.MemcachedGPUNoSyscall, workloads.MemcachedGENESYS} {
-		v := v
-		var p99, tput, served sim.Summary
-		lat := sweep(o, func(seed int64) float64 {
-			m := newMachine(o, seed, nil)
-			defer m.Shutdown()
+	variants := []workloads.MemcachedVariant{workloads.MemcachedCPU,
+		workloads.MemcachedGPUNoSyscall, workloads.MemcachedGENESYS}
+	g := &grid{o: o}
+	results := make([][]workloads.MemcachedResult, len(variants))
+	for i, v := range variants {
+		results[i] = each(g, nil, func(m *platform.Machine, _ int64) workloads.MemcachedResult {
 			res, err := workloads.RunMemcached(m, workloads.DefaultMemcachedConfig(v))
 			if err != nil {
 				panic(err)
@@ -231,35 +255,45 @@ func Fig15Memcached(o Options) *Table {
 			if res.Correct != res.Completed {
 				panic(fmt.Sprintf("memcached %v: wrong values", v))
 			}
-			p99.Add(res.P99Latency.Micro())
-			tput.Add(res.ThroughputRPS / 1000)
-			served.Add(float64(res.Completed))
-			return res.MeanLatency.Micro()
+			return res
 		})
-		t.AddRow(v.String(), f2(lat), f2(&p99), f2(&tput), f0(&served))
 	}
 	// Bucket-size sweep: the crossover behind "GPUs accelerate memcached
 	// by parallelizing lookups on buckets with more elements".
+	bucketSizes := []int{64, 256, 1024}
+	lat := func(v workloads.MemcachedVariant, elems int) []float64 {
+		return each(g, nil, func(m *platform.Machine, _ int64) float64 {
+			cfg := workloads.DefaultMemcachedConfig(v)
+			cfg.ElemsPerBucket = elems
+			cfg.Requests = 1000
+			res, err := workloads.RunMemcached(m, cfg)
+			if err != nil {
+				panic(err)
+			}
+			return res.MeanLatency.Micro()
+		})
+	}
+	cpuLats := make([][]float64, len(bucketSizes))
+	genLats := make([][]float64, len(bucketSizes))
+	for i, elems := range bucketSizes {
+		cpuLats[i] = lat(workloads.MemcachedCPU, elems)
+		genLats[i] = lat(workloads.MemcachedGENESYS, elems)
+	}
+	g.run()
+	for i, v := range variants {
+		var lat, p99, tput, served sim.Summary
+		for _, res := range results[i] {
+			p99.Add(res.P99Latency.Micro())
+			tput.Add(res.ThroughputRPS / 1000)
+			served.Add(float64(res.Completed))
+			lat.Add(res.MeanLatency.Micro())
+		}
+		t.AddRow(v.String(), f2(&lat), f2(&p99), f2(&tput), f0(&served))
+	}
 	t.AddRow("", "", "", "", "")
 	t.AddRow("-- bucket sweep --", "CPU mean (us)", "GENESYS mean (us)", "winner", "")
-	for _, elems := range []int{64, 256, 1024} {
-		elems := elems
-		lat := func(v workloads.MemcachedVariant) *sim.Summary {
-			return sweep(o, func(seed int64) float64 {
-				m := newMachine(o, seed, nil)
-				defer m.Shutdown()
-				cfg := workloads.DefaultMemcachedConfig(v)
-				cfg.ElemsPerBucket = elems
-				cfg.Requests = 1000
-				res, err := workloads.RunMemcached(m, cfg)
-				if err != nil {
-					panic(err)
-				}
-				return res.MeanLatency.Micro()
-			})
-		}
-		cpuLat := lat(workloads.MemcachedCPU)
-		genLat := lat(workloads.MemcachedGENESYS)
+	for i, elems := range bucketSizes {
+		cpuLat, genLat := summary(cpuLats[i]), summary(genLats[i])
 		winner := "CPU"
 		if genLat.Mean() < cpuLat.Mean() {
 			winner = "GENESYS"
@@ -277,12 +311,16 @@ func Fig16BMPDisplay(o Options) *Table {
 		Note:   "The GPU queries and sets framebuffer properties over ioctl, mmaps the\nframebuffer, and rasterizes an image into it (paper Figure 16).",
 		Header: []string{"metric", "value"},
 	}
-	m := newMachine(o, o.BaseSeed, nil)
-	defer m.Shutdown()
-	res, err := workloads.RunBMPDisplay(m, workloads.DefaultBMPDisplayConfig())
-	if err != nil {
-		panic(err)
-	}
+	var res workloads.BMPDisplayResult
+	g := &grid{o: o}
+	g.add(o.BaseSeed, nil, func(m *platform.Machine) {
+		var err error
+		res, err = workloads.RunBMPDisplay(m, workloads.DefaultBMPDisplayConfig())
+		if err != nil {
+			panic(err)
+		}
+	})
+	g.run()
 	t.AddRow("initial mode", fmt.Sprintf("%dx%d@%d", res.InfoBefore.XRes, res.InfoBefore.YRes, res.InfoBefore.BPP))
 	t.AddRow("configured mode", fmt.Sprintf("%dx%d@%d", res.InfoAfter.XRes, res.InfoAfter.YRes, res.InfoAfter.BPP))
 	t.AddRow("pixels written", fmt.Sprint(res.PixelsWritten))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"genesys/internal/obs"
+	"genesys/internal/platform"
 	"genesys/internal/sim"
 	"genesys/internal/workloads"
 )
@@ -41,58 +42,70 @@ func Chaos(o Options) *Table {
 		rates = []float64{o.FaultRate}
 	}
 
-	type cell struct {
-		rt                            sim.Summary
-		hist                          *obs.Histogram
-		injected, recovered, surfaced sim.Summary
-		echoOK, opsFailed             sim.Summary
+	// sample is one seed's run of one cell.
+	type sample struct {
+		res                           workloads.ChaosResult
+		injected, recovered, surfaced int64
 	}
-	run := func(profile string, rate float64) cell {
-		cl := cell{hist: obs.NewHistogram()}
-		oo := o
-		oo.FaultProfile = profile
-		oo.FaultRate = rate
-		for i := 0; i < o.runs(); i++ {
-			m := newMachine(oo, o.BaseSeed+int64(i), nil)
+	g := &grid{o: o}
+	run := func(profile string, rate float64) []sample {
+		arm := func(c *platform.Config) { armFaults(c, profile, rate) }
+		return each(g, arm, func(m *platform.Machine, _ int64) sample {
 			res, err := workloads.RunChaos(m, workloads.DefaultChaosConfig())
 			if err != nil {
-				m.Shutdown()
 				panic(fmt.Sprint("chaos: ", err))
 			}
 			if !res.Validated {
-				m.Shutdown()
 				panic(fmt.Sprintf("chaos %s@%.2f: corrupt data survived recovery", profile, rate))
 			}
-			cl.rt.Add(res.Runtime.Milli())
-			cl.hist.Merge(res.Latency)
-			cl.injected.Add(float64(m.Inject.Injected.Value()))
-			cl.recovered.Add(float64(m.Inject.Recovered.Value()))
-			cl.surfaced.Add(float64(m.Inject.Surfaced.Value()))
-			cl.echoOK.Add(float64(res.EchoOK))
-			cl.opsFailed.Add(float64(res.OpsFailed))
-			m.Shutdown()
-		}
-		return cl
+			return sample{res, m.Inject.Injected.Value(), m.Inject.Recovered.Value(),
+				m.Inject.Surfaced.Value()}
+		})
 	}
-
+	type cell struct {
+		name, rate string
+		samples    []sample
+	}
 	base := run("", 0)
-	baseQ := base.hist.Percentiles(50, 95, 99)
-	addRow := func(name, rate string, cl cell) {
-		q := cl.hist.Percentiles(50, 95, 99)
+	var cells []cell
+	for _, p := range profiles {
+		for _, rate := range rates {
+			cells = append(cells, cell{p, fmt.Sprintf("%.2f", rate), run(p, rate)})
+		}
+	}
+	g.run()
+
+	latency := func(samples []sample) []float64 {
+		h := obs.NewHistogram()
+		for _, s := range samples {
+			h.Merge(s.res.Latency)
+		}
+		return h.Percentiles(50, 95, 99)
+	}
+	baseQ := latency(base)
+	addRow := func(name, rate string, samples []sample) {
+		var rt, injected, recovered, surfaced, echoOK, opsFailed sim.Summary
+		for _, s := range samples {
+			rt.Add(s.res.Runtime.Milli())
+			injected.Add(float64(s.injected))
+			recovered.Add(float64(s.recovered))
+			surfaced.Add(float64(s.surfaced))
+			echoOK.Add(float64(s.res.EchoOK))
+			opsFailed.Add(float64(s.res.OpsFailed))
+		}
+		q := latency(samples)
 		infl := "1.00x"
 		if baseQ[0] > 0 {
 			infl = fmt.Sprintf("%.2fx", q[0]/baseQ[0])
 		}
-		t.AddRow(name, rate, ms(&cl.rt),
+		t.AddRow(name, rate, ms(&rt),
 			fmt.Sprintf("%.0f", q[0]), fmt.Sprintf("%.0f", q[1]), fmt.Sprintf("%.0f", q[2]),
-			infl, f0(&cl.injected), f0(&cl.recovered), f0(&cl.surfaced),
-			f0(&cl.echoOK), f0(&cl.opsFailed))
+			infl, f0(&injected), f0(&recovered), f0(&surfaced),
+			f0(&echoOK), f0(&opsFailed))
 	}
 	addRow("baseline (no faults)", "-", base)
-	for _, p := range profiles {
-		for _, rate := range rates {
-			addRow(p, fmt.Sprintf("%.2f", rate), run(p, rate))
-		}
+	for _, c := range cells {
+		addRow(c.name, c.rate, c.samples)
 	}
 	return t
 }

@@ -6,8 +6,16 @@ import (
 	"testing"
 )
 
+// TestSmokeAll renders every experiment once. Under the race detector
+// its data points run one at a time: two of Figure 7's 256 MiB pread
+// machines at once take over 5 GB instrumented, and
+// TestExperimentTablesParallelEqualSequential races the pool on every
+// other experiment.
 func TestSmokeAll(t *testing.T) {
 	o := Options{Runs: 1, BaseSeed: 1}
+	if raceOn {
+		o.Parallel = 1
+	}
 	for _, id := range IDs() {
 		fn, ok := ByID(id)
 		if !ok {

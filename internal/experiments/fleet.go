@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"genesys/internal/platform"
 	"genesys/internal/workloads"
 )
 
@@ -25,14 +26,12 @@ func Fleet(o Options) *Table {
 		Header: []string{"seed", "class", "offered", "completed", "timeouts",
 			"p50 (us)", "p99 (us)", "min (us)", "max (us)", "anomalies", "bundles"},
 	}
-	for i := 0; i < o.runs(); i++ {
-		seed := o.BaseSeed + int64(i)
-		m := newMachine(o, seed, nil)
+	g := &grid{o: o}
+	rows := each(g, nil, func(m *platform.Machine, seed int64) [][]string {
 		cfg := workloads.DefaultFleetConfig(fleetSessions)
 		cfg.Seed = seed
 		rep, err := workloads.RunFleet(m, cfg)
 		if err != nil {
-			m.Shutdown()
 			panic(fmt.Sprint("fleet: ", err))
 		}
 		names := make([]string, 0, len(rep.Classes))
@@ -41,17 +40,24 @@ func Fleet(o Options) *Table {
 		}
 		sort.Strings(names)
 		fl := m.Obs.Flight
+		var rows [][]string
 		for _, n := range names {
 			c := rep.Classes[n]
-			t.AddRow(fmt.Sprint(seed), n,
+			rows = append(rows, []string{fmt.Sprint(seed), n,
 				fmt.Sprint(c.Offered), fmt.Sprint(c.Completed), fmt.Sprint(c.Timeouts),
 				fmt.Sprintf("%.1f", float64(c.P50Ns)/1e3),
 				fmt.Sprintf("%.1f", float64(c.P99Ns)/1e3),
 				fmt.Sprintf("%.1f", float64(c.MinNs)/1e3),
 				fmt.Sprintf("%.1f", float64(c.MaxNs)/1e3),
-				fmt.Sprint(fl.Anomalies()), fmt.Sprint(len(fl.Bundles())))
+				fmt.Sprint(fl.Anomalies()), fmt.Sprint(len(fl.Bundles()))})
 		}
-		m.Shutdown()
+		return rows
+	})
+	g.run()
+	for _, seedRows := range rows {
+		for _, r := range seedRows {
+			t.AddRow(r...)
+		}
 	}
 	return t
 }

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"genesys/internal/fault"
@@ -21,10 +22,19 @@ type Options struct {
 	Runs int
 	// BaseSeed is the first seed; run i uses BaseSeed+i.
 	BaseSeed int64
-	// Observe, when set, is called with every machine an experiment
-	// builds, right after construction — the hook the CLI uses to enable
-	// event-log tracing and to read the metrics registry afterwards.
+	// Parallel is the most data points simulated at once, each on its
+	// own machine (0 means runtime.GOMAXPROCS(0)). Rendered tables do
+	// not depend on it.
+	Parallel int
+	// Observe, when set, is called once with every machine an experiment
+	// builds, on the caller's goroutine and in submission order, after
+	// that machine's data point has run and the machine has shut down:
+	// the hook the CLI and the host benchmark read registries, tracers
+	// and flight recorders through.
 	Observe func(*platform.Machine)
+	// TraceFirst enables the event log of the first machine (in
+	// submission order) before it runs, so its timeline can be exported.
+	TraceFirst bool
 
 	// FaultProfile, when non-empty, arms fault injection with the named
 	// profile (see fault.Profiles) on every machine built; FaultRate sets
@@ -45,6 +55,14 @@ func (o Options) runs() int {
 		return 1
 	}
 	return o.Runs
+}
+
+// workers resolves Parallel to a worker count.
+func (o Options) workers() int {
+	if o.Parallel <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return o.Parallel
 }
 
 // Table is a rendered experiment result.
@@ -103,35 +121,99 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// newMachine builds a machine with the given seed and optional tweaks,
-// then hands it to the Observe hook, if any.
+// grid is one driver call's data points. A driver schedules every point
+// first, then calls run once, and only then reads results and renders
+// rows, so the rendered table does not depend on which point finished
+// first.
+type grid struct {
+	o      Options
+	points []point
+}
+
+// point is one data point: a machine built from seed and tweak, which
+// fn runs on a pool worker.
+type point struct {
+	seed  int64
+	tweak func(*platform.Config)
+	fn    func(*platform.Machine)
+	m     *platform.Machine // finished, until Observe has seen it
+}
+
+// add schedules one data point. fn must write only state that belongs
+// to this point.
+func (g *grid) add(seed int64, tweak func(*platform.Config), fn func(*platform.Machine)) {
+	g.points = append(g.points, point{seed: seed, tweak: tweak, fn: fn})
+}
+
+// each schedules fn once per seed and returns the slice its results
+// land in: in seed order, once g.run has returned.
+func each[R any](g *grid, tweak func(*platform.Config), fn func(m *platform.Machine, seed int64) R) []R {
+	out := make([]R, g.o.runs())
+	for i := range out {
+		seed := g.o.BaseSeed + int64(i)
+		g.add(seed, tweak, func(m *platform.Machine) { out[i] = fn(m, seed) })
+	}
+	return out
+}
+
+// run simulates every scheduled point on the worker pool, at most
+// o.Parallel at a time. Each worker builds its point's machine, runs fn
+// and shuts the machine down; Observe then sees the machines on this
+// goroutine in submission order.
+func (g *grid) run() {
+	work := func(i int) {
+		p := &g.points[i]
+		m := newMachine(g.o, p.seed, p.tweak)
+		if g.o.TraceFirst && i == 0 {
+			m.Obs.Events.SetEnabled(true)
+		}
+		p.fn(m)
+		m.Shutdown()
+		if g.o.Observe != nil {
+			p.m = m
+		}
+	}
+	var done func(int)
+	if g.o.Observe != nil {
+		done = func(i int) {
+			g.o.Observe(g.points[i].m)
+			g.points[i].m = nil
+		}
+	}
+	forEach(len(g.points), g.o.workers(), work, done)
+}
+
+// newMachine builds a machine with the given seed and optional tweaks.
 func newMachine(o Options, seed int64, tweak func(*platform.Config)) *platform.Machine {
 	cfg := platform.DefaultConfig()
 	cfg.Seed = seed
 	cfg.EventCap = o.EventCap
-	if o.FaultProfile != "" {
-		plan, err := fault.PlanFor(o.FaultProfile, o.FaultRate)
-		if err != nil {
-			panic(err)
-		}
-		cfg.Faults = &plan
-	}
+	armFaults(&cfg, o.FaultProfile, o.FaultRate)
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	m := platform.New(cfg)
-	if o.Observe != nil {
-		o.Observe(m)
-	}
-	return m
+	return platform.New(cfg)
 }
 
-// sweep runs fn once per seed and feeds the returned metric into a
-// Summary.
-func sweep(o Options, fn func(seed int64) float64) *sim.Summary {
+// armFaults arms cfg with the named fault profile at rate (0 selects
+// the profile's default); an empty profile leaves the machine fault-free.
+func armFaults(cfg *platform.Config, profile string, rate float64) {
+	cfg.Faults = nil
+	if profile == "" {
+		return
+	}
+	plan, err := fault.PlanFor(profile, rate)
+	if err != nil {
+		panic(err)
+	}
+	cfg.Faults = &plan
+}
+
+// summary folds per-seed values into a Summary, in seed order.
+func summary(vals []float64) *sim.Summary {
 	var s sim.Summary
-	for i := 0; i < o.runs(); i++ {
-		s.Add(fn(o.BaseSeed + int64(i)))
+	for _, v := range vals {
+		s.Add(v)
 	}
 	return &s
 }

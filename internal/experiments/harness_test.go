@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"genesys/internal/platform"
 	"genesys/internal/sim"
 )
 
@@ -56,14 +57,18 @@ func TestByIDAndIDsAgree(t *testing.T) {
 
 func TestSweepAndFormatters(t *testing.T) {
 	o := Options{Runs: 4, BaseSeed: 10}
-	var seeds []int64
-	s := sweep(o, func(seed int64) float64 {
-		seeds = append(seeds, seed)
+	g := &grid{o: o}
+	seeds := each(g, nil, func(m *platform.Machine, seed int64) float64 {
+		if m.Cfg.Seed != seed {
+			return -1
+		}
 		return float64(seed)
 	})
+	g.run()
 	if len(seeds) != 4 || seeds[0] != 10 || seeds[3] != 13 {
 		t.Fatalf("seeds = %v", seeds)
 	}
+	s := summary(seeds)
 	if s.Mean() != 11.5 {
 		t.Fatalf("mean = %v", s.Mean())
 	}

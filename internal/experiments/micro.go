@@ -46,25 +46,27 @@ func Table2Classification() *Table {
 
 // Table3Platform renders the simulated system configuration.
 func Table3Platform(o Options) *Table {
-	m := newMachine(o, 1, nil)
-	defer m.Shutdown()
 	t := &Table{
 		ID:     "table3",
 		Title:  "Simulated system configuration (Table III analogue)",
 		Header: []string{"component", "configuration"},
 	}
-	g, c := m.Cfg.GPU, m.Cfg.CPU
-	t.AddRow("CPU", fmt.Sprintf("%d cores @ %.1f GHz", c.Cores, float64(c.ClockMHz)/1000))
-	t.AddRow("Integrated GPU", fmt.Sprintf("%d CUs @ %d MHz, SIMD-%d, %d wavefronts/CU",
-		g.CUs, g.ClockMHz, g.SIMDWidth, g.WavefrontsPerCU))
-	t.AddRow("Active HW work-items", fmt.Sprint(m.GPU.HWWorkItems()))
-	t.AddRow("Syscall area", fmt.Sprintf("%d KiB (64 B/slot, one slot per active work-item)",
-		m.Genesys.AreaBytes()/1024))
-	t.AddRow("Memory", fmt.Sprintf("%.1f GB/s shared DRAM; GPU L2 %d lines",
-		m.Cfg.Mem.DRAMBandwidth, m.Cfg.Mem.L2Lines))
-	t.AddRow("Storage", fmt.Sprintf("SSD: %d channels x %.0f MB/s, %v command overhead",
-		m.Cfg.SSD.Channels, m.Cfg.SSD.ChannelBandwidth*1000, m.Cfg.SSD.CommandOverhead))
-	t.AddRow("OS", fmt.Sprintf("simulated Linux-like kernel, %d+ dynamic workers", m.Cfg.Kernel.Workers))
+	g := &grid{o: o}
+	g.add(1, nil, func(m *platform.Machine) {
+		gc, c := m.Cfg.GPU, m.Cfg.CPU
+		t.AddRow("CPU", fmt.Sprintf("%d cores @ %.1f GHz", c.Cores, float64(c.ClockMHz)/1000))
+		t.AddRow("Integrated GPU", fmt.Sprintf("%d CUs @ %d MHz, SIMD-%d, %d wavefronts/CU",
+			gc.CUs, gc.ClockMHz, gc.SIMDWidth, gc.WavefrontsPerCU))
+		t.AddRow("Active HW work-items", fmt.Sprint(m.GPU.HWWorkItems()))
+		t.AddRow("Syscall area", fmt.Sprintf("%d KiB (64 B/slot, one slot per active work-item)",
+			m.Genesys.AreaBytes()/1024))
+		t.AddRow("Memory", fmt.Sprintf("%.1f GB/s shared DRAM; GPU L2 %d lines",
+			m.Cfg.Mem.DRAMBandwidth, m.Cfg.Mem.L2Lines))
+		t.AddRow("Storage", fmt.Sprintf("SSD: %d channels x %.0f MB/s, %v command overhead",
+			m.Cfg.SSD.Channels, m.Cfg.SSD.ChannelBandwidth*1000, m.Cfg.SSD.CommandOverhead))
+		t.AddRow("OS", fmt.Sprintf("simulated Linux-like kernel, %d+ dynamic workers", m.Cfg.Kernel.Workers))
+	})
+	g.run()
 	return t
 }
 
@@ -78,11 +80,11 @@ func Table4AtomicCosts(o Options) *Table {
 			"the L1 at ~0.08 us. Ordering: cmp-swap > swap > atomic-load >> load.",
 		Header: []string{"op", "time (us)"},
 	}
-	for _, op := range []mem.Op{mem.OpCmpSwap, mem.OpSwap, mem.OpAtomicLoad, mem.OpLoad} {
-		op := op
-		s := sweep(o, func(seed int64) float64 {
-			m := newMachine(o, seed, nil)
-			defer m.Shutdown()
+	ops := []mem.Op{mem.OpCmpSwap, mem.OpSwap, mem.OpAtomicLoad, mem.OpLoad}
+	g := &grid{o: o}
+	times := make([][]float64, len(ops))
+	for i, op := range ops {
+		times[i] = each(g, nil, func(m *platform.Machine, _ int64) float64 {
 			const n = 200
 			var elapsed sim.Time
 			m.E.Spawn("probe", func(p *sim.Proc) {
@@ -101,7 +103,10 @@ func Table4AtomicCosts(o Options) *Table {
 			}
 			return (elapsed / n).Micro()
 		})
-		t.AddRow(op.String(), f2(s))
+	}
+	g.run()
+	for i, op := range ops {
+		t.AddRow(op.String(), f2(summary(times[i])))
 	}
 	return t
 }
@@ -122,15 +127,14 @@ func Fig7Granularity(o Options) *Table {
 			"larger work-groups help when per-call overheads matter.",
 		Header: []string{"file size", "work-item (ms)", "work-group (ms)", "kernel (ms)"},
 	}
-	for _, size := range fig7Sizes {
-		size := size
-		row := []string{fmt.Sprintf("%d MiB", size>>20)}
-		for _, gran := range []workloads.Granularity{workloads.GranWorkItem,
-			workloads.GranWorkGroup, workloads.GranKernel} {
-			gran := gran
-			s := sweep(o, func(seed int64) float64 {
-				m := newMachine(o, seed, nil)
-				defer m.Shutdown()
+	grans := []workloads.Granularity{workloads.GranWorkItem,
+		workloads.GranWorkGroup, workloads.GranKernel}
+	wgSizes := []int{64, 128, 256, 512, 1024}
+	g := &grid{o: o}
+	bySize := make([][][]float64, len(fig7Sizes))
+	for i, size := range fig7Sizes {
+		for _, gran := range grans {
+			bySize[i] = append(bySize[i], each(g, nil, func(m *platform.Machine, _ int64) float64 {
 				res, err := workloads.RunPread(m, workloads.PreadConfig{
 					FileSize: size, ChunkPerWI: 16 << 10, WGSize: 64,
 					Granularity: gran, Wait: core.WaitPoll,
@@ -139,19 +143,13 @@ func Fig7Granularity(o Options) *Table {
 					panic(fmt.Sprint("fig7: ", err, res.Validated))
 				}
 				return res.ReadTime.Milli()
-			})
-			row = append(row, ms(s))
+			}))
 		}
-		t.AddRow(row...)
 	}
 	// Right-hand side: work-group size sweep at small per-WI chunks.
-	t.AddRow("", "", "", "")
-	t.AddRow("-- WG size sweep --", "16 MiB file, 1 KiB/work-item", "", "")
-	for _, wg := range []int{64, 128, 256, 512, 1024} {
-		wg := wg
-		s := sweep(o, func(seed int64) float64 {
-			m := newMachine(o, seed, nil)
-			defer m.Shutdown()
+	byWG := make([][]float64, len(wgSizes))
+	for i, wg := range wgSizes {
+		byWG[i] = each(g, nil, func(m *platform.Machine, _ int64) float64 {
 			res, err := workloads.RunPread(m, workloads.PreadConfig{
 				FileSize: 16 << 20, ChunkPerWI: 1 << 10, WGSize: wg,
 				Granularity: workloads.GranWorkGroup, Wait: core.WaitPoll,
@@ -161,7 +159,19 @@ func Fig7Granularity(o Options) *Table {
 			}
 			return res.ReadTime.Milli()
 		})
-		t.AddRow(fmt.Sprintf("wg%d", wg), ms(s), "", "")
+	}
+	g.run()
+	for i, size := range fig7Sizes {
+		row := []string{fmt.Sprintf("%d MiB", size>>20)}
+		for _, vals := range bySize[i] {
+			row = append(row, ms(summary(vals)))
+		}
+		t.AddRow(row...)
+	}
+	t.AddRow("", "", "", "")
+	t.AddRow("-- WG size sweep --", "16 MiB file, 1 KiB/work-item", "", "")
+	for i, wg := range wgSizes {
+		t.AddRow(fmt.Sprintf("wg%d", wg), ms(summary(byWG[i])), "", "")
 	}
 	return t
 }
@@ -185,14 +195,12 @@ func Fig8BlockingOrdering(o Options) *Table {
 		{true, core.Strong}, {false, core.Strong},
 		{true, core.Relaxed}, {false, core.Relaxed},
 	}
-	for _, iters := range []int{1, 2, 4, 8, 16, 32} {
-		iters := iters
-		row := []string{fmt.Sprint(iters)}
+	iterations := []int{1, 2, 4, 8, 16, 32}
+	g := &grid{o: o}
+	cells := make([][][]float64, len(iterations))
+	for i, iters := range iterations {
 		for _, v := range variants {
-			v := v
-			s := sweep(o, func(seed int64) float64 {
-				m := newMachine(o, seed, nil)
-				defer m.Shutdown()
+			cells[i] = append(cells[i], each(g, nil, func(m *platform.Machine, _ int64) float64 {
 				res, err := workloads.RunPermute(m, workloads.PermuteConfig{
 					Blocks: 64, Iterations: iters,
 					Blocking: v.blocking, Ordering: v.ordering, Wait: core.WaitPoll,
@@ -201,8 +209,14 @@ func Fig8BlockingOrdering(o Options) *Table {
 					panic(fmt.Sprint("fig8: ", err))
 				}
 				return res.PerPermutation.Micro()
-			})
-			row = append(row, f2(s))
+			}))
+		}
+	}
+	g.run()
+	for i, iters := range iterations {
+		row := []string{fmt.Sprint(iters)}
+		for _, vals := range cells[i] {
+			row = append(row, f2(summary(vals)))
 		}
 		t.AddRow(row...)
 	}
@@ -219,22 +233,30 @@ func Fig9PollingContention(o Options) *Table {
 			"GPU L2 (4096 lines) and falls once polling spills to DRAM.",
 		Header: []string{"polled lines", "CPU accesses/s (M)", "GPU L2 miss rate"},
 	}
-	for _, lines := range []int{512, 1024, 2048, 4096, 8192, 16384, 32768} {
-		lines := lines
-		var miss float64
-		s := sweep(o, func(seed int64) float64 {
-			m := newMachine(o, seed, nil)
-			defer m.Shutdown()
+	type probe struct{ accesses, miss float64 }
+	polled := []int{512, 1024, 2048, 4096, 8192, 16384, 32768}
+	g := &grid{o: o}
+	probes := make([][]probe, len(polled))
+	for i, lines := range polled {
+		probes[i] = each(g, nil, func(m *platform.Machine, _ int64) probe {
 			res, err := workloads.RunPollProbe(m, workloads.PollProbeConfig{
 				PolledLines: lines, PollerWaves: 128, Duration: sim.Millisecond,
 			})
 			if err != nil {
 				panic(err)
 			}
-			miss = res.GPUL2MissRate
-			return res.CPUAccessesPerSec / 1e6
+			return probe{res.CPUAccessesPerSec / 1e6, res.GPUL2MissRate}
 		})
-		t.AddRow(fmt.Sprint(lines), f2(s), fmt.Sprintf("%.2f", miss))
+	}
+	g.run()
+	for i, lines := range polled {
+		var s sim.Summary
+		for _, p := range probes[i] {
+			s.Add(p.accesses)
+		}
+		// The miss rate shown is the last seed's.
+		miss := probes[i][len(probes[i])-1].miss
+		t.AddRow(fmt.Sprint(lines), f2(&s), fmt.Sprintf("%.2f", miss))
 	}
 	return t
 }
@@ -250,25 +272,30 @@ func Fig10Coalescing(o Options) *Table {
 			"reads; the benefit fades as per-call work grows.",
 		Header: []string{"bytes/call", "no coalescing (ns/B)", "coalesce ≤8 (ns/B)", "gain"},
 	}
-	for _, chunk := range []int64{128, 512, 2 << 10, 8 << 10, 64 << 10} {
-		chunk := chunk
-		run := func(window sim.Time, max int) *sim.Summary {
-			return sweep(o, func(seed int64) float64 {
-				m := newMachine(o, seed, nil)
-				defer m.Shutdown()
-				m.Genesys.SetCoalescing(window, max)
-				res, err := workloads.RunPread(m, workloads.PreadConfig{
-					FileSize: 4096 * chunk, ChunkPerWI: chunk, WGSize: 64,
-					Granularity: workloads.GranWorkItem, Wait: core.WaitHaltResume,
-				})
-				if err != nil || !res.Validated {
-					panic(fmt.Sprint("fig10: ", err))
-				}
-				return res.LatencyPerByte()
+	chunks := []int64{128, 512, 2 << 10, 8 << 10, 64 << 10}
+	g := &grid{o: o}
+	run := func(chunk int64, window sim.Time, max int) []float64 {
+		return each(g, nil, func(m *platform.Machine, _ int64) float64 {
+			m.Genesys.SetCoalescing(window, max)
+			res, err := workloads.RunPread(m, workloads.PreadConfig{
+				FileSize: 4096 * chunk, ChunkPerWI: chunk, WGSize: 64,
+				Granularity: workloads.GranWorkItem, Wait: core.WaitHaltResume,
 			})
-		}
-		off := run(0, 1)
-		on := run(50*sim.Microsecond, 8)
+			if err != nil || !res.Validated {
+				panic(fmt.Sprint("fig10: ", err))
+			}
+			return res.LatencyPerByte()
+		})
+	}
+	offs := make([][]float64, len(chunks))
+	ons := make([][]float64, len(chunks))
+	for i, chunk := range chunks {
+		offs[i] = run(chunk, 0, 1)
+		ons[i] = run(chunk, 50*sim.Microsecond, 8)
+	}
+	g.run()
+	for i, chunk := range chunks {
+		off, on := summary(offs[i]), summary(ons[i])
 		gain := "n/a"
 		if on.Mean() > 0 {
 			gain = fmt.Sprintf("%.1f%%", 100*(1-on.Mean()/off.Mean()))
@@ -287,5 +314,3 @@ func byteSize(n int64) string {
 	}
 	return fmt.Sprintf("%d B", n)
 }
-
-var _ = platform.DefaultConfig // keep import stable across edits

@@ -11,7 +11,8 @@ package experiments
 // (seeds in the order given, cases in emission order), never in
 // completion order, so everything downstream of the driver — file
 // writes and console lines — is deterministic even though scheduling
-// is not. Only the wall times reflect the actual execution.
+// is not. Only the wall times reflect the actual execution. The same
+// pool (forEach) runs experiment data points; see grid in harness.go.
 
 import (
 	"fmt"
@@ -21,6 +22,53 @@ import (
 	"sync"
 	"time"
 )
+
+// forEach is the package's one worker pool. It runs work(i) for every i
+// in [0, n) on at most workers goroutines, and calls done(i), when set,
+// on the calling goroutine in index order: as soon as unit i and every
+// unit before it have finished. Workers share nothing but the index feed
+// and whatever disjoint per-unit state work writes. At most 2×workers
+// units are started and not yet done, which bounds what finished units
+// waiting on a slower earlier one keep alive.
+func forEach(n, workers int, work, done func(i int)) {
+	if n == 0 {
+		return
+	}
+	workers = max(1, min(workers, n))
+	finished := make([]chan struct{}, n)
+	for i := range finished {
+		finished[i] = make(chan struct{})
+	}
+	inFlight := make(chan struct{}, 2*workers)
+	feed := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers + 1)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range feed {
+				work(i)
+				close(finished[i])
+			}
+		}()
+	}
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			inFlight <- struct{}{}
+			feed <- i
+		}
+		close(feed)
+	}()
+	for i := 0; i < n; i++ {
+		<-finished[i]
+		if done != nil {
+			done(i)
+		}
+		<-inFlight
+	}
+	wg.Wait()
+}
 
 // SuiteOptions parameterizes one bench-suite invocation.
 type SuiteOptions struct {
@@ -135,25 +183,7 @@ func RunBenchSuite(opt SuiteOptions) (*SuiteResult, error) {
 	}
 	start := time.Now()
 	workers := min(opt.Parallel, len(units))
-	// Worker pool over a shared index feed. Workers share nothing but
-	// the feed channel and their disjoint out/errs slots; each machine
-	// is built, run and distilled entirely inside one worker goroutine.
-	feed := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range feed {
-				runUnit(i)
-			}
-		}()
-	}
-	for i := range units {
-		feed <- i
-	}
-	close(feed)
-	wg.Wait()
+	forEach(len(units), workers, runUnit, nil)
 	wall := time.Since(start)
 	// First error in unit order, not completion order, so the reported
 	// failure is deterministic too.

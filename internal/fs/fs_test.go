@@ -462,8 +462,12 @@ func TestFramebufferLazyPixels(t *testing.T) {
 }
 
 // refWrite applies a pwrite of data at off to the reference model: a
-// plain slice that grows with explicit zero bytes.
+// plain slice that grows with explicit zero bytes. Writing nothing
+// leaves it alone, wherever off is.
 func refWrite(ref, data []byte, off int64) []byte {
+	if len(data) == 0 {
+		return ref
+	}
 	if end := off + int64(len(data)); end > int64(len(ref)) {
 		ref = append(ref, make([]byte, end-int64(len(ref)))...)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"genesys/internal/blockdev"
+	"genesys/internal/errno"
 	"genesys/internal/sim"
 )
 
@@ -133,6 +134,32 @@ func TestTruncateAllocatesNoData(t *testing.T) {
 				if n, err := f.ReadAt(&IOCtx{}, buf, off); err != nil || n != len(buf) || !bytes.Equal(buf, make([]byte, len(buf))) {
 					t.Fatalf("read at %d = %d, %v, or not all zeros", off, n, err)
 				}
+			}
+		})
+	}
+}
+
+// TestZeroLengthWriteKeepsSize: a pwrite or Share of no bytes past EOF
+// leaves the file as it was, as on Linux; a negative offset is still
+// EINVAL, and Truncate still grows the file.
+func TestZeroLengthWriteKeepsSize(t *testing.T) {
+	for _, c := range benchFileSystems() {
+		t.Run(c.name, func(t *testing.T) {
+			f := NewFile(c.newFile(), O_RDWR, "/f")
+			if n, err := f.Pwrite(&IOCtx{}, nil, 1000); n != 0 || err != nil {
+				t.Fatalf("pwrite(nil at 1000) = %d, %v; want 0, nil", n, err)
+			}
+			if err := Share(f.Node, 2*PageSize, nil); err != nil {
+				t.Fatalf("Share(nil at %d) = %v", 2*PageSize, err)
+			}
+			if got := f.Node.Size(); got != 0 {
+				t.Fatalf("size after zero-length writes = %d, want 0", got)
+			}
+			if _, err := f.Node.WriteAt(&IOCtx{}, nil, -1); err != errno.EINVAL {
+				t.Fatalf("WriteAt(nil at -1) = %v, want EINVAL", err)
+			}
+			if err := f.Node.Truncate(1000); err != nil || f.Node.Size() != 1000 {
+				t.Fatalf("Truncate(1000) = %v, size %d", err, f.Node.Size())
 			}
 		})
 	}

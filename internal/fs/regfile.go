@@ -81,10 +81,16 @@ func (f *regFile) ReadAt(io *IOCtx, b []byte, off int64) (int, error) {
 }
 
 func (f *regFile) WriteAt(io *IOCtx, b []byte, off int64) (int, error) {
+	if len(b) == 0 {
+		// Writing nothing checks the offset like any write but, as on
+		// Linux, leaves the size alone, even past EOF.
+		_, err := fileEnd(off, 0)
+		return 0, err
+	}
 	if err := f.store(b, off, false); err != nil {
 		return 0, err
 	}
-	if f.ssd != nil && io != nil && io.P != nil && len(b) > 0 {
+	if f.ssd != nil && io != nil && io.P != nil {
 		// Write-back cache: the pages become resident and the device
 		// write is charged at once (no dirty tracking).
 		f.markCached(off/PageSize, (off+int64(len(b))-1)/PageSize+1)
@@ -147,7 +153,7 @@ func (f *regFile) Truncate(size int64) error {
 // page before the first write into it or a shrinking Truncate that cuts
 // it, so data must not change after the call.
 func Share(n FileNode, off int64, data []byte) error {
-	if f, ok := n.(*regFile); ok {
+	if f, ok := n.(*regFile); ok && len(data) > 0 {
 		return f.store(data, off, true)
 	}
 	_, err := n.WriteAt(&IOCtx{}, data, off)
