@@ -39,8 +39,12 @@ func Breakdown(o Options) *Table {
 		tweak func(*platform.Config)
 	}
 	// Discrete GPU (§VI: "generalizes to discrete GPUs"): every phase
-	// that crosses PCIe gets more expensive.
-	dgpu := func(c *platform.Config) { *c = platform.DiscreteGPUConfig() }
+	// that crosses PCIe gets more expensive. Only the GPU and memory
+	// change; the point's seed, faults and event cap stay.
+	dgpu := func(c *platform.Config) {
+		d := platform.DiscreteGPUConfig()
+		c.GPU, c.Mem = d.GPU, d.Mem
+	}
 	configs := []config{
 		{"idle, polling", core.WaitPoll, 1, nil},
 		{"idle, halt-resume", core.WaitHaltResume, 1, nil},

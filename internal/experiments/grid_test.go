@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
 
+	"genesys/internal/fault"
 	"genesys/internal/platform"
 	"genesys/internal/sim"
 )
@@ -123,6 +125,40 @@ func TestObserveAfterFinishInOrder(t *testing.T) {
 	}
 	if seqTotal == 0 || seqTotal != parTotal {
 		t.Fatalf("genesys.invocations summed %d at parallel 1 and %d at parallel 4", seqTotal, parTotal)
+	}
+}
+
+// TestBreakdownMachinesKeepOptions: every breakdown machine, the
+// discrete-GPU ones included, carries its point's seed, the run's fault
+// plan and event cap; only the discrete-GPU rows change the GPU and
+// memory model.
+func TestBreakdownMachinesKeepOptions(t *testing.T) {
+	const profile, rate, eventCap = "worker-stall", 0.2, 32
+	plan, err := fault.PlanFor(profile, rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dgpu := platform.DiscreteGPUConfig()
+	var cfgs []platform.Config
+	Breakdown(Options{Runs: 2, BaseSeed: 5, FaultProfile: profile, FaultRate: rate,
+		EventCap: eventCap, Observe: func(m *platform.Machine) { cfgs = append(cfgs, m.Cfg) }})
+	if len(cfgs) != 6*2 {
+		t.Fatalf("Observe got %d machines, want 12", len(cfgs))
+	}
+	for i, c := range cfgs {
+		if want := int64(5 + i%2); c.Seed != want {
+			t.Errorf("machine %d: seed %d, want %d", i, c.Seed, want)
+		}
+		if !reflect.DeepEqual(c.Faults, &plan) {
+			t.Errorf("machine %d: fault plan %+v, want %+v", i, c.Faults, plan)
+		}
+		if c.EventCap != eventCap {
+			t.Errorf("machine %d: event cap %d, want %d", i, c.EventCap, eventCap)
+		}
+		discrete := i >= 4*2
+		if got := c.GPU == dgpu.GPU && c.Mem == dgpu.Mem; got != discrete {
+			t.Errorf("machine %d: discrete GPU and memory %v, want %v", i, got, discrete)
+		}
 	}
 }
 

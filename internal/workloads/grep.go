@@ -1,12 +1,12 @@
 package workloads
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
-	"strings"
 
 	"genesys/internal/core"
 	"genesys/internal/cpu"
@@ -78,6 +78,9 @@ func DefaultGrepConfig(v GrepVariant) GrepConfig {
 	}
 }
 
+// grepChunk is the size of each read a grep variant issues.
+const grepChunk = 64 << 10
+
 // GrepResult reports one run.
 type GrepResult struct {
 	Runtime sim.Time
@@ -125,6 +128,7 @@ func noiseFill(rng *rand.Rand, b []byte) {
 type GrepCorpus struct {
 	key      grepKey
 	words    []string
+	scan     *matcher // finds words
 	names    []string // sorted
 	files    map[string][]byte
 	expected []string // sorted
@@ -148,6 +152,7 @@ func NewGrepCorpus(cfg GrepConfig) *GrepCorpus {
 	for i := range c.words {
 		c.words[i] = fmt.Sprintf("needle%02dxq", i)
 	}
+	c.scan = newMatcher(c.words)
 	for f := 0; f < cfg.Files; f++ {
 		name := fmt.Sprintf("file%03d.txt", f)
 		data := make([]byte, cfg.FileBytes)
@@ -177,17 +182,79 @@ func (c *GrepCorpus) fits(cfg GrepConfig) error {
 	return nil
 }
 
-// scanChunk reports the offset of the first occurrence of any word in
-// chunk, or -1.
-func scanChunk(chunk []byte, words []string) int {
-	best := -1
-	s := string(chunk)
+// matcher finds the earliest offset at which any of a fixed set of words
+// starts, in one left-to-right pass: exactly the minimum over the words'
+// strings.Index results. It is only read after newMatcher returns, so
+// concurrent runs may share it.
+type matcher struct {
+	long   []string  // words of two bytes or more
+	maxLen int       // longest word's length
+	empty  bool      // some word is empty: it matches at offset 0
+	first  int       // the first byte of every word, or -1
+	single [256]bool // one-byte words
+	// pairs has bit a<<8|b set when some word starts with bytes a, b.
+	pairs [1 << 16 / 64]uint64
+}
+
+func newMatcher(words []string) *matcher {
+	m := &matcher{first: -1}
+	shared := true
 	for _, w := range words {
-		if i := strings.Index(s, w); i >= 0 && (best < 0 || i < best) {
-			best = i
+		m.maxLen = max(m.maxLen, len(w))
+		switch len(w) {
+		case 0:
+			m.empty = true
+			continue
+		case 1:
+			m.single[w[0]] = true
+		default:
+			m.long = append(m.long, w)
+			p := uint16(w[0])<<8 | uint16(w[1])
+			m.pairs[p/64] |= 1 << (p % 64)
+		}
+		if m.first < 0 {
+			m.first = int(w[0])
+		}
+		shared = shared && int(w[0]) == m.first
+	}
+	if !shared {
+		m.first = -1
+	}
+	return m
+}
+
+// index reports the offset of the first occurrence of any word in b, or
+// -1. Candidates are positions whose first two bytes begin some word
+// (found with bytes.IndexByte when every word shares its first byte);
+// only those are compared against whole words.
+func (m *matcher) index(b []byte) int {
+	if m.empty {
+		return 0
+	}
+	for i := 0; i < len(b); i++ {
+		if m.first >= 0 {
+			j := bytes.IndexByte(b[i:], byte(m.first))
+			if j < 0 {
+				return -1
+			}
+			i += j
+		}
+		if m.single[b[i]] {
+			return i
+		}
+		if i+1 == len(b) {
+			break
+		}
+		if p := uint16(b[i])<<8 | uint16(b[i+1]); m.pairs[p/64]&(1<<(p%64)) == 0 {
+			continue
+		}
+		for _, w := range m.long {
+			if len(w) <= len(b)-i && string(b[i:i+len(w)]) == w {
+				return i
+			}
 		}
 	}
-	return best
+	return -1
 }
 
 // RunGrep executes one grep variant over c, which must have been built
@@ -207,9 +274,9 @@ func RunGrep(m *platform.Machine, cfg GrepConfig, c *GrepCorpus) (GrepResult, er
 	var runtime sim.Time
 	switch cfg.Variant {
 	case GrepCPU, GrepOpenMP:
-		runtime = runGrepCPU(m, pr, cfg, c.words, c.names)
+		runtime = runGrepCPU(m, pr, cfg, c.scan, c.names)
 	default:
-		runtime = runGrepGPU(m, cfg, c.words, c.names)
+		runtime = runGrepGPU(m, cfg, c.scan, c.names)
 	}
 	res.Runtime = runtime
 	res.Found = m.OS.Console.Lines()
@@ -219,7 +286,7 @@ func RunGrep(m *platform.Machine, cfg GrepConfig, c *GrepCorpus) (GrepResult, er
 
 // runGrepCPU runs the serial or OpenMP-parallel host implementation.
 func runGrepCPU(m *platform.Machine, pr *oskern.Process, cfg GrepConfig,
-	words, names []string) sim.Time {
+	scan *matcher, names []string) sim.Time {
 	threads := 1
 	if cfg.Variant == GrepOpenMP {
 		threads = cfg.CPUThreads
@@ -233,7 +300,7 @@ func runGrepCPU(m *platform.Machine, pr *oskern.Process, cfg GrepConfig,
 		for t := 0; t < threads; t++ {
 			pr.Spawn(fmt.Sprintf("omp%d", t), func(tp *sim.Proc) {
 				io := &fs.IOCtx{P: tp, CPU: m.CPU, Prio: cpu.PrioNormal}
-				buf := make([]byte, 64<<10)
+				buf := make([]byte, grepChunk)
 				for {
 					if next >= len(names) {
 						break
@@ -253,7 +320,7 @@ func runGrepCPU(m *platform.Machine, pr *oskern.Process, cfg GrepConfig,
 						chunk := buf[:carry+n]
 						// Multi-pattern scan cost on this core.
 						m.CPU.Exec(tp, sim.Time(float64(len(chunk))/cfg.CPUScanBytesPerNS), cpu.PrioNormal)
-						if scanChunk(chunk, words) >= 0 {
+						if scan.index(chunk) >= 0 {
 							line := name + "\n"
 							stdout, _ := pr.FDs.Get(1)
 							stdout.Write(io, []byte(line))
@@ -295,7 +362,7 @@ func copyTail(buf, chunk []byte, keep int) int {
 // the finding work-item prints the file name — at work-group granularity
 // or directly at work-item granularity with the configured wait mode
 // (the paper's WG / WI-polling / WI-halt-resume variants).
-func runGrepGPU(m *platform.Machine, cfg GrepConfig, words, names []string) sim.Time {
+func runGrepGPU(m *platform.Machine, cfg GrepConfig, scan *matcher, names []string) sim.Time {
 	g := m.Genesys
 	var runtime sim.Time
 	m.E.Spawn("host", func(p *sim.Proc) {
@@ -305,11 +372,10 @@ func runGrepGPU(m *platform.Machine, cfg GrepConfig, words, names []string) sim.
 			WorkGroups: len(names),
 			WGSize:     256,
 			Fn: func(w *gpu.Wavefront) {
-				const chunkSize = 64 << 10
 				name := names[w.WG.ID]
 				sh := w.WG.Shared
 				if w.IsLeader() {
-					sh["buf"] = make([]byte, chunkSize)
+					sh["buf"] = make([]byte, grepChunk)
 				}
 				// Leader opens the file; the producer-relaxed barrier
 				// (Bar2) publishes the descriptor to the group.
@@ -324,12 +390,16 @@ func runGrepGPU(m *platform.Machine, cfg GrepConfig, words, names []string) sim.
 				}
 				fd := sh["fd"].(uint64)
 				buf := sh["buf"].([]byte)
+				// The leader keeps the previous chunk's last keep bytes,
+				// so a word straddling two chunks is found too.
+				keep := max(scan.maxLen-1, 0)
+				var tail []byte
 
 				matched := false
-				for off := int64(0); off < int64(cfg.FileBytes) && !matched; off += chunkSize {
+				for off := int64(0); off < int64(cfg.FileBytes) && !matched; off += grepChunk {
 					if r, inv := g.InvokeWG(w, syscalls.Request{
 						NR:   syscalls.SYS_pread64,
-						Args: [6]uint64{fd, chunkSize, uint64(off)},
+						Args: [6]uint64{fd, grepChunk, uint64(off)},
 						Buf:  buf,
 					}, openOpts); inv {
 						sh["n"] = r.Ret
@@ -339,15 +409,26 @@ func runGrepGPU(m *platform.Machine, cfg GrepConfig, words, names []string) sim.
 						break
 					}
 					// Parallel scan: the work-group covers the chunk
-					// cooperatively; the leader publishes the result at
-					// the reduction barrier.
+					// cooperatively; the leader publishes the match's
+					// file offset (or -1) at the reduction barrier.
 					w.ComputeTime(sim.Time(float64(n) / cfg.GPUScanBytesPerNS))
 					if w.IsLeader() {
-						sh["pos"] = scanChunk(buf[:n], words)
+						chunk := buf[:n]
+						at := int64(-1)
+						if i := scan.index(chunk); i >= 0 {
+							at = off + int64(i)
+						} else if i := scan.index(append(tail, chunk[:min(len(chunk), keep)]...)); i >= 0 {
+							// The window is the previous chunk's tail and
+							// this chunk's head; neither holds a word
+							// alone, so this one began in the tail.
+							at = off - int64(len(tail)) + int64(i)
+						}
+						tail = append(tail[:0], chunk[len(chunk)-min(len(chunk), keep):]...)
+						sh["at"] = at
 					}
 					w.Barrier()
-					pos := sh["pos"].(int)
-					if pos < 0 {
+					at := sh["at"].(int64)
+					if at < 0 {
 						continue
 					}
 					matched = true
@@ -364,7 +445,10 @@ func runGrepGPU(m *platform.Machine, cfg GrepConfig, words, names []string) sim.
 						// Work-item invocation: the finding work-item
 						// writes immediately, with no group barrier
 						// (grep -l needs nothing further from this file).
-						finderWI := pos % w.WG.Run.WGSize
+						// Chunks start at multiples of the group size, so
+						// this is the work-item that scanned the word's
+						// first byte.
+						finderWI := int(at % int64(w.WG.Run.WGSize))
 						if w.ID == finderWI/64 {
 							wait := core.WaitPoll
 							if cfg.Variant == GrepGPUWorkItemHalt {
