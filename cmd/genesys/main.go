@@ -215,7 +215,7 @@ func runCmd(args []string) {
 	}
 
 	if *critpath {
-		if firstGenesys == nil || firstGenesys.Tracer() == nil {
+		if firstGenesys == nil {
 			fmt.Fprintln(os.Stderr, "critpath: no traced machine")
 		} else {
 			fmt.Println(firstGenesys.Tracer().CritPath())

@@ -114,9 +114,9 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// Decode parses and version-checks a snapshot, verifying every
-// section's digest against its payload (corruption surfaces at load,
-// not as a confusing restore mismatch).
+// Decode parses and version-checks a snapshot, rejects a negative cut
+// instant, and verifies every section's digest against its payload
+// (corruption surfaces at load, not as a confusing restore mismatch).
 func Decode(data []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
@@ -124,6 +124,9 @@ func Decode(data []byte) (*Snapshot, error) {
 	}
 	if s.Version != Version {
 		return nil, fmt.Errorf("ckpt: snapshot version %d, want %d", s.Version, Version)
+	}
+	if s.CutAt < 0 {
+		return nil, fmt.Errorf("ckpt: cut_at_ns %d is negative", s.CutAt)
 	}
 	for _, sec := range s.Sections {
 		if d := digest(sec.Data); d != sec.Digest {

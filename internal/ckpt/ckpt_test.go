@@ -82,6 +82,14 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := Decode(b3); err == nil {
 		t.Error("future-version snapshot decoded clean")
 	}
+	// So is a cut before time zero, which would have FastForward rewind
+	// the clock.
+	s.Version = Version
+	s.CutAt = -1
+	b4, _ := s.Encode()
+	if _, err := Decode(b4); err == nil || !strings.Contains(err.Error(), "cut_at_ns -1") {
+		t.Errorf("negative cut decoded: err=%v", err)
+	}
 }
 
 func TestWriteLoad(t *testing.T) {

@@ -348,6 +348,7 @@ func New(e *sim.Engine, dev *gpu.Device, os *oskern.OS, m *mem.System,
 		kernelProcs: make(map[*gpu.KernelRun]*oskern.Process),
 		retx:        make(map[doorbell]*retxState),
 		orphans:     make(map[int]uint64),
+		tracer:      newTracer(),
 	}
 	if g.cfg.RetransmitTimeout <= 0 {
 		g.cfg.RetransmitTimeout = 500 * sim.Microsecond
@@ -487,9 +488,6 @@ func (g *Genesys) registerSysfs() {
 		},
 	})
 	g.OS.SysfsRoot.Add("critpath", &fs.GenFile{Gen: func() []byte {
-		if g.tracer == nil {
-			return []byte("no tracer attached\n")
-		}
 		return []byte(g.tracer.CritPath())
 	}})
 	g.OS.SysfsRoot.Add("stats", &fs.GenFile{Gen: func() []byte {
@@ -1006,9 +1004,9 @@ func (g *Genesys) flushPending() {
 func (g *Genesys) enqueueBatch(waves []doorbell) {
 	g.Batches.Inc()
 	g.BatchedWaves.Add(int64(len(waves)))
-	// Stamp unconditionally (stamping is free in virtual time): a tracer
-	// attached mid-run must see fully-stamped traces, not a zero enqueued
-	// stamp that yields hugely negative delivery-phase samples. Only the
+	// Stamp unconditionally (stamping is free in virtual time): the
+	// tracer must see fully-stamped traces, not a zero enqueued stamp
+	// that yields hugely negative delivery-phase samples. Only the
 	// ringing generation's slots are stamped — ready slots of another
 	// tenancy on the same hardware wavefront ride their own doorbell.
 	for _, db := range waves {

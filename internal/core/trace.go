@@ -33,9 +33,8 @@ func Phases() []string { return append([]string(nil), phaseNames[:]...) }
 // slot-claim time (the causal flow ID in exported traces), the syscall
 // number, the hardware wavefront that issued it and the OS worker that
 // processed it. Every stamp is written unconditionally — stamping is
-// free in virtual time — so a tracer attached mid-run only ever sees
-// fully-stamped traces and never computes a negative phase from an
-// unset (zero) field.
+// free in virtual time — so the tracer only ever sees fully-stamped
+// traces and never computes a negative phase from an unset (zero) field.
 type callTrace struct {
 	id   uint64 // trace ID, assigned at slot claim
 	nr   int    // syscall number
@@ -74,32 +73,31 @@ func (c callTrace) stamped() bool {
 }
 
 // nrStat aggregates per-syscall-number statistics for the critical-path
-// table: call counts, per-phase latency sums and the end-to-end
-// histogram.
+// table: the end-to-end histogram of completed calls (its count and sum
+// are the call count and summed latency), per-phase latency sums and
+// the aborted count.
 type nrStat struct {
-	calls   int
 	aborted int
 	phase   [len(phaseNames)]float64 // per-phase summed latency (us)
-	totalUS float64
 	hist    *obs.Histogram
 }
 
-// Tracer aggregates per-phase latency histograms across traced system
-// calls. Attach with Genesys.SetTracer; it costs nothing in virtual
-// time. Each phase reports mean and p50/p95/p99 (Figure 2 / Table IV
-// style percentile breakdowns); per-syscall-number stats feed the
-// critical-path attribution table (CritPath, /sys/genesys/critpath).
+// Tracer aggregates per-phase latency histograms across the machine's
+// system calls. Every GENESYS instance owns one from construction; it
+// costs nothing in virtual time. Each phase reports mean and
+// p50/p95/p99 (Figure 2 / Table IV style percentile breakdowns);
+// per-syscall-number stats feed the critical-path attribution table
+// (CritPath, /sys/genesys/critpath) and the flight recorder's
+// latency-outlier detector.
 type Tracer struct {
 	hist    [len(phaseNames)]*obs.Histogram // per phase, phaseNames order
 	total   *obs.Histogram                  // end-to-end per-call latency
-	n       int
 	skipped int
 	aborted int
 	byNR    map[int]*nrStat
 }
 
-// NewTracer returns an empty tracer.
-func NewTracer() *Tracer {
+func newTracer() *Tracer {
 	t := &Tracer{total: obs.NewHistogram(), byNR: make(map[int]*nrStat)}
 	for i := range t.hist {
 		t.hist[i] = obs.NewHistogram()
@@ -116,7 +114,11 @@ func (t *Tracer) nrStatFor(nr int) *nrStat {
 	return st
 }
 
-func (t *Tracer) record(c callTrace) {
+// record aggregates one finished call trace. For a completed call it
+// returns the sample count and p99 of the call's per-syscall latency
+// distribution as they stood before this call joined it: the baseline
+// the flight recorder's latency-outlier detector compares against.
+func (t *Tracer) record(c callTrace) (n int, p99 float64) {
 	if c.aborted {
 		// The retransmit watchdog surfaced EINTR after MaxRetransmits:
 		// the call never reached a worker, so only the phases that
@@ -131,18 +133,17 @@ func (t *Tracer) record(c callTrace) {
 		if c.enqueued >= c.ready && c.enqueued > 0 {
 			t.hist[1].Add((c.enqueued - c.ready).Micro()) // delivery
 		}
-		return
+		return 0, 0
 	}
 	if !c.stamped() {
 		// Incompletely-stamped trace (defensive: should not happen now
 		// that stamping is unconditional) — never emit garbage samples.
 		t.skipped++
-		return
+		return 0, 0
 	}
 	if c.harvest == 0 {
 		c.harvest = c.done // non-blocking: no harvest step
 	}
-	t.n++
 	samples := [len(phaseNames)]float64{
 		(c.ready - c.claim).Micro(),
 		(c.enqueued - c.ready).Micro(),
@@ -151,19 +152,19 @@ func (t *Tracer) record(c callTrace) {
 		(c.harvest - c.done).Micro(),
 	}
 	st := t.nrStatFor(c.nr)
-	st.calls++
+	n, p99 = st.hist.N(), st.hist.Quantile(99)
 	for i, v := range samples {
 		t.hist[i].Add(v)
 		st.phase[i] += v
 	}
 	totalUS := (c.harvest - c.claim).Micro()
 	t.total.AddEx(totalUS, c.id, c.harvest)
-	st.totalUS += totalUS
 	st.hist.AddEx(totalUS, c.id, c.harvest)
+	return n, p99
 }
 
 // Calls returns how many system calls were traced.
-func (t *Tracer) Calls() int { return t.n }
+func (t *Tracer) Calls() int { return t.total.N() }
 
 // Skipped returns how many call traces were rejected for missing or
 // non-monotonic stamps.
@@ -199,7 +200,7 @@ func (t *Tracer) TotalMean() float64 {
 // String renders the breakdown table with mean and percentiles.
 func (t *Tracer) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "syscall latency breakdown over %d calls (us):\n", t.n)
+	fmt.Fprintf(&b, "syscall latency breakdown over %d calls (us):\n", t.Calls())
 	fmt.Fprintf(&b, "  %-11s %8s  %6s  %8s %8s %8s\n",
 		"phase", "mean", "share", "p50", "p95", "p99")
 	total := t.TotalMean()
@@ -217,7 +218,7 @@ func (t *Tracer) String() string {
 	q := t.total.Percentiles(50, 95, 99)
 	fmt.Fprintf(&b, "  %-11s %8.2f  %6s  %8.2f %8.2f %8.2f\n",
 		"total", total, "", q[0], q[1], q[2])
-	if t.n > 0 {
+	if t.Calls() > 0 {
 		fmt.Fprintf(&b, "  total range min=%.2f max=%.2f us\n",
 			t.total.Min(), t.total.Max())
 	}
@@ -238,12 +239,12 @@ func (t *Tracer) String() string {
 // time.
 func (t *Tracer) CritPath() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "critical-path attribution over %d traced call(s)", t.n)
+	fmt.Fprintf(&b, "critical-path attribution over %d traced call(s)", t.Calls())
 	if t.aborted > 0 {
 		fmt.Fprintf(&b, " (+%d aborted)", t.aborted)
 	}
 	b.WriteString(":\n")
-	if t.n == 0 && t.aborted == 0 {
+	if t.Calls() == 0 && t.aborted == 0 {
 		b.WriteString("  no traced calls yet\n")
 		return b.String()
 	}
@@ -261,14 +262,15 @@ func (t *Tracer) CritPath() string {
 	var sumPhases, sumTotal float64
 	for _, nr := range nrs {
 		st := t.byNR[nr]
-		fmt.Fprintf(&b, "  %-16s %6d %5d", syscalls.Name(nr), st.calls, st.aborted)
-		if st.calls == 0 {
+		calls, totalUS := st.hist.N(), st.hist.Sum()
+		fmt.Fprintf(&b, "  %-16s %6d %5d", syscalls.Name(nr), calls, st.aborted)
+		if calls == 0 {
 			b.WriteString("  (all aborted before processing)\n")
 			continue
 		}
 		q := st.hist.Percentiles(95, 99)
 		fmt.Fprintf(&b, " %9.2f %9.2f %9.2f %9.2f %9.2f",
-			st.totalUS/float64(st.calls), q[0], q[1], st.hist.Min(), st.hist.Max())
+			totalUS/float64(calls), q[0], q[1], st.hist.Min(), st.hist.Max())
 		dom, domShare := 0, -1.0
 		for i := range st.phase {
 			if st.phase[i] > domShare {
@@ -276,12 +278,12 @@ func (t *Tracer) CritPath() string {
 			}
 			sumPhases += st.phase[i]
 		}
-		sumTotal += st.totalUS
+		sumTotal += totalUS
 		fmt.Fprintf(&b, "  %-11s", phaseNames[dom])
 		for i := range st.phase {
 			share := 0.0
-			if st.totalUS > 0 {
-				share = 100 * st.phase[i] / st.totalUS
+			if totalUS > 0 {
+				share = 100 * st.phase[i] / totalUS
 			}
 			fmt.Fprintf(&b, " %7.1f", share)
 		}
@@ -324,10 +326,7 @@ func shortPhase(ph string) string {
 	}
 }
 
-// SetTracer attaches (or with nil, detaches) a latency tracer.
-func (g *Genesys) SetTracer(t *Tracer) { g.tracer = t }
-
-// Tracer returns the attached tracer, if any.
+// Tracer returns the machine's latency tracer.
 func (g *Genesys) Tracer() *Tracer { return g.tracer }
 
 // SetEventLog attaches the machine's structured event log; completed
@@ -336,22 +335,21 @@ func (g *Genesys) Tracer() *Tracer { return g.tracer }
 // completing slot).
 func (g *Genesys) SetEventLog(l *obs.EventLog) { g.events = l }
 
-// finishTrace routes one completed call trace to the attached tracer
-// and, when event logging is enabled, emits its life-cycle spans, each
-// placed on the synthetic process/thread where that phase ran and
-// linked by the call's trace ID into one causal flow chain.
+// finishTrace routes one completed call trace to the tracer and, when
+// span capture is active, emits its life-cycle spans, each placed on the
+// synthetic process/thread where that phase ran and linked by the
+// call's trace ID into one causal flow chain.
 func (g *Genesys) finishTrace(s *Slot) {
-	if g.tracer != nil {
-		g.tracer.record(s.trace)
-	}
-	g.noteDone(s)
 	c := s.trace
+	n, p99 := g.tracer.record(c)
+	g.noteDone(s)
 	name := syscalls.Name(c.nr)
 	if g.events.CaptureActive() {
 		g.emitSpans(s, c, name)
 	}
 	// Flight detectors run after span emission so a triggered bundle's
-	// filtered trace already contains this call's complete chain. Pure
+	// filtered trace already contains this call's complete chain, and
+	// after record so its critpath snapshot counts this call. Pure
 	// accounting: no virtual-time or randomness side effects.
 	if g.flight != nil {
 		if c.aborted {
@@ -361,7 +359,7 @@ func (g *Genesys) finishTrace(s *Slot) {
 			if end == 0 {
 				end = c.done
 			}
-			g.flight.NoteCall(name, c.nr, c.id, (end - c.claim).Micro(), end)
+			g.flight.NoteCall(name, c.id, (end - c.claim).Micro(), end, n, p99)
 		}
 	}
 }

@@ -14,7 +14,7 @@ func TestRecordSkipsPartialTraces(t *testing.T) {
 	full := callTrace{claim: us(1), ready: us(2), enqueued: us(7),
 		picked: us(9), done: us(11), harvest: us(13)}
 
-	tr := NewTracer()
+	tr := newTracer()
 	tr.record(full)
 	if tr.Calls() != 1 || tr.Skipped() != 0 {
 		t.Fatalf("full trace: calls=%d skipped=%d", tr.Calls(), tr.Skipped())

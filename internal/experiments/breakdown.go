@@ -58,8 +58,6 @@ func Breakdown(o Options) *Table {
 	for i, c := range configs {
 		tracers[i] = each(g, c.tweak, func(m *platform.Machine, _ int64) *core.Tracer {
 			pr := m.NewProcess("bd")
-			tr := core.NewTracer()
-			m.Genesys.SetTracer(tr)
 			f, err := m.VFS.Open("/tmp/bd", 0x42)
 			if err != nil {
 				panic(err)
@@ -85,7 +83,7 @@ func Breakdown(o Options) *Table {
 			if err := m.Run(); err != nil {
 				panic(err)
 			}
-			return tr
+			return m.Genesys.Tracer()
 		})
 	}
 	g.run()

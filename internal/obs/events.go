@@ -99,15 +99,16 @@ type EventLog struct {
 	procNames   map[int]string
 	threadNames map[[2]int]string // (pid, tid) → name
 
-	// flight, when set, receives every flow-tagged span — even while the
-	// ring itself is disabled — so the always-on flight recorder sees
+	// flight, when not nil, receives every flow-tagged span — even while
+	// the ring itself is disabled — so the always-on flight recorder sees
 	// causal chains without the cost of full event retention.
 	flight *Flight
 }
 
 // NewEventLog returns a disabled log holding up to capacity events
-// (DefaultEventCap if capacity <= 0).
-func NewEventLog(capacity int) *EventLog {
+// (DefaultEventCap if capacity <= 0) that tees flow-tagged spans to the
+// flight recorder f (none if f is nil).
+func NewEventLog(capacity int, f *Flight) *EventLog {
 	if capacity <= 0 {
 		capacity = DefaultEventCap
 	}
@@ -115,6 +116,7 @@ func NewEventLog(capacity int) *EventLog {
 		capacity:    capacity,
 		procNames:   make(map[int]string),
 		threadNames: make(map[[2]int]string),
+		flight:      f,
 	}
 }
 
@@ -128,47 +130,12 @@ func (l *EventLog) SetEnabled(on bool) {
 // Enabled reports whether the log is recording.
 func (l *EventLog) Enabled() bool { return l != nil && l.enabled }
 
-// SetFlight attaches a flight recorder; flow-tagged spans are teed to it
-// from then on, independent of the ring's enabled state.
-func (l *EventLog) SetFlight(f *Flight) {
-	if l != nil {
-		l.flight = f
-	}
-}
-
 // CaptureActive reports whether span emission has any consumer — the
-// ring itself or an attached flight recorder. Instrumented paths that
+// ring itself or the log's flight recorder. Instrumented paths that
 // build spans conditionally should gate on this, not Enabled, so the
 // always-on flight recorder keeps seeing causal chains in untraced runs.
 func (l *EventLog) CaptureActive() bool {
 	return l != nil && (l.enabled || l.flight != nil)
-}
-
-// SetCapacity resizes the ring to hold up to n events (DefaultEventCap
-// if n <= 0), preserving the newest retained events that fit. Intended
-// for configuration before a run; resizing mid-run keeps the most
-// recent window.
-func (l *EventLog) SetCapacity(n int) {
-	if l == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultEventCap
-	}
-	if n == l.capacity {
-		return
-	}
-	l.capacity = n
-	if l.buf == nil {
-		return // nothing recorded yet: the first push allocates n
-	}
-	evs := l.Events() // oldest-first
-	if len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	l.buf = make([]Event, len(evs), n)
-	copy(l.buf, evs)
-	l.head = 0 // if already full, the next overwrite hits the oldest event
 }
 
 // Capacity returns the ring's event capacity.

@@ -13,7 +13,7 @@ import (
 // retention ring over the causal spans the core tracer already emits,
 // plus deterministic anomaly detectors that write a diagnostic Bundle
 // on trigger. It runs even when the full event log is disabled — the
-// EventLog tees flow-tagged spans here (SetFlight) — so an untraced
+// EventLog it is built into tees flow-tagged spans here — so an untraced
 // production-style run still captures the window around a misbehavior.
 //
 // Everything is pure accounting in virtual time: detectors never
@@ -22,15 +22,11 @@ import (
 // fixed seed the emitted bundles are byte-identical across runs (gated
 // by the double-run CI determinism check).
 type Flight struct {
-	cfg FlightConfig
-
 	chains    map[uint64]*chain
 	order     []uint64 // insertion (trace-claim) order, oldest first (live from orderHead)
 	orderHead int      // index of the oldest live entry in order
 	free      []*chain // evicted chains recycled to keep the tee allocation-free
 	last      *chain   // chain of the previous span; a call's spans arrive back to back
-
-	byNR map[int]*Histogram // running per-NR total-latency distribution
 
 	// SLO burn-rate sliding window over recent request outcomes.
 	burn      []burnSample
@@ -48,50 +44,35 @@ type Flight struct {
 	lastAt     sim.Time
 }
 
-// FlightConfig bounds the recorder's memory and tunes the detectors.
-// All thresholds are deterministic functions of virtual-time history.
-type FlightConfig struct {
-	// ChainCap bounds retained trace chains; oldest are evicted.
-	ChainCap int
-	// BundleCap bounds bundles per run; further triggers are counted
-	// as suppressed.
-	BundleCap int
-	// MinCalls is the per-NR sample count before the latency-outlier
-	// detector arms (a running p99 over a handful of samples is noise).
-	MinCalls int
-	// OutlierFactor triggers latency-outlier when a call's total
-	// latency exceeds OutlierFactor × the running per-NR p99.
-	OutlierFactor float64
-	// BurnWindow is the sliding virtual-time window for the SLO
-	// burn-rate detector; BurnMinRequests outcomes must fall inside it
-	// and the bad fraction must reach BurnThreshold to trigger.
-	BurnWindow      sim.Time
-	BurnMinRequests int
-	BurnThreshold   float64
-	// NeighborMargin widens the implicated chains' virtual-time window
-	// when collecting neighbor chains for the bundle's filtered trace.
-	NeighborMargin sim.Time
-	// Cooldown is the minimum virtual-time gap between bundles for the
-	// same reason; triggers inside it are counted as suppressed.
-	Cooldown sim.Time
-}
-
-// DefaultFlightConfig returns the always-on defaults: a few thousand
-// retained chains (~the event ring's span budget), at most 8 bundles a
-// run, and detectors tuned so healthy bench/fleet runs stay silent.
-func DefaultFlightConfig() FlightConfig {
-	return FlightConfig{
-		ChainCap:        2048,
-		BundleCap:       8,
-		MinCalls:        128,
-		OutlierFactor:   16,
-		BurnWindow:      sim.Millisecond,
-		BurnMinRequests: 64,
-		BurnThreshold:   0.25,
-		NeighborMargin:  20 * sim.Microsecond,
-		Cooldown:        250 * sim.Microsecond,
-	}
-}
+// The recorder's memory bounds and detector thresholds. Every threshold
+// is a deterministic function of virtual-time history.
+const (
+	// flightChainCap bounds retained trace chains (about the event
+	// ring's span budget); the oldest are evicted.
+	flightChainCap = 2048
+	// flightBundleCap bounds bundles per run; further triggers are
+	// counted as suppressed.
+	flightBundleCap = 8
+	// outlierMinCalls is the per-NR sample count before the
+	// latency-outlier detector arms (a running p99 over a handful of
+	// samples is noise).
+	outlierMinCalls = 128
+	// outlierFactor triggers latency-outlier when a call's total latency
+	// exceeds outlierFactor × the running per-NR p99.
+	outlierFactor float64 = 16
+	// burnWindow is the sliding virtual-time window of the SLO burn-rate
+	// detector: burnMinRequests outcomes must fall inside it and the bad
+	// fraction must reach burnThreshold to trigger.
+	burnWindow      = sim.Millisecond
+	burnMinRequests = 64
+	burnThreshold   = 0.25
+	// neighborMargin widens the implicated chains' virtual-time window
+	// when collecting neighbor chains for a bundle's filtered trace.
+	neighborMargin = 20 * sim.Microsecond
+	// bundleCooldown is the minimum virtual-time gap between bundles for
+	// the same reason; triggers inside it are counted as suppressed.
+	bundleCooldown = 250 * sim.Microsecond
+)
 
 // chain is the retained span set of one causal trace ID.
 type chain struct {
@@ -111,46 +92,17 @@ type snapshotSource struct {
 	fn   func() []byte
 }
 
-// NewFlight returns a recorder with cfg (zero fields take defaults).
-func NewFlight(cfg FlightConfig) *Flight {
-	def := DefaultFlightConfig()
-	if cfg.ChainCap <= 0 {
-		cfg.ChainCap = def.ChainCap
-	}
-	if cfg.BundleCap <= 0 {
-		cfg.BundleCap = def.BundleCap
-	}
-	if cfg.MinCalls <= 0 {
-		cfg.MinCalls = def.MinCalls
-	}
-	if cfg.OutlierFactor <= 0 {
-		cfg.OutlierFactor = def.OutlierFactor
-	}
-	if cfg.BurnWindow <= 0 {
-		cfg.BurnWindow = def.BurnWindow
-	}
-	if cfg.BurnMinRequests <= 0 {
-		cfg.BurnMinRequests = def.BurnMinRequests
-	}
-	if cfg.BurnThreshold <= 0 {
-		cfg.BurnThreshold = def.BurnThreshold
-	}
-	if cfg.NeighborMargin <= 0 {
-		cfg.NeighborMargin = def.NeighborMargin
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = def.Cooldown
-	}
+// NewFlight returns an empty recorder.
+func NewFlight() *Flight {
 	return &Flight{
-		cfg:      cfg,
 		chains:   make(map[uint64]*chain),
-		byNR:     make(map[int]*Histogram),
 		cooldown: make(map[string]sim.Time),
 	}
 }
 
 // addSpan receives one flow-tagged span from the EventLog tee and files
-// it under its trace chain, evicting the oldest chain beyond ChainCap.
+// it under its trace chain, evicting the oldest chain beyond
+// flightChainCap.
 // This is the hot tee off the engine loop: evicted chains (struct and
 // events backing array) go to a freelist and are reused for new traces,
 // and eviction advances a head index instead of re-slicing order, so
@@ -176,7 +128,7 @@ func (f *Flight) addSpan(e Event) {
 		}
 		f.chains[e.Flow] = c
 		f.order = append(f.order, e.Flow)
-		for len(f.order)-f.orderHead > f.cfg.ChainCap {
+		for len(f.order)-f.orderHead > flightChainCap {
 			victim := f.order[f.orderHead]
 			f.orderHead++
 			if vc := f.chains[victim]; vc != nil {
@@ -186,8 +138,8 @@ func (f *Flight) addSpan(e Event) {
 			f.evicted++
 		}
 		// Compact the dead prefix once it dominates, so order's footprint
-		// stays ~2×ChainCap instead of growing with every eviction.
-		if f.orderHead > f.cfg.ChainCap {
+		// stays ~2×flightChainCap instead of growing with every eviction.
+		if f.orderHead > flightChainCap {
 			f.order = append(f.order[:0], f.order[f.orderHead:]...)
 			f.orderHead = 0
 		}
@@ -215,28 +167,19 @@ func (f *Flight) AddSnapshot(name string, fn func() []byte) {
 	f.snaps = append(f.snaps, snapshotSource{name: name, fn: fn})
 }
 
-// NoteCall feeds one completed syscall's total latency (µs) into the
-// per-NR running distribution and fires the latency-outlier detector
-// when it exceeds OutlierFactor × the running p99. The threshold is
-// checked against the distribution *before* this sample joins it.
-func (f *Flight) NoteCall(name string, nr int, trace uint64, totalUS float64, at sim.Time) {
-	if f == nil {
+// NoteCall fires the latency-outlier detector when one completed
+// syscall's total latency (µs) exceeds outlierFactor × p99, where n and
+// p99 describe the call's per-NR latency distribution before this
+// sample joined it. The core tracer keeps that distribution; the
+// detector arms once it holds outlierMinCalls samples.
+func (f *Flight) NoteCall(name string, trace uint64, totalUS float64, at sim.Time, n int, p99 float64) {
+	if f == nil || n < outlierMinCalls || p99 <= 0 || totalUS <= outlierFactor*p99 {
 		return
 	}
-	h := f.byNR[nr]
-	if h == nil {
-		h = NewHistogram()
-		f.byNR[nr] = h
-	}
-	if h.N() >= f.cfg.MinCalls {
-		if p99 := h.Quantile(99); p99 > 0 && totalUS > f.cfg.OutlierFactor*p99 {
-			f.trigger("latency-outlier",
-				fmt.Sprintf("%s trace=%d total=%.2fus > %gx running p99=%.2fus (n=%d)",
-					name, trace, totalUS, f.cfg.OutlierFactor, p99, h.N()),
-				at, []uint64{trace})
-		}
-	}
-	h.Add(totalUS)
+	f.trigger("latency-outlier",
+		fmt.Sprintf("%s trace=%d total=%.2fus > %gx running p99=%.2fus (n=%d)",
+			name, trace, totalUS, outlierFactor, p99, n),
+		at, []uint64{trace})
 }
 
 // NoteAbort fires the watchdog-exhaustion detector: the retransmit
@@ -263,22 +206,22 @@ func (f *Flight) NoteSurfaced(at sim.Time) {
 
 // NoteRequest feeds one request outcome (e.g. a fleet client's reply,
 // timeout, drop, or refusal) into the SLO burn-rate window: when at
-// least BurnMinRequests outcomes land inside BurnWindow and the bad
-// fraction reaches BurnThreshold, the slo-burn detector fires and the
-// window re-arms after one full BurnWindow.
+// least burnMinRequests outcomes land inside burnWindow and the bad
+// fraction reaches burnThreshold, the slo-burn detector fires and the
+// window re-arms after one full burnWindow.
 func (f *Flight) NoteRequest(at sim.Time, ok bool) {
 	if f == nil {
 		return
 	}
 	f.burn = append(f.burn, burnSample{at: at, bad: !ok})
 	lo := 0
-	for lo < len(f.burn) && f.burn[lo].at < at-f.cfg.BurnWindow {
+	for lo < len(f.burn) && f.burn[lo].at < at-burnWindow {
 		lo++
 	}
 	if lo > 0 {
 		f.burn = append(f.burn[:0], f.burn[lo:]...)
 	}
-	if at < f.burnUntil || len(f.burn) < f.cfg.BurnMinRequests {
+	if at < f.burnUntil || len(f.burn) < burnMinRequests {
 		return
 	}
 	bad := 0
@@ -288,13 +231,13 @@ func (f *Flight) NoteRequest(at sim.Time, ok bool) {
 		}
 	}
 	frac := float64(bad) / float64(len(f.burn))
-	if frac < f.cfg.BurnThreshold {
+	if frac < burnThreshold {
 		return
 	}
-	f.burnUntil = at + f.cfg.BurnWindow
+	f.burnUntil = at + burnWindow
 	f.trigger("slo-burn",
 		fmt.Sprintf("%d/%d requests bad (%.1f%%) within %v window",
-			bad, len(f.burn), 100*frac, f.cfg.BurnWindow),
+			bad, len(f.burn), 100*frac, burnWindow),
 		at, nil)
 }
 
@@ -320,11 +263,11 @@ func (f *Flight) trigger(reason, detail string, at sim.Time, traces []uint64) {
 		f.suppressed++
 		return
 	}
-	if len(f.bundles) >= f.cfg.BundleCap {
+	if len(f.bundles) >= flightBundleCap {
 		f.suppressed++
 		return
 	}
-	f.cooldown[reason] = at + f.cfg.Cooldown
+	f.cooldown[reason] = at + bundleCooldown
 	f.bundles = append(f.bundles, f.buildBundle(reason, detail, at, traces))
 }
 
@@ -399,8 +342,8 @@ func (f *Flight) buildBundle(reason, detail string, at sim.Time, traces []uint64
 	// widened by the margin — the concurrent activity that shaped the
 	// anomaly.
 	if !first {
-		lo -= f.cfg.NeighborMargin
-		hi += f.cfg.NeighborMargin
+		lo -= neighborMargin
+		hi += neighborMargin
 		for _, id := range f.order[f.orderHead:] {
 			c := f.chains[id]
 			if c == nil || implicated[id] {
@@ -514,9 +457,9 @@ func (f *Flight) Render() string {
 	}
 	n, bad := f.BurnState()
 	fmt.Fprintf(&sb, "  chains retained %d (cap %d, evicted %d)\n",
-		len(f.chains), f.cfg.ChainCap, f.evicted)
+		len(f.chains), flightChainCap, f.evicted)
 	fmt.Fprintf(&sb, "  anomalies %d  bundles %d/%d  suppressed %d\n",
-		f.anomalies, len(f.bundles), f.cfg.BundleCap, f.suppressed)
+		f.anomalies, len(f.bundles), flightBundleCap, f.suppressed)
 	fmt.Fprintf(&sb, "  burn window %d requests, %d bad\n", n, bad)
 	if f.lastReason != "" {
 		fmt.Fprintf(&sb, "  last trigger %s at %v: %s\n", f.lastReason, f.lastAt, f.lastDetail)

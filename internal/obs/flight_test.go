@@ -14,42 +14,43 @@ func span(flow uint64, phase FlowPhase, start, end sim.Time) Event {
 }
 
 func TestFlightChainRetentionAndEviction(t *testing.T) {
-	f := NewFlight(FlightConfig{ChainCap: 2})
+	f := NewFlight()
 	f.addSpan(span(1, FlowStart, 0, 10))
 	f.addSpan(span(1, FlowEnd, 10, 20))
-	f.addSpan(span(2, FlowStart, 5, 15))
-	if f.Chains() != 2 || f.Evicted() != 0 {
+	for id := uint64(2); id <= flightChainCap; id++ {
+		f.addSpan(span(id, FlowStart, 5, 15))
+	}
+	if f.Chains() != flightChainCap || f.Evicted() != 0 {
 		t.Fatalf("chains=%d evicted=%d", f.Chains(), f.Evicted())
 	}
-	// Third chain evicts the oldest (trace 1).
-	f.addSpan(span(3, FlowStart, 20, 30))
-	if f.Chains() != 2 || f.Evicted() != 1 {
+	// One chain past the cap evicts the oldest (trace 1).
+	f.addSpan(span(flightChainCap+1, FlowStart, 20, 30))
+	if f.Chains() != flightChainCap || f.Evicted() != 1 {
 		t.Fatalf("after eviction: chains=%d evicted=%d", f.Chains(), f.Evicted())
 	}
-	if f.chains[1] != nil || f.chains[2] == nil || f.chains[3] == nil {
+	if f.chains[1] != nil || f.chains[2] == nil || f.chains[flightChainCap+1] == nil {
 		t.Fatal("evicted the wrong chain")
 	}
 }
 
 func TestFlightLatencyOutlierDetector(t *testing.T) {
-	f := NewFlight(FlightConfig{MinCalls: 4, OutlierFactor: 10})
+	f := NewFlight()
 	f.addSpan(span(99, FlowStart, 0, 10))
 	f.addSpan(span(99, FlowEnd, 10, 25*1000))
-	// Not armed until MinCalls samples exist; these are all ~25us.
-	for i := 0; i < 4; i++ {
-		f.NoteCall("pread", 17, uint64(i), 25, sim.Time(i)*sim.Microsecond)
-	}
+	// Not armed until outlierMinCalls samples precede the call, and never
+	// against an empty (zero) p99.
+	f.NoteCall("pread", 1, 1000, sim.Microsecond, outlierMinCalls-1, 25)
+	f.NoteCall("pread", 2, 1000, 2*sim.Microsecond, outlierMinCalls, 0)
 	if f.Anomalies() != 0 {
 		t.Fatalf("fired while arming: %d", f.Anomalies())
 	}
-	// Exactly factor × p99 (10 × 25 = 250) does not trigger — strictly
-	// greater is required — but the sample joins the distribution and
-	// lifts the running p99 to 250 (threshold now 2500).
-	f.NoteCall("pread", 17, 98, 250, 100*sim.Microsecond)
+	// Exactly factor × p99 (16 × 25 = 400) does not trigger: strictly
+	// greater is required.
+	f.NoteCall("pread", 98, 400, 100*sim.Microsecond, outlierMinCalls, 25)
 	if f.Anomalies() != 0 {
 		t.Fatalf("fired at threshold boundary: %d", f.Anomalies())
 	}
-	f.NoteCall("pread", 17, 99, 2600, 200*sim.Microsecond)
+	f.NoteCall("pread", 99, 400.5, 200*sim.Microsecond, outlierMinCalls, 25)
 	if f.Anomalies() != 1 || f.BundleCount() != 1 {
 		t.Fatalf("anomalies=%d bundles=%d", f.Anomalies(), f.BundleCount())
 	}
@@ -57,67 +58,76 @@ func TestFlightLatencyOutlierDetector(t *testing.T) {
 	if b.Reason != "latency-outlier" || len(b.TraceIDs) != 1 || b.TraceIDs[0] != 99 {
 		t.Fatalf("bundle: reason=%s traces=%v", b.Reason, b.TraceIDs)
 	}
-	if !strings.Contains(b.Detail, "pread trace=99") {
+	const detail = "pread trace=99 total=400.50us > 16x running p99=25.00us (n=128)"
+	if b.Detail != detail {
 		t.Fatalf("detail: %s", b.Detail)
 	}
 }
 
 func TestFlightBurnRateDetector(t *testing.T) {
-	f := NewFlight(FlightConfig{BurnWindow: sim.Millisecond,
-		BurnMinRequests: 10, BurnThreshold: 0.5})
+	f := NewFlight()
 	at := func(i int) sim.Time { return sim.Time(i) * 10 * sim.Microsecond }
-	// 9 outcomes (below min) — never fires even though all are bad.
-	for i := 0; i < 9; i++ {
+	// One outcome short of burnMinRequests: never fires even though all
+	// are bad.
+	for i := 0; i < burnMinRequests-1; i++ {
 		f.NoteRequest(at(i), false)
 	}
 	if f.Anomalies() != 0 {
-		t.Fatalf("fired under BurnMinRequests: %d", f.Anomalies())
+		t.Fatalf("fired under burnMinRequests: %d", f.Anomalies())
 	}
-	// A 10th good outcome: window holds 10, 9 bad = 90% ≥ 50%.
-	f.NoteRequest(at(9), true)
+	// A good outcome fills the window: 63 of 64 bad ≥ 25%.
+	f.NoteRequest(at(burnMinRequests-1), true)
 	if f.Anomalies() != 1 {
 		t.Fatalf("burn did not fire: %d", f.Anomalies())
 	}
-	if _, detail, _ := f.Last(); !strings.Contains(detail, "9/10 requests bad") {
+	if _, detail, _ := f.Last(); detail != "63/64 requests bad (98.4%) within 1.000ms window" {
 		t.Fatalf("detail: %s", detail)
 	}
 	// Re-armed only after a full window: more bad outcomes inside the
 	// re-arm window are accounted but do not trigger again.
-	f.NoteRequest(at(10), false)
+	f.NoteRequest(at(burnMinRequests), false)
 	if f.Anomalies() != 1 {
 		t.Fatalf("burn re-fired inside re-arm window: %d", f.Anomalies())
 	}
 	// Old samples slide out of the window.
-	f.NoteRequest(at(9)+2*sim.Millisecond, true)
+	f.NoteRequest(at(burnMinRequests)+2*burnWindow, true)
 	if n, bad := f.BurnState(); n != 1 || bad != 0 {
 		t.Fatalf("window did not slide: n=%d bad=%d", n, bad)
 	}
 }
 
 func TestFlightCooldownAndBundleCap(t *testing.T) {
-	f := NewFlight(FlightConfig{BundleCap: 2, Cooldown: 100 * sim.Microsecond})
-	f.NoteAbort("pread", 1, 10*sim.Microsecond)
-	f.NoteAbort("pread", 2, 20*sim.Microsecond) // inside cooldown
+	f := NewFlight()
+	us := sim.Microsecond
+	f.NoteAbort("pread", 1, 10*us)
+	f.NoteAbort("pread", 2, 10*us+bundleCooldown-1) // inside cooldown
 	if f.BundleCount() != 1 || f.Suppressed() != 1 {
 		t.Fatalf("bundles=%d suppressed=%d", f.BundleCount(), f.Suppressed())
 	}
-	f.NoteAbort("pread", 3, 200*sim.Microsecond) // past cooldown
-	f.NoteAbort("pread", 4, 500*sim.Microsecond) // past cooldown but capped
-	if f.BundleCount() != 2 || f.Suppressed() != 2 || f.Anomalies() != 4 {
+	// Past cooldown each time, until the cap.
+	at := 10 * us
+	for i := 1; i < flightBundleCap; i++ {
+		at += bundleCooldown
+		f.NoteAbort("pread", uint64(2+i), at)
+	}
+	f.NoteAbort("pread", 99, at+bundleCooldown) // past cooldown but capped
+	if f.BundleCount() != flightBundleCap || f.Suppressed() != 2 ||
+		f.Anomalies() != flightBundleCap+2 {
 		t.Fatalf("bundles=%d suppressed=%d anomalies=%d",
 			f.BundleCount(), f.Suppressed(), f.Anomalies())
 	}
 }
 
 func TestFlightBundleFiltersTraceAndNeighbors(t *testing.T) {
-	f := NewFlight(FlightConfig{NeighborMargin: 5 * sim.Microsecond})
+	f := NewFlight()
 	us := sim.Microsecond
 	// Implicated chain 7 spans [100us, 140us].
 	f.addSpan(span(7, FlowStart, 100*us, 120*us))
 	f.addSpan(span(7, FlowEnd, 120*us, 140*us))
-	// Chain 8 overlaps the widened window; chain 9 is far away.
-	f.addSpan(span(8, FlowStart, 140*us, 160*us))
-	f.addSpan(span(9, FlowStart, 300*us, 320*us))
+	// Chain 8 starts inside the window widened by neighborMargin; chain
+	// 9 starts just past it.
+	f.addSpan(span(8, FlowStart, 140*us+neighborMargin, 200*us))
+	f.addSpan(span(9, FlowStart, 140*us+neighborMargin+1, 320*us))
 	f.AddSnapshot("state", func() []byte { return []byte("frozen") })
 	f.NoteAbort("pread", 7, 140*us)
 
@@ -151,7 +161,7 @@ func TestFlightBundleFiltersTraceAndNeighbors(t *testing.T) {
 }
 
 func TestFlightDetectorsWithoutTracesImplicateRecentDone(t *testing.T) {
-	f := NewFlight(FlightConfig{})
+	f := NewFlight()
 	us := sim.Microsecond
 	for id := uint64(1); id <= 6; id++ {
 		f.addSpan(span(id, FlowStart, sim.Time(id)*10*us, sim.Time(id)*10*us+5*us))
@@ -174,9 +184,8 @@ func TestFlightDetectorsWithoutTracesImplicateRecentDone(t *testing.T) {
 }
 
 func TestFlightTeeWorksWithRingDisabled(t *testing.T) {
-	l := NewEventLog(8)
-	f := NewFlight(FlightConfig{})
-	l.SetFlight(f)
+	f := NewFlight()
+	l := NewEventLog(8, f)
 	if !l.CaptureActive() {
 		t.Fatal("capture should be active with a flight attached")
 	}
@@ -202,14 +211,14 @@ func TestFlightRenderAndNilSafety(t *testing.T) {
 	if nilF.Anomalies() != 0 || nilF.BundleCount() != 0 || nilF.Chains() != 0 {
 		t.Fatal("nil accessors")
 	}
-	nilF.NoteCall("x", 1, 1, 1, 0)
+	nilF.NoteCall("x", 1, 1, 0, outlierMinCalls, 1)
 	nilF.NoteAbort("x", 1, 0)
 	nilF.NoteSurfaced(0)
 	nilF.NoteRequest(0, true)
 	if !strings.Contains(nilF.Render(), "not attached") {
 		t.Fatal("nil render")
 	}
-	f := NewFlight(FlightConfig{})
+	f := NewFlight()
 	f.NoteAbort("pread", 1, 50*sim.Microsecond)
 	out := f.Render()
 	for _, want := range []string{"anomalies 1", "last trigger watchdog-exhausted",
@@ -217,29 +226,6 @@ func TestFlightRenderAndNilSafety(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render lacks %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestEventLogSetCapacity(t *testing.T) {
-	l := NewEventLog(4)
-	l.SetEnabled(true)
-	for i := 0; i < 4; i++ {
-		l.Span("t", "e", 1, 1, sim.Time(i), sim.Time(i)+1)
-	}
-	l.SetCapacity(2)
-	if l.Capacity() != 2 || l.Len() != 2 {
-		t.Fatalf("cap=%d len=%d", l.Capacity(), l.Len())
-	}
-	// The newest two events survive.
-	evs := l.Events()
-	if evs[0].Start != 2 || evs[1].Start != 3 {
-		t.Fatalf("kept wrong events: %+v", evs)
-	}
-	// Growing keeps everything and continues accepting.
-	l.SetCapacity(8)
-	l.Span("t", "e", 1, 1, 10, 11)
-	if l.Capacity() != 8 || l.Len() != 3 {
-		t.Fatalf("after grow: cap=%d len=%d", l.Capacity(), l.Len())
 	}
 }
 

@@ -71,7 +71,7 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 // --- EventLog --------------------------------------------------------------
 
 func TestEventLogRingBounded(t *testing.T) {
-	l := NewEventLog(4)
+	l := NewEventLog(4, nil)
 	l.SetEnabled(true)
 	for i := 0; i < 10; i++ {
 		l.Instant("t", "ev", 1, i, sim.Time(i)*sim.Microsecond)
@@ -91,7 +91,7 @@ func TestEventLogRingBounded(t *testing.T) {
 }
 
 func TestEventLogDisabledAndNil(t *testing.T) {
-	l := NewEventLog(8)
+	l := NewEventLog(8, nil)
 	l.Span("c", "n", 1, 1, 0, sim.Microsecond) // disabled: dropped silently
 	if l.Len() != 0 {
 		t.Fatal("disabled log recorded an event")
@@ -113,9 +113,8 @@ func TestEventLogDisabledAndNil(t *testing.T) {
 func TestEventLogRingAllocatedLazily(t *testing.T) {
 	// A log that stays disabled never allocates its ring, even while a
 	// flight recorder receives its flow-tagged spans.
-	l := NewEventLog(16)
-	f := NewFlight(FlightConfig{})
-	l.SetFlight(f)
+	f := NewFlight()
+	l := NewEventLog(16, f)
 	for i := 0; i < 50; i++ {
 		at := sim.Time(i) * sim.Microsecond
 		l.FlowSpan("syscall", "phase", PIDSyscalls, 1, at, at+1, uint64(i%4+1), FlowStart, "pread")
@@ -132,11 +131,8 @@ func TestEventLogRingAllocatedLazily(t *testing.T) {
 		t.Fatalf("cap=%d len=%d dropped=%d", l.Capacity(), l.Len(), l.Dropped())
 	}
 
-	// SetCapacity before the first event sizes the ring exactly.
-	l.SetCapacity(3)
-	if l.buf != nil || l.Capacity() != 3 {
-		t.Fatalf("SetCapacity allocated (%v) or cap=%d", l.buf != nil, l.Capacity())
-	}
+	// The first event sizes the ring exactly to the capacity.
+	l = NewEventLog(3, nil)
 	l.SetEnabled(true)
 	l.Instant("c", "n", 1, 0, 0)
 	if cap(l.buf) != 3 || l.Len() != 1 {
@@ -158,7 +154,7 @@ func TestEventLogRingAllocatedLazily(t *testing.T) {
 }
 
 func TestEventLogRejectsNegativeSpans(t *testing.T) {
-	l := NewEventLog(8)
+	l := NewEventLog(8, nil)
 	l.SetEnabled(true)
 	l.Span("c", "bad", 1, 1, 10*sim.Microsecond, 5*sim.Microsecond)
 	if l.Len() != 0 || l.Rejected() != 1 {
@@ -167,7 +163,7 @@ func TestEventLogRejectsNegativeSpans(t *testing.T) {
 }
 
 func TestChromeTraceExport(t *testing.T) {
-	l := NewEventLog(16)
+	l := NewEventLog(16, nil)
 	l.SetEnabled(true)
 	l.NameProcess(PIDGPU, "gpu")
 	l.Span("gpu", "wave", PIDGPU, 3, 2*sim.Microsecond, 12*sim.Microsecond)
@@ -369,7 +365,7 @@ func TestHistogramQuantileCursorExact(t *testing.T) {
 // times, and check the export contains exactly the newest capacity
 // events, oldest-first and strictly time-ordered.
 func TestChromeTraceExportAfterWrap(t *testing.T) {
-	l := NewEventLog(4)
+	l := NewEventLog(4, nil)
 	l.SetEnabled(true)
 	// 7 spans; starts are shuffled relative to push order because spans
 	// land in the ring at their END time. The ring keeps the last 4

@@ -131,17 +131,18 @@ type Observer struct {
 }
 
 // New returns an Observer with an empty registry, a disabled event log
-// of the default capacity, an empty utilization registry wired to
-// mirror counter samples into the event log, and an always-on flight
-// recorder teed off the event log's flow-tagged spans.
-func New() *Observer {
+// holding up to eventCap events (DefaultEventCap if eventCap <= 0), an
+// empty utilization registry wired to mirror counter samples into the
+// event log, and an always-on flight recorder teed off the event log's
+// flow-tagged spans.
+func New(eventCap int) *Observer {
+	fl := NewFlight()
 	o := &Observer{
 		Metrics: NewRegistry(),
-		Events:  NewEventLog(0),
+		Events:  NewEventLog(eventCap, fl),
 		Util:    NewUtil(0),
-		Flight:  NewFlight(FlightConfig{}),
+		Flight:  fl,
 	}
 	o.Util.SetEventLog(o.Events)
-	o.Events.SetFlight(o.Flight)
 	return o
 }

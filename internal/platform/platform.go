@@ -165,7 +165,7 @@ func New(cfg Config) *Machine {
 // the event log is attached to the GPU, kernel and GENESYS layers, and
 // the registry is served at /sys/genesys/metrics.
 func (m *Machine) wireObservability(pool *vmm.Pool) {
-	m.Obs = obs.New()
+	m.Obs = obs.New(m.Cfg.EventCap)
 	reg := m.Obs.Metrics
 
 	reg.RegisterCounter("gpu.kernels_launched", &m.GPU.KernelsLaunched)
@@ -275,9 +275,6 @@ func (m *Machine) wireObservability(pool *vmm.Pool) {
 	})
 
 	ev := m.Obs.Events
-	if m.Cfg.EventCap > 0 {
-		ev.SetCapacity(m.Cfg.EventCap)
-	}
 	reg.RegisterGauge("obs.events_dropped", ev.Dropped)
 	reg.RegisterGauge("obs.events_rejected", ev.Rejected)
 	ev.NameProcess(obs.PIDGPU, "gpu")
@@ -314,23 +311,14 @@ func (m *Machine) wireObservability(pool *vmm.Pool) {
 		util.Track("gpu.halted_waves", 0),
 		util.Track("gpu.polling_waves", 0))
 
-	// A tracer is attached by default so /sys/genesys/critpath always
-	// renders; tests and experiments may replace it.
-	m.Genesys.SetTracer(core.NewTracer())
-
 	// Exact end-to-end latency extremes (satellite of the percentile
-	// views): the running tracer's min/max, readable without Perfetto.
+	// views): the tracer's min/max, readable without Perfetto.
+	total := m.Genesys.Tracer().Total()
 	reg.RegisterGauge("genesys.total_lat_min_ns", func() int64 {
-		if t := m.Genesys.Tracer(); t != nil {
-			return int64(t.Total().Min() * 1000) // µs → ns
-		}
-		return 0
+		return int64(total.Min() * 1000) // µs → ns
 	})
 	reg.RegisterGauge("genesys.total_lat_max_ns", func() int64 {
-		if t := m.Genesys.Tracer(); t != nil {
-			return int64(t.Total().Max() * 1000)
-		}
-		return 0
+		return int64(total.Max() * 1000)
 	})
 
 	// The always-on flight recorder: the event log tees flow-tagged
@@ -342,10 +330,7 @@ func (m *Machine) wireObservability(pool *vmm.Pool) {
 	m.Genesys.SetFlight(fl)
 	m.Inject.SetSurfacedHook(func() { fl.NoteSurfaced(m.E.Now()) })
 	fl.AddSnapshot("critpath", func() []byte {
-		if t := m.Genesys.Tracer(); t != nil {
-			return []byte(t.CritPath())
-		}
-		return []byte("no tracer attached\n")
+		return []byte(m.Genesys.Tracer().CritPath())
 	})
 	fl.AddSnapshot("metrics", func() []byte { return []byte(reg.Render()) })
 	fl.AddSnapshot("util", func() []byte { return []byte(util.Render(m.E.Now())) })

@@ -43,7 +43,7 @@ func (m *Machine) RenderTop() string {
 	fmt.Fprintf(&b, "calls   invocations=%d batches=%d retransmits=%d",
 		m.Genesys.Invocations.Value(), m.Genesys.Batches.Value(),
 		m.Genesys.IRQRetransmits.Value())
-	if t := m.Genesys.Tracer(); t != nil && t.Calls() > 0 {
+	if t := m.Genesys.Tracer(); t.Calls() > 0 {
 		h := t.Total()
 		q := h.Percentiles(50, 99)
 		fmt.Fprintf(&b, " traced=%d p50=%.2fus p99=%.2fus min=%.2fus max=%.2fus",

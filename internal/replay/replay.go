@@ -116,12 +116,20 @@ func Load(path string) (*Trace, error) {
 	return t, nil
 }
 
+// MaxBufBytes bounds the summed buf_len of a trace's entries. Replay
+// allocates each entry's buffer at injection, so this caps the host
+// memory a trace can ask for. Recorded at seed 1, the largest sum is
+// fleet's 3.3 MB over 59,261 entries, and the largest single buffer is
+// 4 KiB (ssd-pread).
+const MaxBufBytes = 64 << 20
+
 // Decode parses a JSON trace and validates it: the version must match,
 // every entry's instant must be non-negative (the engine cannot schedule
-// into the past), and every descriptor position, file size and buffer
-// length must lie in [0, fs.MaxFileSize]. A malformed trace thus fails
-// here with an error, not with a panic inside the replay machine, and no
-// one item makes replay allocate more than fs.MaxFileSize host bytes.
+// into the past), every descriptor position and file size must lie in
+// [0, fs.MaxFileSize], and every buffer length must be non-negative with
+// the lengths summing to at most MaxBufBytes. A malformed trace thus
+// fails here with an error, not with a panic inside the replay machine
+// or a host allocation of gigabytes.
 func Decode(b []byte) (*Trace, error) {
 	var t Trace
 	if err := json.Unmarshal(b, &t); err != nil {
@@ -135,9 +143,14 @@ func Decode(b []byte) (*Trace, error) {
 			return nil, fmt.Errorf("replay: env fd %d: pos %d, size %d out of range", e.FD, e.Pos, e.Size)
 		}
 	}
+	var bufBytes int64
 	for _, e := range t.Entries {
-		if e.At < 0 || e.BufLen < 0 || int64(e.BufLen) > fs.MaxFileSize {
+		if e.At < 0 || e.BufLen < 0 || int64(e.BufLen) > MaxBufBytes {
 			return nil, fmt.Errorf("replay: trace %d: at_ns %d, buf_len %d out of range", e.Trace, e.At, e.BufLen)
+		}
+		if bufBytes += int64(e.BufLen); bufBytes > MaxBufBytes {
+			return nil, fmt.Errorf("replay: trace %d: buf_len sums to %d bytes, over the %d-byte bound",
+				e.Trace, bufBytes, MaxBufBytes)
 		}
 	}
 	return &t, nil
@@ -514,7 +527,7 @@ func Run(t *Trace, opt Options) (*Report, error) {
 			rep.Matches = false
 		}
 	}
-	if tr := m.Genesys.Tracer(); tr != nil && tr.Calls() > 0 {
+	if tr := m.Genesys.Tracer(); tr.Calls() > 0 {
 		rep.MeanUS = tr.TotalMean()
 		q := tr.Total().Percentiles(50, 95, 99)
 		rep.P50US, rep.P95US, rep.P99US = q[0], q[1], q[2]

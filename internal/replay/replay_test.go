@@ -176,6 +176,14 @@ func TestReplayRejectsMalformedTrace(t *testing.T) {
 		"huge size":        func(tr *replay.Trace) { tr.Env[0].Size = fs.MaxFileSize + 1 },
 		"negative pos":     func(tr *replay.Trace) { tr.Env[0].Pos = -1 },
 		"huge pos":         func(tr *replay.Trace) { tr.Env[0].Pos = fs.MaxFileSize + 1 },
+		"buf_len over bound": func(tr *replay.Trace) {
+			tr.Entries[0].BufLen = replay.MaxBufBytes + 1
+		},
+		"buf_len sum over bound": func(tr *replay.Trace) {
+			tr.Entries[0].BufLen = replay.MaxBufBytes/2 + 1
+			tr.Entries = append(tr.Entries, tr.Entries[0])
+			tr.Entries[1].Trace = 2
+		},
 	} {
 		tr := &replay.Trace{Version: replay.TraceVersion, Case: "hand", Seed: 1,
 			Env: []replay.EnvFD{file}, Entries: []replay.Entry{call}}

@@ -356,8 +356,13 @@ func (e *ErrDeadlock) Error() string {
 func (e *Engine) Run() error { return e.RunUntil(MaxTime) }
 
 // RunUntil executes events with time ≤ limit. Reaching the limit with
-// events still pending is not an error; the clock is left at limit.
+// events still pending is not an error; the clock is left at limit. A
+// limit before the current time is an error and leaves the clock alone:
+// virtual time never runs backwards.
 func (e *Engine) RunUntil(limit Time) error {
+	if limit < e.now {
+		return fmt.Errorf("sim: run until %v: clock is already at %v", limit, e.now)
+	}
 	for {
 		if e.fatal != nil {
 			return e.fatal

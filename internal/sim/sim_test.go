@@ -94,11 +94,18 @@ func TestRunUntil(t *testing.T) {
 			ticks++
 		}
 	})
+	// A limit before the current time is refused and the clock stays.
+	if err := e.RunUntil(-5); err == nil || e.Now() != 0 {
+		t.Fatalf("RunUntil(-5) on a fresh engine: err=%v now=%v", err, e.Now())
+	}
 	if err := e.RunUntil(35); err != nil {
 		t.Fatal(err)
 	}
 	if ticks != 3 || e.Now() != 35 {
 		t.Fatalf("ticks=%d now=%v, want 3 ticks at t=35", ticks, e.Now())
+	}
+	if err := e.RunUntil(20); err == nil || e.Now() != 35 || ticks != 3 {
+		t.Fatalf("RunUntil(20) at t=35: err=%v now=%v ticks=%d", err, e.Now(), ticks)
 	}
 	// Resume the rest of the run.
 	if err := e.Run(); err != nil {
