@@ -29,14 +29,15 @@ check: build fmt vet
 	$(GO) test -race -timeout 45m ./...
 	cd benchmark && $(GO) test .
 
-# bench runs the engine and file-system microbenchmarks and the bench suite
-# (writes BENCH_<case>.json and SLO_fleet.json to the current directory and
-# prints each case's host wall time). The suite drives one machine per core
+# bench runs the microbenchmarks CI runs (engine, file system, machine
+# build, workloads) and the bench suite (writes BENCH_<case>.json and
+# SLO_fleet.json to the current directory and prints each case's host
+# wall time). The suite drives one machine per core
 # by default; `-seeds 1,2,...` runs a multi-seed sweep (seed-<S>/
 # subdirectories). Host wall time is measured with calibrated repeated runs
 # by `bash benchmark/run.sh`.
 bench:
-	$(GO) test ./internal/sim ./internal/fs -bench . -benchmem -run '^$$'
+	$(GO) test ./internal/sim ./internal/fs ./internal/platform ./internal/workloads -bench . -benchmem -run '^$$'
 	$(GO) run ./cmd/genesys bench
 
 # baselines regenerates the committed sentry baselines: the virtual-time

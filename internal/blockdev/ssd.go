@@ -18,8 +18,10 @@ type Config struct {
 	Channels         int
 	ChannelBandwidth float64  // bytes per nanosecond per channel
 	CommandOverhead  sim.Time // per-command fixed service time
-	TraceBin         sim.Time // bin width of the throughput trace
 }
+
+// traceBin is the bin width of the throughput trace.
+const traceBin = 10 * sim.Millisecond
 
 // DefaultConfig returns an 8-channel device with 24 MB/s per channel and
 // 60 us command overhead: ~27 MB/s at queue depth 1 with 128 KiB requests,
@@ -29,7 +31,6 @@ func DefaultConfig() Config {
 		Channels:         8,
 		ChannelBandwidth: 0.024,
 		CommandOverhead:  60 * sim.Microsecond,
-		TraceBin:         10 * sim.Millisecond,
 	}
 }
 
@@ -53,32 +54,25 @@ type SSD struct {
 	trace *sim.Series // bytes transferred per trace bin
 }
 
-// SetInjector attaches the machine's fault injector: latency-spike
-// faults stretch one command's service time, io-error faults fail the
-// command (retried internally up to maxCmdRetries before EIO surfaces).
-func (d *SSD) SetInjector(in *fault.Injector) { d.inject = in }
-
-// SetEventLog attaches the machine's structured event log; each command
-// becomes a span on the channel it occupied (one trace-viewer thread per
-// NAND channel).
-func (d *SSD) SetEventLog(l *obs.EventLog) { d.events = l }
-
 // maxCmdRetries bounds firmware-level reissues of a failed command.
 const maxCmdRetries = 2
 
-// New returns an SSD bound to e.
-func New(e *sim.Engine, cfg Config) *SSD {
+// New returns an SSD bound to e. Each command becomes a span in events
+// on the channel it occupied (one trace-viewer thread per NAND channel).
+// Faults from in: latency spikes stretch one command's service time,
+// io-errors fail the command (retried internally up to maxCmdRetries
+// before EIO surfaces).
+func New(e *sim.Engine, cfg Config, events *obs.EventLog, in *fault.Injector) *SSD {
 	if cfg.Channels <= 0 || cfg.ChannelBandwidth <= 0 {
 		panic("blockdev: invalid config")
-	}
-	if cfg.TraceBin <= 0 {
-		cfg.TraceBin = 10 * sim.Millisecond
 	}
 	return &SSD{
 		e:      e,
 		cfg:    cfg,
 		chFree: make([]sim.Time, cfg.Channels),
-		trace:  sim.NewSeries(cfg.TraceBin),
+		inject: in,
+		events: events,
+		trace:  sim.NewSeries(traceBin),
 	}
 }
 
@@ -115,14 +109,12 @@ func (d *SSD) transfer(p *sim.Proc, n int64, op string, trace uint64) error {
 		d.chFree[best] = end
 		d.Commands.Inc()
 		d.trace.AddInterval(start, end, float64(n))
-		if d.events.CaptureActive() {
-			fp := obs.FlowNone
-			if trace != 0 {
-				fp = obs.FlowStep
-			}
-			d.events.FlowSpan("blockdev", op, obs.PIDBlockdev, best,
-				start, end, trace, fp, op)
+		fp := obs.FlowNone
+		if trace != 0 {
+			fp = obs.FlowStep
 		}
+		d.events.FlowSpan("blockdev", op, obs.PIDBlockdev, best,
+			start, end, trace, fp, op)
 		p.Sleep(end - now)
 		if d.inject.Should(fault.BlockError) {
 			if attempt < maxCmdRetries {
@@ -169,7 +161,7 @@ func (d *SSD) WriteTraced(p *sim.Proc, n int64, trace uint64) error {
 func (d *SSD) ThroughputTrace() []float64 {
 	bins := d.trace.Bins()
 	out := make([]float64, len(bins))
-	binSec := d.cfg.TraceBin.Seconds()
+	binSec := traceBin.Seconds()
 	for i, b := range bins {
 		out[i] = b / binSec / 1e6
 	}
@@ -182,5 +174,5 @@ func (d *SSD) ResetStats() {
 	d.BytesRead = sim.Counter{}
 	d.BytesWritten = sim.Counter{}
 	d.Commands = sim.Counter{}
-	d.trace = sim.NewSeries(d.cfg.TraceBin)
+	d.trace = sim.NewSeries(traceBin)
 }

@@ -3,12 +3,21 @@ package blockdev
 import (
 	"testing"
 
+	"genesys/internal/fault"
+	"genesys/internal/obs"
 	"genesys/internal/sim"
 )
 
+// newSSD builds a default device over a fresh observer's event log and
+// an injector with an empty plan.
+func newSSD(e *sim.Engine) *SSD {
+	return New(e, DefaultConfig(), obs.New(0).Events,
+		fault.NewInjector(e, 1, fault.Plan{}, func() {}))
+}
+
 func TestSingleCommandTiming(t *testing.T) {
 	e := sim.NewEngine(1)
-	d := New(e, DefaultConfig())
+	d := newSSD(e)
 	var elapsed sim.Time
 	e.Spawn("reader", func(p *sim.Proc) {
 		start := p.Now()
@@ -27,7 +36,7 @@ func TestSingleCommandTiming(t *testing.T) {
 func TestChannelParallelism(t *testing.T) {
 	measure := func(readers int) float64 {
 		e := sim.NewEngine(1)
-		d := New(e, DefaultConfig())
+		d := newSSD(e)
 		const perReader = 64
 		for i := 0; i < readers; i++ {
 			e.Spawn("r", func(p *sim.Proc) {
@@ -57,7 +66,7 @@ func TestChannelParallelism(t *testing.T) {
 
 func TestThroughputTrace(t *testing.T) {
 	e := sim.NewEngine(1)
-	d := New(e, DefaultConfig())
+	d := newSSD(e)
 	e.Spawn("r", func(p *sim.Proc) {
 		for j := 0; j < 8; j++ {
 			d.Read(p, 1<<20)
@@ -82,7 +91,7 @@ func TestThroughputTrace(t *testing.T) {
 
 func TestWriteCounts(t *testing.T) {
 	e := sim.NewEngine(1)
-	d := New(e, DefaultConfig())
+	d := newSSD(e)
 	e.Spawn("w", func(p *sim.Proc) {
 		d.Write(p, 4096)
 		d.Read(p, 0) // no-op

@@ -279,7 +279,7 @@ type Genesys struct {
 
 	tracer    *Tracer
 	events    *obs.EventLog
-	flight    *obs.Flight // always-on anomaly detectors (possibly nil)
+	flight    *obs.Flight // always-on anomaly detectors
 	rec       Recorder    // syscall stream tap for record/replay (possibly nil)
 	nextTrace uint64      // last assigned causal trace ID
 
@@ -287,11 +287,6 @@ type Genesys struct {
 	// machines) so steady-state polling allocates nothing.
 	pwFree []*pollWaiter
 }
-
-// SetFlight attaches the machine's flight recorder; completed and
-// aborted calls feed its latency-outlier and watchdog-exhaustion
-// detectors.
-func (g *Genesys) SetFlight(f *obs.Flight) { g.flight = f }
 
 // SlotStateCounts returns how many syscall-area slots currently sit in
 // each lifecycle state — the in-flight-by-phase row of the live top
@@ -324,9 +319,14 @@ type retxState struct {
 
 // New installs GENESYS on a machine: it sizes the syscall area to the
 // GPU's active hardware work-items, hooks the GPU→CPU interrupt line and
-// registers the sysfs tunables.
+// registers the sysfs tunables. Completed calls are emitted as
+// flow-linked per-phase spans into events (GPU wave → IRQ → workqueue →
+// worker → completing slot) and feed the flight recorder's
+// latency-outlier and watchdog-exhaustion detectors; in supplies the
+// pipeline faults consumed here (dropped doorbells, slot-scan skips).
 func New(e *sim.Engine, dev *gpu.Device, os *oskern.OS, m *mem.System,
-	c *cpu.CPU, cfg Config) *Genesys {
+	c *cpu.CPU, cfg Config, events *obs.EventLog, flight *obs.Flight,
+	in *fault.Injector) *Genesys {
 	if cfg.CoalesceMax < 1 {
 		cfg.CoalesceMax = 1
 	}
@@ -348,7 +348,10 @@ func New(e *sim.Engine, dev *gpu.Device, os *oskern.OS, m *mem.System,
 		kernelProcs: make(map[*gpu.KernelRun]*oskern.Process),
 		retx:        make(map[doorbell]*retxState),
 		orphans:     make(map[int]uint64),
+		inject:      in,
 		tracer:      newTracer(),
+		events:      events,
+		flight:      flight,
 	}
 	if g.cfg.RetransmitTimeout <= 0 {
 		g.cfg.RetransmitTimeout = 500 * sim.Microsecond
@@ -431,12 +434,7 @@ func (g *Genesys) procFor(w *gpu.Wavefront) *oskern.Process {
 	return g.proc
 }
 
-// SetInjector attaches the machine's fault injector. The oskern-layer
-// pipeline faults (dropped doorbells, slot-scan skips) are consumed
-// here, where the interrupt handler and slot scan live.
-func (g *Genesys) SetInjector(in *fault.Injector) { g.inject = in }
-
-// Injector returns the attached fault injector (possibly nil).
+// Injector returns the machine's fault injector.
 func (g *Genesys) Injector() *fault.Injector { return g.inject }
 
 // FaultsActive reports whether a fault plan is armed — the gate gclib's

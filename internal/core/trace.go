@@ -329,38 +329,28 @@ func shortPhase(ph string) string {
 // Tracer returns the machine's latency tracer.
 func (g *Genesys) Tracer() *Tracer { return g.tracer }
 
-// SetEventLog attaches the machine's structured event log; completed
-// call traces are emitted as flow-linked per-phase spans across the
-// layers the call crossed (GPU wave → IRQ → workqueue → worker →
-// completing slot).
-func (g *Genesys) SetEventLog(l *obs.EventLog) { g.events = l }
-
-// finishTrace routes one completed call trace to the tracer and, when
-// span capture is active, emits its life-cycle spans, each placed on the
-// synthetic process/thread where that phase ran and linked by the
-// call's trace ID into one causal flow chain.
+// finishTrace routes one completed call trace to the tracer and emits
+// its life-cycle spans, each placed on the synthetic process/thread
+// where that phase ran and linked by the call's trace ID into one causal
+// flow chain.
 func (g *Genesys) finishTrace(s *Slot) {
 	c := s.trace
 	n, p99 := g.tracer.record(c)
 	g.noteDone(s)
 	name := syscalls.Name(c.nr)
-	if g.events.CaptureActive() {
-		g.emitSpans(s, c, name)
-	}
+	g.emitSpans(s, c, name)
 	// Flight detectors run after span emission so a triggered bundle's
 	// filtered trace already contains this call's complete chain, and
 	// after record so its critpath snapshot counts this call. Pure
 	// accounting: no virtual-time or randomness side effects.
-	if g.flight != nil {
-		if c.aborted {
-			g.flight.NoteAbort(name, c.id, c.done)
-		} else if c.stamped() {
-			end := c.harvest
-			if end == 0 {
-				end = c.done
-			}
-			g.flight.NoteCall(name, c.id, (end - c.claim).Micro(), end, n, p99)
+	if c.aborted {
+		g.flight.NoteAbort(name, c.id, c.done)
+	} else if c.stamped() {
+		end := c.harvest
+		if end == 0 {
+			end = c.done
 		}
+		g.flight.NoteCall(name, c.id, (end - c.claim).Micro(), end, n, p99)
 	}
 }
 

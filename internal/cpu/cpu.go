@@ -1,7 +1,7 @@
 // Package cpu models the host CPU: a fixed number of cores that simulated
 // threads compete for, with run-to-block scheduling, priority classes and
-// a per-bin utilization ledger used to regenerate the paper's CPU
-// utilization traces (Figure 14).
+// a busy-time ledger whose mean utilization the paper's Figure 14
+// reports.
 package cpu
 
 import (
@@ -20,13 +20,11 @@ const (
 type Config struct {
 	Cores    int
 	ClockMHz int
-	// UtilBin is the bin width of the utilization trace.
-	UtilBin sim.Time
 }
 
 // DefaultConfig matches Table III: 4 cores at 2.7 GHz.
 func DefaultConfig() Config {
-	return Config{Cores: 4, ClockMHz: 2700, UtilBin: 10 * sim.Millisecond}
+	return Config{Cores: 4, ClockMHz: 2700}
 }
 
 // CPU is the simulated processor complex.
@@ -35,34 +33,26 @@ type CPU struct {
 	cfg   Config
 	cores *sim.Resource
 
-	util      *sim.Series // busy nanoseconds per bin, summed over cores
 	busyTotal sim.Time
 
-	// busy/waiting, when attached, integrate core occupancy and the
-	// number of threads queued for a core at each virtual instant.
+	// busy/waiting integrate core occupancy and the number of threads
+	// queued for a core at each virtual instant.
 	busy    *obs.UtilTrack
 	waiting *obs.UtilTrack
 }
 
-// SetUtil attaches occupancy tracks: busy counts cores executing,
-// waiting counts threads queued on core acquisition.
-func (c *CPU) SetUtil(busy, waiting *obs.UtilTrack) {
-	c.busy, c.waiting = busy, waiting
-}
-
-// New returns a CPU bound to e.
-func New(e *sim.Engine, cfg Config) *CPU {
+// New returns a CPU bound to e. The occupancy track busy counts cores
+// executing; waiting counts threads queued on core acquisition.
+func New(e *sim.Engine, cfg Config, busy, waiting *obs.UtilTrack) *CPU {
 	if cfg.Cores <= 0 {
 		panic("cpu: need at least one core")
 	}
-	if cfg.UtilBin <= 0 {
-		cfg.UtilBin = 10 * sim.Millisecond
-	}
 	return &CPU{
-		e:     e,
-		cfg:   cfg,
-		cores: sim.NewResource(e, "cpu-cores", cfg.Cores),
-		util:  sim.NewSeries(cfg.UtilBin),
+		e:       e,
+		cfg:     cfg,
+		cores:   sim.NewResource(e, "cpu-cores", cfg.Cores),
+		busy:    busy,
+		waiting: waiting,
 	}
 }
 
@@ -91,8 +81,9 @@ func (c *CPU) Exec(p *sim.Proc, d sim.Time, prio int) {
 	c.waiting.Add(start, -1)
 	c.busy.Add(start, 1)
 	p.Sleep(d)
-	c.noteBusy(start, c.e.Now())
-	c.busy.Add(c.e.Now(), -1)
+	end := c.e.Now()
+	c.busyTotal += end - start
+	c.busy.Add(end, -1)
 	c.cores.Release()
 }
 
@@ -113,28 +104,8 @@ func (c *CPU) ExecChunked(p *sim.Proc, total, chunk sim.Time, prio int) {
 	}
 }
 
-func (c *CPU) noteBusy(t0, t1 sim.Time) {
-	c.busyTotal += t1 - t0
-	c.util.AddInterval(t0, t1, float64(t1-t0))
-}
-
 // BusyTotal returns total core-busy time accumulated so far.
 func (c *CPU) BusyTotal() sim.Time { return c.busyTotal }
-
-// UtilizationTrace returns per-bin utilization as a percentage of all
-// cores (0–100).
-func (c *CPU) UtilizationTrace() []float64 {
-	bins := c.util.Bins()
-	denom := float64(c.cfg.UtilBin) * float64(c.cfg.Cores)
-	out := make([]float64, len(bins))
-	for i, b := range bins {
-		out[i] = 100 * b / denom
-	}
-	return out
-}
-
-// UtilBin returns the width of one utilization bin.
-func (c *CPU) UtilBin() sim.Time { return c.cfg.UtilBin }
 
 // MeanUtilization returns average utilization (percent of all cores)
 // over [0, until].

@@ -3,12 +3,19 @@ package cpu
 import (
 	"testing"
 
+	"genesys/internal/obs"
 	"genesys/internal/sim"
 )
 
+// newCPU builds a CPU with occupancy tracks from a fresh observer.
+func newCPU(e *sim.Engine, cfg Config) *CPU {
+	u := obs.New(0).Util
+	return New(e, cfg, u.Track("busy", 0), u.Track("waiting", 0))
+}
+
 func TestExecSerializesOnOneCore(t *testing.T) {
 	e := sim.NewEngine(1)
-	c := New(e, Config{Cores: 1, ClockMHz: 2700, UtilBin: sim.Millisecond})
+	c := newCPU(e, Config{Cores: 1, ClockMHz: 2700})
 	var done []sim.Time
 	for i := 0; i < 3; i++ {
 		e.Spawn("t", func(p *sim.Proc) {
@@ -29,7 +36,7 @@ func TestExecSerializesOnOneCore(t *testing.T) {
 
 func TestExecParallelAcrossCores(t *testing.T) {
 	e := sim.NewEngine(1)
-	c := New(e, Config{Cores: 4, ClockMHz: 2700, UtilBin: sim.Millisecond})
+	c := newCPU(e, Config{Cores: 4, ClockMHz: 2700})
 	for i := 0; i < 4; i++ {
 		e.Spawn("t", func(p *sim.Proc) {
 			c.Exec(p, sim.Millisecond, PrioNormal)
@@ -44,11 +51,14 @@ func TestExecParallelAcrossCores(t *testing.T) {
 	if c.BusyTotal() != 4*sim.Millisecond {
 		t.Fatalf("busy total = %v, want 4ms", c.BusyTotal())
 	}
+	if got := c.MeanUtilization(2 * sim.Millisecond); got != 50 {
+		t.Fatalf("mean utilization over 2ms = %v, want 50", got)
+	}
 }
 
 func TestPriorityPreference(t *testing.T) {
 	e := sim.NewEngine(1)
-	c := New(e, Config{Cores: 1, ClockMHz: 2700, UtilBin: sim.Millisecond})
+	c := newCPU(e, Config{Cores: 1, ClockMHz: 2700})
 	var order []string
 	// Occupy the core, then queue a normal and a kernel-priority thread.
 	e.Spawn("hog", func(p *sim.Proc) {
@@ -74,7 +84,7 @@ func TestPriorityPreference(t *testing.T) {
 
 func TestExecChunkedFairness(t *testing.T) {
 	e := sim.NewEngine(1)
-	c := New(e, Config{Cores: 1, ClockMHz: 2700, UtilBin: sim.Millisecond})
+	c := newCPU(e, Config{Cores: 1, ClockMHz: 2700})
 	var aDone, bDone sim.Time
 	e.Spawn("a", func(p *sim.Proc) {
 		c.ExecChunked(p, 10*sim.Millisecond, sim.Millisecond, PrioNormal)
@@ -93,27 +103,9 @@ func TestExecChunkedFairness(t *testing.T) {
 	}
 }
 
-func TestUtilizationTrace(t *testing.T) {
-	e := sim.NewEngine(1)
-	c := New(e, Config{Cores: 2, ClockMHz: 2700, UtilBin: sim.Millisecond})
-	e.Spawn("t", func(p *sim.Proc) {
-		c.Exec(p, sim.Millisecond, PrioNormal) // 1 of 2 cores busy for bin 0
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	tr := c.UtilizationTrace()
-	if len(tr) == 0 || tr[0] < 49 || tr[0] > 51 {
-		t.Fatalf("utilization trace = %v, want bin0 ≈ 50%%", tr)
-	}
-	if got := c.MeanUtilization(sim.Millisecond); got < 49 || got > 51 {
-		t.Fatalf("mean utilization = %v", got)
-	}
-}
-
 func TestCyclesTime(t *testing.T) {
 	e := sim.NewEngine(1)
-	c := New(e, Config{Cores: 1, ClockMHz: 2700, UtilBin: sim.Millisecond})
+	c := newCPU(e, Config{Cores: 1, ClockMHz: 2700})
 	// 2700 cycles at 2.7 GHz = 1 us.
 	if got := c.CyclesTime(2700); got != sim.Microsecond {
 		t.Fatalf("CyclesTime(2700) = %v, want 1us", got)

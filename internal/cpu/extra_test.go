@@ -12,12 +12,9 @@ func TestDefaultsAndAccessors(t *testing.T) {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	e := sim.NewEngine(1)
-	c := New(e, cfg)
+	c := newCPU(e, cfg)
 	if c.Config().Cores != 4 || c.Cores().Total() != 4 {
 		t.Fatal("accessors")
-	}
-	if c.UtilBin() != cfg.UtilBin {
-		t.Fatal("util bin")
 	}
 	if c.MeanUtilization(0) != 0 {
 		t.Fatal("mean utilization over empty window")
@@ -30,19 +27,18 @@ func TestDefaultsAndAccessors(t *testing.T) {
 	if c.BusyTotal() != 0 {
 		t.Fatal("zero exec consumed time")
 	}
-	// Zero UtilBin falls back to a sane default; zero cores panics.
-	_ = New(e, Config{Cores: 1, ClockMHz: 1000})
+	// Zero cores panics.
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero cores did not panic")
 		}
 	}()
-	New(e, Config{Cores: 0})
+	newCPU(e, Config{Cores: 0})
 }
 
 func TestExecChunkedDefaultChunk(t *testing.T) {
 	e := sim.NewEngine(1)
-	c := New(e, DefaultConfig())
+	c := newCPU(e, DefaultConfig())
 	e.Spawn("t", func(p *sim.Proc) {
 		c.ExecChunked(p, 3*sim.Millisecond, 0, PrioNormal) // chunk defaults to 1ms
 	})

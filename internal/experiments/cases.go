@@ -176,6 +176,7 @@ func Fig13bWordcount(o Options) *Table {
 	variants := []workloads.WordcountVariant{workloads.WordcountCPU,
 		workloads.WordcountGPUNoSyscall, workloads.WordcountGENESYS}
 	g := &grid{o: o}
+	val := &validator{o: o}
 	runtimes := make([][]float64, len(variants))
 	for i, v := range variants {
 		runtimes[i] = each(g, nil, func(m *platform.Machine, seed int64) float64 {
@@ -183,9 +184,7 @@ func Fig13bWordcount(o Options) *Table {
 			if err != nil {
 				panic(err)
 			}
-			if !res.Correct() {
-				panic(fmt.Sprintf("wordcount %v: wrong counts", v))
-			}
+			val.check(res.Correct(), fmt.Sprintf("wordcount %v: wrong counts", v))
 			return res.Runtime.Milli()
 		})
 	}
@@ -195,6 +194,7 @@ func Fig13bWordcount(o Options) *Table {
 		s := summary(runtimes[i])
 		t.AddRow(v.String(), ms(s), ratio(cpu, s))
 	}
+	val.note(t, len(g.points))
 	return t
 }
 
@@ -211,13 +211,15 @@ func Fig14WordcountTraces(o Options) *Table {
 	corpus := wordcountCorpora(o)
 	variants := []workloads.WordcountVariant{workloads.WordcountCPU, workloads.WordcountGENESYS}
 	g := &grid{o: o}
+	val := &validator{o: o}
 	results := make([][]workloads.WordcountResult, len(variants))
 	for i, v := range variants {
 		results[i] = each(g, nil, func(m *platform.Machine, seed int64) workloads.WordcountResult {
 			res, err := workloads.RunWordcount(m, wordcountConfig(v, seed), corpus[seed-o.BaseSeed])
-			if err != nil || !res.Correct() {
+			if err != nil {
 				panic(fmt.Sprint("fig14: ", err))
 			}
+			val.check(res.Correct(), fmt.Sprintf("fig14 %v: wrong counts", v))
 			return res
 		})
 	}
@@ -231,6 +233,7 @@ func Fig14WordcountTraces(o Options) *Table {
 		}
 		t.AddRow(v.String(), f0(&mean), f0(&peak), f0(&util))
 	}
+	val.note(t, len(g.points))
 	return t
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 
 	"genesys/internal/fault"
 	"genesys/internal/platform"
@@ -207,6 +208,40 @@ func armFaults(cfg *platform.Config, profile string, rate float64) {
 		panic(err)
 	}
 	cfg.Faults = &plan
+}
+
+// validator counts a driver's runs whose answer fails validation.
+// Without a fault profile a wrong answer is a bug, so check panics. With
+// one, an injected fault may surface to the workload and spoil its
+// answer: the run is counted and note reports the count in the table.
+type validator struct {
+	o      Options
+	failed atomic.Int64 // pool workers check concurrently
+}
+
+// check validates one run's answer; msg describes a failure.
+func (v *validator) check(ok bool, msg string) {
+	if ok {
+		return
+	}
+	if v.o.FaultProfile == "" {
+		panic(msg)
+	}
+	v.failed.Add(1)
+}
+
+// note appends the failed-run count to t's note when a fault profile is
+// armed; runs is the number of runs checked.
+func (v *validator) note(t *Table, runs int) {
+	if v.o.FaultProfile == "" {
+		return
+	}
+	rate := v.o.FaultRate
+	if rate <= 0 {
+		rate = fault.DefaultRate
+	}
+	t.Note += fmt.Sprintf("\nUnder faults %s@%.2f, %d of %d run(s) failed validation; their values are included.",
+		v.o.FaultProfile, rate, v.failed.Load(), runs)
 }
 
 // summary folds per-seed values into a Summary, in seed order.

@@ -98,3 +98,39 @@ func TestSweepAndFormatters(t *testing.T) {
 		t.Fatal("zero Options should run once")
 	}
 }
+
+// TestFaultedFiguresReportFailures: under an armed fault profile, runs
+// whose answer an injected fault spoiled are counted in the table note
+// instead of panicking the driver (GPU wordcount used to slice its
+// buffer with a failed read's -1).
+func TestFaultedFiguresReportFailures(t *testing.T) {
+	o := Options{Runs: 1, BaseSeed: 1, FaultProfile: "all", FaultRate: 0.05}
+	for _, c := range []struct {
+		fn   func(Options) *Table
+		want string
+	}{
+		{Fig10Coalescing, "Under faults all@0.05, 10 of 10 run(s) failed validation"},
+		{Fig13bWordcount, "Under faults all@0.05, 1 of 3 run(s) failed validation"},
+		{Fig14WordcountTraces, "Under faults all@0.05, 1 of 2 run(s) failed validation"},
+	} {
+		if tbl := c.fn(o); !strings.Contains(tbl.Note, c.want) {
+			t.Errorf("%s note lacks %q:\n%s", tbl.ID, c.want, tbl.Render())
+		}
+	}
+}
+
+// TestValidatorPanicsWithoutFaults: a wrong answer on a fault-free
+// machine is a bug, so the check panics rather than counting it.
+func TestValidatorPanicsWithoutFaults(t *testing.T) {
+	v := &validator{o: Options{FaultProfile: "all"}}
+	v.check(false, "counted")
+	if v.failed.Load() != 1 {
+		t.Fatalf("failed = %d under faults, want 1", v.failed.Load())
+	}
+	defer func() {
+		if r := recover(); r != "wrong" {
+			t.Fatalf("recovered %v, want the check's message", r)
+		}
+	}()
+	(&validator{}).check(false, "wrong")
+}

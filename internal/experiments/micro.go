@@ -274,6 +274,7 @@ func Fig10Coalescing(o Options) *Table {
 	}
 	chunks := []int64{128, 512, 2 << 10, 8 << 10, 64 << 10}
 	g := &grid{o: o}
+	v := &validator{o: o}
 	run := func(chunk int64, window sim.Time, max int) []float64 {
 		return each(g, nil, func(m *platform.Machine, _ int64) float64 {
 			m.Genesys.SetCoalescing(window, max)
@@ -281,9 +282,10 @@ func Fig10Coalescing(o Options) *Table {
 				FileSize: 4096 * chunk, ChunkPerWI: chunk, WGSize: 64,
 				Granularity: workloads.GranWorkItem, Wait: core.WaitHaltResume,
 			})
-			if err != nil || !res.Validated {
+			if err != nil {
 				panic(fmt.Sprint("fig10: ", err))
 			}
+			v.check(res.Validated, fmt.Sprintf("fig10 %s: data not validated", byteSize(chunk)))
 			return res.LatencyPerByte()
 		})
 	}
@@ -302,6 +304,7 @@ func Fig10Coalescing(o Options) *Table {
 		}
 		t.AddRow(byteSize(chunk), f2(off), f2(on), gain)
 	}
+	v.note(t, len(g.points))
 	return t
 }
 

@@ -145,8 +145,8 @@ func PlanFor(profile string, rate float64) (Plan, error) {
 		profile, strings.Join(Profiles(), ", "))
 }
 
-// Injector evaluates a Plan against virtual time. All methods are
-// nil-safe, so subsystems can hold a nil *Injector at zero cost.
+// Injector evaluates a Plan against virtual time. Every machine has one;
+// with an empty plan it fires nothing.
 type Injector struct {
 	e     *sim.Engine
 	rng   *rand.Rand
@@ -162,30 +162,25 @@ type Injector struct {
 
 	perPoint map[Point]*sim.Counter
 
-	// surfacedHook, when set, fires on every NoteSurfaced — the flight
-	// recorder's fault-surfaced detector hangs off it.
-	surfacedHook func()
-}
-
-// SetSurfacedHook installs a callback invoked whenever a fault surfaces
-// to the workload (after the counter increments). Pure notification: the
-// hook must not perturb virtual time or randomness.
-func (in *Injector) SetSurfacedHook(fn func()) {
-	if in != nil {
-		in.surfacedHook = fn
-	}
+	// surfaced fires on every NoteSurfaced — the flight recorder's
+	// fault-surfaced detector hangs off it.
+	surfaced func()
 }
 
 // NewInjector builds an injector over e with its own RNG seeded from
 // seed. An empty plan yields an inactive injector: counters register,
 // but no RNG is ever drawn and no recovery machinery should arm.
-func NewInjector(e *sim.Engine, seed int64, plan Plan) *Injector {
+// surfaced is invoked whenever a fault surfaces to the workload (after
+// the counter increments). It is pure notification: it must not perturb
+// virtual time or randomness.
+func NewInjector(e *sim.Engine, seed int64, plan Plan, surfaced func()) *Injector {
 	in := &Injector{
 		e:        e,
 		rng:      rand.New(rand.NewSource(seed)),
 		plan:     plan,
 		rules:    make(map[Point][]Rule),
 		perPoint: make(map[Point]*sim.Counter),
+		surfaced: surfaced,
 	}
 	for _, r := range plan.Rules {
 		in.rules[r.Point] = append(in.rules[r.Point], r)
@@ -200,24 +195,16 @@ func NewInjector(e *sim.Engine, seed int64, plan Plan) *Injector {
 // costs events (watchdog timers, restart loops) gates on this, keeping
 // the default path free of both events and RNG draws.
 func (in *Injector) Active() bool {
-	return in != nil && len(in.rules) > 0
+	return len(in.rules) > 0
 }
 
-// Plan returns the installed plan (zero Plan for a nil injector).
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return Plan{}
-	}
-	return in.plan
-}
+// Plan returns the installed plan.
+func (in *Injector) Plan() Plan { return in.plan }
 
 // Fire asks whether an operation at point pt is hit right now. It draws
 // one RNG sample per rule whose time window is open, counts the
 // injection, and returns the matching rule.
 func (in *Injector) Fire(pt Point) (Rule, bool) {
-	if in == nil {
-		return Rule{}, false
-	}
 	rules := in.rules[pt]
 	if len(rules) == 0 {
 		return Rule{}, false
@@ -245,7 +232,7 @@ func (in *Injector) Should(pt Point) bool {
 // Pick returns a deterministic value in [0, n) from the injector's RNG,
 // for choosing between injection variants (e.g. which errno).
 func (in *Injector) Pick(n int) int {
-	if in == nil || n <= 0 {
+	if n <= 0 {
 		return 0
 	}
 	return in.rng.Intn(n)
@@ -253,27 +240,16 @@ func (in *Injector) Pick(n int) int {
 
 // NoteRecovered records that a recovery mechanism (retry, retransmit,
 // re-dispatch) transparently absorbed an injected fault.
-func (in *Injector) NoteRecovered() {
-	if in != nil {
-		in.Recovered.Inc()
-	}
-}
+func (in *Injector) NoteRecovered() { in.Recovered.Inc() }
 
 // NoteSurfaced records that a fault reached the workload as an errno.
 func (in *Injector) NoteSurfaced() {
-	if in != nil {
-		in.Surfaced.Inc()
-		if in.surfacedHook != nil {
-			in.surfacedHook()
-		}
-	}
+	in.Surfaced.Inc()
+	in.surfaced()
 }
 
 // InjectedAt returns the number of injections at one point.
 func (in *Injector) InjectedAt(pt Point) int64 {
-	if in == nil {
-		return 0
-	}
 	c, ok := in.perPoint[pt]
 	if !ok {
 		return 0
@@ -284,9 +260,6 @@ func (in *Injector) InjectedAt(pt Point) int64 {
 // Render produces the /sys/genesys/faults view: the active plan and the
 // per-point injection counts.
 func (in *Injector) Render() string {
-	if in == nil {
-		return "profile none\n"
-	}
 	var b strings.Builder
 	name := in.plan.Name
 	if name == "" || !in.Active() {

@@ -7,31 +7,10 @@ import (
 	"genesys/internal/sim"
 )
 
-func TestNilInjectorIsSafeAndInert(t *testing.T) {
-	var in *Injector
-	if in.Active() {
-		t.Fatal("nil injector reports active")
-	}
-	if _, ok := in.Fire(IRQDrop); ok {
-		t.Fatal("nil injector fired")
-	}
-	if in.Should(NetDrop) {
-		t.Fatal("nil injector should-fired")
-	}
-	in.NoteRecovered()
-	in.NoteSurfaced()
-	if in.InjectedAt(IRQDrop) != 0 || in.Pick(3) != 0 {
-		t.Fatal("nil injector reports non-zero state")
-	}
-	if got := in.Render(); got != "profile none\n" {
-		t.Fatalf("nil Render = %q", got)
-	}
-}
-
 func TestEmptyPlanIsInactive(t *testing.T) {
 	e := sim.NewEngine(1)
 	defer e.Shutdown()
-	in := NewInjector(e, 42, Plan{})
+	in := NewInjector(e, 42, Plan{}, func() {})
 	if in.Active() {
 		t.Fatal("empty plan reports active")
 	}
@@ -51,7 +30,7 @@ func TestRatesZeroAndOne(t *testing.T) {
 	in := NewInjector(e, 42, Plan{Rules: []Rule{
 		{Point: IRQDrop, Rate: 1},
 		{Point: NetDrop, Rate: 0},
-	}})
+	}}, func() {})
 	for i := 0; i < 50; i++ {
 		if !in.Should(IRQDrop) {
 			t.Fatal("rate-1 rule did not fire")
@@ -71,7 +50,7 @@ func TestTimeWindowGatesInjection(t *testing.T) {
 	defer e.Shutdown()
 	in := NewInjector(e, 7, Plan{Rules: []Rule{
 		{Point: BlockError, Rate: 1, After: 1 * sim.Millisecond, Until: 2 * sim.Millisecond},
-	}})
+	}}, func() {})
 	var before, inside, after bool
 	before = in.Should(BlockError) // t = 0: closed
 	e.After(1500*sim.Microsecond, func() { inside = in.Should(BlockError) })
@@ -92,7 +71,7 @@ func TestDeterministicReplay(t *testing.T) {
 	draw := func() []bool {
 		e := sim.NewEngine(1)
 		defer e.Shutdown()
-		in := NewInjector(e, 99, plan)
+		in := NewInjector(e, 99, plan, func() {})
 		var out []bool
 		for i := 0; i < 200; i++ {
 			for _, p := range Points() {
@@ -136,13 +115,18 @@ func TestRenderListsPlanAndCounts(t *testing.T) {
 	e := sim.NewEngine(1)
 	defer e.Shutdown()
 	plan, _ := PlanFor("ssd-degraded", 1)
-	in := NewInjector(e, 5, plan)
+	hooked := 0
+	in := NewInjector(e, 5, plan, func() { hooked++ })
 	in.Should(BlockLatency)
 	in.NoteRecovered()
+	in.NoteSurfaced()
+	if hooked != 1 {
+		t.Fatalf("surfaced hook ran %d times, want 1", hooked)
+	}
 	out := in.Render()
 	for _, want := range []string{"profile ssd-degraded",
 		"rule blockdev.latency_spike", "injected.blockdev.latency_spike 1",
-		"recovered 1"} {
+		"recovered 1", "surfaced 1"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Render misses %q:\n%s", want, out)
 		}

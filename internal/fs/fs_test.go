@@ -11,8 +11,17 @@ import (
 
 	"genesys/internal/blockdev"
 	"genesys/internal/errno"
+	"genesys/internal/fault"
+	"genesys/internal/obs"
 	"genesys/internal/sim"
 )
+
+// newSSD builds a default device over a fresh observer's event log and
+// an injector with an empty plan.
+func newSSD(e *sim.Engine) *blockdev.SSD {
+	return blockdev.New(e, blockdev.DefaultConfig(), obs.New(0).Events,
+		fault.NewInjector(e, 1, fault.Plan{}, func() {}))
+}
 
 func newTmpVFS(t *testing.T) (*VFS, *Tmpfs) {
 	t.Helper()
@@ -253,7 +262,7 @@ func TestTmpfsChargesMemoryTime(t *testing.T) {
 
 func TestSSDFSPageCache(t *testing.T) {
 	e := sim.NewEngine(1)
-	dev := blockdev.New(e, blockdev.DefaultConfig())
+	dev := newSSD(e)
 	v := NewVFS()
 	sfs := NewSSDFS(dev)
 	sfs.Mount(v, "/data")
@@ -304,7 +313,7 @@ func TestSSDQueueDepthScaling(t *testing.T) {
 	// aggregate throughput (the Figure 14 mechanism).
 	run := func(readers int) float64 {
 		e := sim.NewEngine(1)
-		dev := blockdev.New(e, blockdev.DefaultConfig())
+		dev := newSSD(e)
 		v := NewVFS()
 		sfs := NewSSDFS(dev)
 		sfs.Mount(v, "/data")
@@ -617,7 +626,7 @@ func TestSSDFSContentMatchesTmpfs(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := sim.NewEngine(seed)
-		dev := blockdev.New(e, blockdev.DefaultConfig())
+		dev := newSSD(e)
 		v := NewVFS()
 		sfs := NewSSDFS(dev)
 		sfs.Mount(v, "/d")
@@ -667,7 +676,7 @@ func TestSSDFSContentMatchesTmpfs(t *testing.T) {
 // single-byte appends allocated about 6x).
 func TestAppendAllocatesLinearly(t *testing.T) {
 	const size, chunk = 32 << 20, 4096
-	dev := blockdev.New(sim.NewEngine(1), blockdev.DefaultConfig())
+	dev := newSSD(sim.NewEngine(1))
 	for _, c := range []struct {
 		name string
 		fs   interface{ NewFile() FileNode }
@@ -749,7 +758,7 @@ func benchFileSystems() []struct {
 	name    string
 	newFile func() FileNode
 } {
-	dev := blockdev.New(sim.NewEngine(1), blockdev.DefaultConfig())
+	dev := newSSD(sim.NewEngine(1))
 	return []struct {
 		name    string
 		newFile func() FileNode

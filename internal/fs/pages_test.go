@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"genesys/internal/blockdev"
 	"genesys/internal/errno"
 	"genesys/internal/sim"
 )
@@ -24,7 +23,7 @@ func TestSharePagesCopyOnWrite(t *testing.T) {
 			e := sim.NewEngine(1)
 			newFile := NewTmpfs().NewFile
 			if name == "ssdfs" {
-				newFile = NewSSDFS(blockdev.New(e, blockdev.DefaultConfig())).NewFile
+				newFile = NewSSDFS(newSSD(e)).NewFile
 			}
 			buf := make([]byte, 4*PageSize+100)
 			rand.New(rand.NewSource(1)).Read(buf)
@@ -177,7 +176,7 @@ const fuzzOps = 64
 func FuzzFileOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		e := sim.NewEngine(1)
-		ssd := NewSSDFS(blockdev.New(e, blockdev.DefaultConfig()))
+		ssd := NewSSDFS(newSSD(e))
 		files := []*File{NewFile(NewTmpfs().NewFile(), O_RDWR, "/t"), NewFile(ssd.NewFile(), O_RDWR, "/d")}
 		var ref []byte
 		var shared lent

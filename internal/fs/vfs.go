@@ -13,7 +13,6 @@ import (
 
 	"genesys/internal/cpu"
 	"genesys/internal/errno"
-	"genesys/internal/obs"
 	"genesys/internal/sim"
 )
 
@@ -27,11 +26,10 @@ type IOCtx struct {
 	CPU  *cpu.CPU
 	Prio int
 
-	// Events and Trace thread causal tracing through the I/O path: when
-	// set, device back-ends record their transfers as spans linked into
-	// the originating syscall's flow chain.
-	Events *obs.EventLog
-	Trace  uint64
+	// Trace threads causal tracing through the I/O path: when set,
+	// device back-ends record their transfers as spans linked into the
+	// originating syscall's flow chain.
+	Trace uint64
 }
 
 // DefaultCopyBytesPerNS is the single-core memcpy bandwidth used for

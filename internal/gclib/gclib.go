@@ -34,32 +34,20 @@ import (
 type C struct {
 	G    *core.Genesys
 	Wait core.WaitMode
-
-	// MaxRestarts bounds the library's SA_RESTART-style retry loop: a
-	// blocking call that returns a transient errno (EINTR/EAGAIN/ENOMEM)
-	// is reissued after a capped exponential backoff, provided the call is
-	// restartable (syscalls.Restartable) and fault injection is active on
-	// the machine — organic transient errnos (e.g. miniAMR's deliberate
-	// mmap-until-ENOMEM) are never retried, keeping baselines untouched.
-	// 0 selects the default (8); negative disables restarting.
-	MaxRestarts int
 }
 
 const (
-	defaultMaxRestarts  = 8
+	// maxRestarts bounds the library's SA_RESTART-style retry loop: a
+	// blocking call that returns a transient errno (EINTR/EAGAIN/ENOMEM)
+	// is reissued after a capped exponential backoff, provided the call
+	// is restartable (syscalls.Restartable) and fault injection is active
+	// on the machine — organic transient errnos (e.g. miniAMR's
+	// deliberate mmap-until-ENOMEM) are never retried, keeping baselines
+	// untouched.
+	maxRestarts         = 8
 	restartBackoffBase  = 4 * sim.Microsecond
 	restartBackoffLimit = 256 * sim.Microsecond
 )
-
-func (c C) maxRestarts() int {
-	if c.MaxRestarts < 0 {
-		return 0
-	}
-	if c.MaxRestarts == 0 {
-		return defaultMaxRestarts
-	}
-	return c.MaxRestarts
-}
 
 func transientErr(e errno.Errno) bool {
 	return e == errno.EINTR || e == errno.EAGAIN || e == errno.ENOMEM
@@ -67,7 +55,7 @@ func transientErr(e errno.Errno) bool {
 
 // invoke issues one blocking call through the restartable-syscall layer:
 // transient failures of restartable calls are reissued with exponential
-// backoff in virtual time, up to MaxRestarts, while fault injection is
+// backoff in virtual time, up to maxRestarts, while fault injection is
 // active. The last result — success or the surfaced errno — is returned.
 func (c C) invoke(w *gpu.Wavefront, req syscalls.Request) core.Result {
 	res := c.G.Invoke(w, req, core.Options{Blocking: true, Wait: c.Wait})
@@ -80,7 +68,7 @@ func (c C) invoke(w *gpu.Wavefront, req syscalls.Request) core.Result {
 		return res
 	}
 	backoff := restartBackoffBase
-	for attempt := 0; attempt < c.maxRestarts(); attempt++ {
+	for attempt := 0; attempt < maxRestarts; attempt++ {
 		c.G.Retries.Inc()
 		w.P.Sleep(backoff)
 		if backoff < restartBackoffLimit {

@@ -95,12 +95,12 @@ type Device struct {
 	// watchdog aborts from landing on a successor wavefront.
 	slotGens []uint64
 
-	// events, when attached and enabled, receives wavefront run/halt
-	// spans and interrupt instants (one trace-viewer thread per HW slot).
+	// events, when enabled, receives wavefront run/halt spans and
+	// interrupt instants (one trace-viewer thread per HW slot).
 	events *obs.EventLog
 
-	// Utilization tracks (SetUtilTracks): active CUs, resident waves,
-	// halted waves, polling waves. All nil-safe.
+	// Utilization tracks: active CUs, resident waves, halted waves,
+	// polling waves.
 	utilCUs     *obs.UtilTrack
 	utilWaves   *obs.UtilTrack
 	utilHalted  *obs.UtilTrack
@@ -120,16 +120,25 @@ type cu struct {
 	resident  int   // wavefronts currently occupying slots
 }
 
-// New creates a GPU and starts its dispatcher daemon.
-func New(e *sim.Engine, cfg Config) *Device {
+// New creates a GPU that records into the machine's event log and
+// starts its dispatcher daemon. The occupancy track cus counts CUs with
+// at least one resident wavefront, waves counts resident wavefronts,
+// halted and polling count wavefronts in those wait states.
+func New(e *sim.Engine, cfg Config, events *obs.EventLog,
+	cus, waves, halted, polling *obs.UtilTrack) *Device {
 	if cfg.CUs <= 0 || cfg.SIMDWidth <= 0 || cfg.WavefrontsPerCU <= 0 {
 		panic("gpu: invalid config")
 	}
 	d := &Device{
-		e:        e,
-		cfg:      cfg,
-		hwWaves:  make([]*Wavefront, cfg.CUs*cfg.WavefrontsPerCU),
-		slotGens: make([]uint64, cfg.CUs*cfg.WavefrontsPerCU),
+		e:           e,
+		cfg:         cfg,
+		hwWaves:     make([]*Wavefront, cfg.CUs*cfg.WavefrontsPerCU),
+		slotGens:    make([]uint64, cfg.CUs*cfg.WavefrontsPerCU),
+		events:      events,
+		utilCUs:     cus,
+		utilWaves:   waves,
+		utilHalted:  halted,
+		utilPolling: polling,
 	}
 	d.dispatch = sim.NewCond(e)
 	for i := 0; i < cfg.CUs; i++ {
@@ -152,16 +161,6 @@ func (d *Device) SetIRQHandler(h IRQHandler) { d.irq = h }
 // SetRetireHook registers the wavefront-retirement callback (the orphan
 // hand-off point for system calls still in flight at retirement).
 func (d *Device) SetRetireHook(h RetireHook) { d.retire = h }
-
-// SetEventLog attaches the machine's structured event log.
-func (d *Device) SetEventLog(l *obs.EventLog) { d.events = l }
-
-// SetUtilTracks attaches occupancy tracks: cus counts CUs with at least
-// one resident wavefront, waves counts resident wavefronts, halted and
-// polling count wavefronts in those wait states.
-func (d *Device) SetUtilTracks(cus, waves, halted, polling *obs.UtilTrack) {
-	d.utilCUs, d.utilWaves, d.utilHalted, d.utilPolling = cus, waves, halted, polling
-}
 
 // HWWorkItems returns the number of active hardware work-items the device
 // can host — the number of slots a GENESYS syscall area needs.

@@ -5,12 +5,22 @@ import (
 	"fmt"
 	"testing"
 
+	"genesys/internal/obs"
 	"genesys/internal/sim"
 )
 
 func newDev(seed int64) (*sim.Engine, *Device) {
 	e := sim.NewEngine(seed)
-	return e, New(e, DefaultConfig())
+	return e, newDevice(e)
+}
+
+// newDevice builds a default GPU wired to a fresh observer's event log
+// and utilization tracks.
+func newDevice(e *sim.Engine) *Device {
+	o := obs.New(0)
+	u := o.Util
+	return New(e, DefaultConfig(), o.Events, u.Track("cus", 0),
+		u.Track("waves", 0), u.Track("halted", 0), u.Track("polling", 0))
 }
 
 func TestKernelRunsAllWorkItems(t *testing.T) {

@@ -15,7 +15,7 @@ func TestDispatchProperty(t *testing.T) {
 		workGroups := int(wgs%60) + 1
 		wgSize := (int(wgSizeRaw%16) + 1) * 64 // 64..1024
 		e := sim.NewEngine(seed)
-		d := New(e, DefaultConfig())
+		d := newDevice(e)
 
 		executed := make(map[int]int)
 		resident := 0
@@ -70,7 +70,7 @@ func TestBarrierProperty(t *testing.T) {
 	f := func(seed int64, wavesRaw uint8) bool {
 		waves := int(wavesRaw%15) + 2 // 2..16
 		e := sim.NewEngine(seed)
-		d := New(e, DefaultConfig())
+		d := newDevice(e)
 		arrivals := make([]sim.Time, 0, waves)
 		var releases []sim.Time
 		e.Spawn("host", func(p *sim.Proc) {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"genesys/internal/fault"
 	"genesys/internal/sim"
 )
 
@@ -17,7 +18,7 @@ import (
 func ckptScenario(t *testing.T, seed int64) (*sim.Engine, *Stack) {
 	t.Helper()
 	e := sim.NewEngine(seed)
-	st := New(e, DefaultConfig())
+	st := newStackFaults(e, DefaultConfig(), fault.Plan{})
 
 	// Blocked datagram receiver (rx waiter, forever).
 	dg := st.NewSocket()

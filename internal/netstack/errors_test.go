@@ -77,7 +77,7 @@ func TestRecvQueueOverflowDrops(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.JitterMax = 0
 	cfg.RecvQueueCap = 2
-	st := New(e, cfg)
+	st := newStackFaults(e, cfg, fault.Plan{})
 	server := st.NewSocket()
 	if err := server.Bind(9000); err != nil {
 		t.Fatal(err)
@@ -126,12 +126,13 @@ func TestRecvFromTimeoutEAGAIN(t *testing.T) {
 // ECONNREFUSED (counted surfaced), drop → datagram lost in flight.
 func TestInjectedFaults(t *testing.T) {
 	mk := func(pt fault.Point) (*sim.Engine, *Stack) {
-		e, st := newStack(1)
-		st.SetInjector(fault.NewInjector(e, 1, fault.Plan{
+		e := sim.NewEngine(1)
+		cfg := DefaultConfig()
+		cfg.JitterMax = 0
+		return e, newStackFaults(e, cfg, fault.Plan{
 			Name:  "test",
 			Rules: []fault.Rule{{Point: pt, Rate: 1}},
-		}))
-		return e, st
+		})
 	}
 
 	_, st := mk(fault.NetEAGAIN)

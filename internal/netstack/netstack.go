@@ -83,23 +83,18 @@ type Stack struct {
 	StreamBytes   sim.Counter // payload bytes delivered over streams
 }
 
-// SetEventLog attaches the machine's structured event log; every dropped
-// datagram becomes an instant on the destination port's timeline.
-func (s *Stack) SetEventLog(l *obs.EventLog) { s.events = l }
-
 // noteDrop counts a lost datagram and marks it in the event log.
 func (s *Stack) noteDrop(dg Datagram) {
 	s.Dropped.Inc()
 	s.events.Instant("netstack", "drop", obs.PIDNetstack, dg.DstPort, s.e.Now())
 }
 
-// SetInjector attaches the machine's fault injector: injected drops are
-// lost in flight, resets refuse sends with ECONNREFUSED, and eagain
-// faults fail sends as if the send buffer were full.
-func (s *Stack) SetInjector(in *fault.Injector) { s.inject = in }
-
-// New returns a stack bound to e.
-func New(e *sim.Engine, cfg Config) *Stack {
+// New returns a stack bound to e. Every dropped datagram becomes an
+// instant on the destination port's timeline in events. Faults from in:
+// injected drops are lost in flight, resets refuse sends with
+// ECONNREFUSED, and eagain faults fail sends as if the send buffer were
+// full.
+func New(e *sim.Engine, cfg Config, events *obs.EventLog, in *fault.Injector) *Stack {
 	if cfg.RecvQueueCap <= 0 {
 		cfg.RecvQueueCap = 512
 	}
@@ -109,7 +104,8 @@ func New(e *sim.Engine, cfg Config) *Stack {
 	if cfg.StreamWindow <= 0 {
 		cfg.StreamWindow = 64 << 10
 	}
-	return &Stack{e: e, cfg: cfg, ports: make(map[int]*Socket), nextEphemeral: EphemeralMin}
+	return &Stack{e: e, cfg: cfg, ports: make(map[int]*Socket), nextEphemeral: EphemeralMin,
+		inject: in, events: events}
 }
 
 // Config returns the stack configuration.

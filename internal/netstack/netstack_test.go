@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 
 	"genesys/internal/errno"
+	"genesys/internal/fault"
+	"genesys/internal/obs"
 	"genesys/internal/sim"
 )
 
@@ -13,7 +15,13 @@ func newStack(seed int64) (*sim.Engine, *Stack) {
 	e := sim.NewEngine(seed)
 	cfg := DefaultConfig()
 	cfg.JitterMax = 0 // deterministic latency for exact assertions
-	return e, New(e, cfg)
+	return e, newStackFaults(e, cfg, fault.Plan{})
+}
+
+// newStackFaults builds a stack over a fresh observer's event log and an
+// injector running plan (an empty plan injects nothing).
+func newStackFaults(e *sim.Engine, cfg Config, plan fault.Plan) *Stack {
+	return New(e, cfg, obs.New(0).Events, fault.NewInjector(e, 1, plan, func() {}))
 }
 
 func TestSendRecv(t *testing.T) {
@@ -100,7 +108,7 @@ func TestDropOnFullQueueAndDeadPort(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.JitterMax = 0
 	cfg.RecvQueueCap = 2
-	st := New(e, cfg)
+	st := newStackFaults(e, cfg, fault.Plan{})
 	dst := st.NewSocket()
 	dst.Bind(7)
 	src := st.NewSocket()
@@ -136,7 +144,7 @@ func TestDatagramConservationProperty(t *testing.T) {
 		e := sim.NewEngine(seed)
 		cfg := DefaultConfig()
 		cfg.RecvQueueCap = 4
-		st := New(e, cfg)
+		st := newStackFaults(e, cfg, fault.Plan{})
 		socks := make([]*Socket, 4)
 		for i := range socks {
 			socks[i] = st.NewSocket()

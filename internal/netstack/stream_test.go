@@ -6,6 +6,7 @@ import (
 
 	"genesys/internal/errno"
 	"genesys/internal/fault"
+	"genesys/internal/obs"
 	"genesys/internal/sim"
 )
 
@@ -106,7 +107,7 @@ func TestStreamFlowControl(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.JitterMax = 0
 	cfg.StreamWindow = 1 << 10 // 1 KiB window
-	st := New(e, cfg)
+	st := newStackFaults(e, cfg, fault.Plan{})
 	lst := st.NewStreamSocket()
 	lst.Bind(8082)
 	lst.Listen(1)
@@ -296,10 +297,8 @@ func TestStreamLossBecomesDelay(t *testing.T) {
 	e := sim.NewEngine(7)
 	cfg := DefaultConfig()
 	cfg.JitterMax = 0
-	st := New(e, cfg)
-	inj := fault.NewInjector(e, 7, fault.Plan{Name: "drop-all",
-		Rules: []fault.Rule{{Point: fault.NetDrop, Rate: 1.0}}})
-	st.SetInjector(inj)
+	st := New(e, cfg, obs.New(0).Events, fault.NewInjector(e, 7, fault.Plan{Name: "drop-all",
+		Rules: []fault.Rule{{Point: fault.NetDrop, Rate: 1.0}}}, func() {}))
 	lst := st.NewStreamSocket()
 	lst.Bind(8086)
 	lst.Listen(1)

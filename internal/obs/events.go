@@ -86,8 +86,7 @@ const DefaultEventCap = 1 << 16
 // disabled so instrumented hot paths cost nothing until a consumer (the
 // -trace flag, a test) opts in, and it allocates the ring at the first
 // recorded event, so a log that never records costs no ring memory. When
-// full, the oldest events are overwritten and counted as dropped. All
-// methods are safe on a nil receiver, so call sites need no guards.
+// full, the oldest events are overwritten and counted as dropped.
 type EventLog struct {
 	enabled  bool
 	capacity int     // ring size; buf is nil or has exactly this capacity
@@ -99,15 +98,15 @@ type EventLog struct {
 	procNames   map[int]string
 	threadNames map[[2]int]string // (pid, tid) → name
 
-	// flight, when not nil, receives every flow-tagged span — even while
-	// the ring itself is disabled — so the always-on flight recorder sees
-	// causal chains without the cost of full event retention.
+	// flight receives every flow-tagged span — even while the ring
+	// itself is disabled — so the always-on flight recorder sees causal
+	// chains without the cost of full event retention.
 	flight *Flight
 }
 
 // NewEventLog returns a disabled log holding up to capacity events
 // (DefaultEventCap if capacity <= 0) that tees flow-tagged spans to the
-// flight recorder f (none if f is nil).
+// flight recorder f.
 func NewEventLog(capacity int, f *Flight) *EventLog {
 	if capacity <= 0 {
 		capacity = DefaultEventCap
@@ -121,44 +120,21 @@ func NewEventLog(capacity int, f *Flight) *EventLog {
 }
 
 // SetEnabled switches recording on or off.
-func (l *EventLog) SetEnabled(on bool) {
-	if l != nil {
-		l.enabled = on
-	}
-}
+func (l *EventLog) SetEnabled(on bool) { l.enabled = on }
 
 // Enabled reports whether the log is recording.
-func (l *EventLog) Enabled() bool { return l != nil && l.enabled }
-
-// CaptureActive reports whether span emission has any consumer — the
-// ring itself or the log's flight recorder. Instrumented paths that
-// build spans conditionally should gate on this, not Enabled, so the
-// always-on flight recorder keeps seeing causal chains in untraced runs.
-func (l *EventLog) CaptureActive() bool {
-	return l != nil && (l.enabled || l.flight != nil)
-}
+func (l *EventLog) Enabled() bool { return l.enabled }
 
 // Capacity returns the ring's event capacity.
-func (l *EventLog) Capacity() int {
-	if l == nil {
-		return 0
-	}
-	return l.capacity
-}
+func (l *EventLog) Capacity() int { return l.capacity }
 
 // NameProcess labels a synthetic process ID in exported traces.
-func (l *EventLog) NameProcess(pid int, name string) {
-	if l != nil {
-		l.procNames[pid] = name
-	}
-}
+func (l *EventLog) NameProcess(pid int, name string) { l.procNames[pid] = name }
 
 // NameThread labels one thread of a synthetic process in exported
 // traces (e.g. "kworker/3" or "cu2/wave17").
 func (l *EventLog) NameThread(pid, tid int, name string) {
-	if l != nil {
-		l.threadNames[[2]int{pid, tid}] = name
-	}
+	l.threadNames[[2]int{pid, tid}] = name
 }
 
 func (l *EventLog) push(e Event) {
@@ -185,9 +161,6 @@ func (l *EventLog) Span(cat, name string, pid, tid int, start, end sim.Time) {
 // (0 disables linking) at position fp; flowName labels the chain.
 func (l *EventLog) FlowSpan(cat, name string, pid, tid int, start, end sim.Time,
 	flow uint64, fp FlowPhase, flowName string) {
-	if !l.CaptureActive() {
-		return
-	}
 	if end < start {
 		if l.enabled {
 			l.rejected++
@@ -224,36 +197,18 @@ func (l *EventLog) Counter(cat, name string, pid, tid int, t sim.Time, v float64
 }
 
 // Len returns the number of retained events.
-func (l *EventLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.buf)
-}
+func (l *EventLog) Len() int { return len(l.buf) }
 
 // Dropped returns how many events were overwritten by ring wrap-around.
-func (l *EventLog) Dropped() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.total - int64(len(l.buf))
-}
+func (l *EventLog) Dropped() int64 { return l.total - int64(len(l.buf)) }
 
 // Rejected returns how many spans were refused for negative duration.
-func (l *EventLog) Rejected() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.rejected
-}
+func (l *EventLog) Rejected() int64 { return l.rejected }
 
 // Events returns the retained events in push order. Spans are pushed at
 // their end time but carry their start time, so push order is NOT
 // start-time order; WriteChromeTrace sorts for export.
 func (l *EventLog) Events() []Event {
-	if l == nil {
-		return nil
-	}
 	out := make([]Event, 0, len(l.buf))
 	out = append(out, l.buf[l.head:]...)
 	out = append(out, l.buf[:l.head]...)
@@ -292,10 +247,8 @@ type chromeTrace struct {
 func (l *EventLog) WriteChromeTrace(w io.Writer) error {
 	var out chromeTrace
 	out.DisplayTimeUnit = "ms"
-	if l != nil {
-		out.TraceEvents = append(out.TraceEvents, l.metaEvents()...)
-		out.TraceEvents = appendChromeEvents(out.TraceEvents, l.Events())
-	}
+	out.TraceEvents = append(out.TraceEvents, l.metaEvents()...)
+	out.TraceEvents = appendChromeEvents(out.TraceEvents, l.Events())
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
 }
@@ -303,9 +256,6 @@ func (l *EventLog) WriteChromeTrace(w io.Writer) error {
 // metaEvents returns the process/thread naming metadata as Chrome "M"
 // events in deterministic (pid, tid) order.
 func (l *EventLog) metaEvents() []chromeEvent {
-	if l == nil {
-		return nil
-	}
 	var out []chromeEvent
 	pids := make([]int, 0, len(l.procNames))
 	for pid := range l.procNames {

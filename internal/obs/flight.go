@@ -110,7 +110,7 @@ func NewFlight() *Flight {
 // new chain is filed, which also replaces the cached last chain, so the
 // cache never names an evicted chain.
 func (f *Flight) addSpan(e Event) {
-	if f == nil || e.Flow == 0 {
+	if e.Flow == 0 {
 		return
 	}
 	c := f.last
@@ -161,9 +161,6 @@ func (f *Flight) addSpan(e Event) {
 // util, ...) whose output is frozen into every bundle at its trigger
 // instant.
 func (f *Flight) AddSnapshot(name string, fn func() []byte) {
-	if f == nil || fn == nil {
-		return
-	}
 	f.snaps = append(f.snaps, snapshotSource{name: name, fn: fn})
 }
 
@@ -173,7 +170,7 @@ func (f *Flight) AddSnapshot(name string, fn func() []byte) {
 // sample joined it. The core tracer keeps that distribution; the
 // detector arms once it holds outlierMinCalls samples.
 func (f *Flight) NoteCall(name string, trace uint64, totalUS float64, at sim.Time, n int, p99 float64) {
-	if f == nil || n < outlierMinCalls || p99 <= 0 || totalUS <= outlierFactor*p99 {
+	if n < outlierMinCalls || p99 <= 0 || totalUS <= outlierFactor*p99 {
 		return
 	}
 	f.trigger("latency-outlier",
@@ -185,9 +182,6 @@ func (f *Flight) NoteCall(name string, trace uint64, totalUS float64, at sim.Tim
 // NoteAbort fires the watchdog-exhaustion detector: the retransmit
 // watchdog gave up on a doorbell and surfaced EINTR to the GPU.
 func (f *Flight) NoteAbort(name string, trace uint64, at sim.Time) {
-	if f == nil {
-		return
-	}
 	f.trigger("watchdog-exhausted",
 		fmt.Sprintf("%s trace=%d aborted EINTR after retransmit exhaustion", name, trace),
 		at, []uint64{trace})
@@ -196,9 +190,6 @@ func (f *Flight) NoteAbort(name string, trace uint64, at sim.Time) {
 // NoteSurfaced fires the fault-surfaced detector: a layer's recovery
 // gave up and an injected fault became visible to the application.
 func (f *Flight) NoteSurfaced(at sim.Time) {
-	if f == nil {
-		return
-	}
 	f.trigger("fault-surfaced",
 		"injected fault exhausted recovery and surfaced to the application",
 		at, nil)
@@ -210,9 +201,6 @@ func (f *Flight) NoteSurfaced(at sim.Time) {
 // fraction reaches burnThreshold, the slo-burn detector fires and the
 // window re-arms after one full burnWindow.
 func (f *Flight) NoteRequest(at sim.Time, ok bool) {
-	if f == nil {
-		return
-	}
 	f.burn = append(f.burn, burnSample{at: at, bad: !ok})
 	lo := 0
 	for lo < len(f.burn) && f.burn[lo].at < at-burnWindow {
@@ -377,67 +365,31 @@ func (f *Flight) buildBundle(reason, detail string, at sim.Time, traces []uint64
 }
 
 // Bundles returns the frozen bundles in trigger order.
-func (f *Flight) Bundles() []*Bundle {
-	if f == nil {
-		return nil
-	}
-	return f.bundles
-}
+func (f *Flight) Bundles() []*Bundle { return f.bundles }
 
 // Anomalies returns the total detector triggers (including suppressed).
-func (f *Flight) Anomalies() int64 {
-	if f == nil {
-		return 0
-	}
-	return f.anomalies
-}
+func (f *Flight) Anomalies() int64 { return f.anomalies }
 
 // BundleCount returns how many bundles were frozen.
-func (f *Flight) BundleCount() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.bundles)
-}
+func (f *Flight) BundleCount() int { return len(f.bundles) }
 
 // Suppressed returns triggers dropped by cooldown or the bundle cap.
-func (f *Flight) Suppressed() int64 {
-	if f == nil {
-		return 0
-	}
-	return f.suppressed
-}
+func (f *Flight) Suppressed() int64 { return f.suppressed }
 
 // Chains returns the number of retained trace chains.
-func (f *Flight) Chains() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.chains)
-}
+func (f *Flight) Chains() int { return len(f.chains) }
 
 // Evicted returns how many chains were evicted by the retention cap.
-func (f *Flight) Evicted() int64 {
-	if f == nil {
-		return 0
-	}
-	return f.evicted
-}
+func (f *Flight) Evicted() int64 { return f.evicted }
 
 // Last returns the most recent trigger's reason, detail and instant
 // (empty reason when no detector has fired).
 func (f *Flight) Last() (reason, detail string, at sim.Time) {
-	if f == nil {
-		return "", "", 0
-	}
 	return f.lastReason, f.lastDetail, f.lastAt
 }
 
 // BurnState returns the burn window's current occupancy and bad count.
 func (f *Flight) BurnState() (n, bad int) {
-	if f == nil {
-		return 0, 0
-	}
 	for _, s := range f.burn {
 		if s.bad {
 			bad++
@@ -451,10 +403,6 @@ func (f *Flight) BurnState() (n, bad int) {
 func (f *Flight) Render() string {
 	var sb strings.Builder
 	sb.WriteString("flight recorder\n")
-	if f == nil {
-		sb.WriteString("  (not attached)\n")
-		return sb.String()
-	}
 	n, bad := f.BurnState()
 	fmt.Fprintf(&sb, "  chains retained %d (cap %d, evicted %d)\n",
 		len(f.chains), flightChainCap, f.evicted)

@@ -132,17 +132,16 @@ type Observer struct {
 
 // New returns an Observer with an empty registry, a disabled event log
 // holding up to eventCap events (DefaultEventCap if eventCap <= 0), an
-// empty utilization registry wired to mirror counter samples into the
+// empty utilization registry that mirrors counter samples into the
 // event log, and an always-on flight recorder teed off the event log's
 // flow-tagged spans.
 func New(eventCap int) *Observer {
 	fl := NewFlight()
-	o := &Observer{
+	ev := NewEventLog(eventCap, fl)
+	return &Observer{
 		Metrics: NewRegistry(),
-		Events:  NewEventLog(eventCap, fl),
-		Util:    NewUtil(0),
+		Events:  ev,
+		Util:    NewUtil(ev),
 		Flight:  fl,
 	}
-	o.Util.SetEventLog(o.Events)
-	return o
 }

@@ -7,8 +7,8 @@ import (
 	"genesys/internal/sim"
 )
 
-// DefaultUtilBin is the bin width of utilization time-series tracks.
-const DefaultUtilBin = sim.Millisecond
+// utilBin is the bin width of utilization time-series tracks.
+const utilBin = sim.Millisecond
 
 // UtilTrack is one virtual-time occupancy timeline (busy CPU cores,
 // busy OS workers, resident GPU waves, ...). Call sites report +1/-1
@@ -18,8 +18,7 @@ const DefaultUtilBin = sim.Millisecond
 // track under the "utilization" process in trace viewers.
 //
 // Tracks are pure accounting: they never advance virtual time, so
-// attaching them cannot perturb a simulation. All methods are safe on a
-// nil receiver.
+// attaching them cannot perturb a simulation.
 type UtilTrack struct {
 	name string
 	cap  int // capacity for percent-of-capacity reporting (0 = uncapped)
@@ -34,20 +33,10 @@ type UtilTrack struct {
 }
 
 // Name returns the track name.
-func (t *UtilTrack) Name() string {
-	if t == nil {
-		return ""
-	}
-	return t.name
-}
+func (t *UtilTrack) Name() string { return t.name }
 
 // Cur returns the current occupancy.
-func (t *UtilTrack) Cur() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.cur
-}
+func (t *UtilTrack) Cur() int64 { return t.cur }
 
 func (t *UtilTrack) advance(now sim.Time) {
 	if now <= t.last {
@@ -64,9 +53,6 @@ func (t *UtilTrack) advance(now sim.Time) {
 // Add applies an occupancy delta at virtual time now (typically +1 on
 // entering the busy state and -1 on leaving it).
 func (t *UtilTrack) Add(now sim.Time, delta int64) {
-	if t == nil {
-		return
-	}
 	t.advance(now)
 	t.cur += delta
 	if t.cur < 0 {
@@ -79,7 +65,7 @@ func (t *UtilTrack) Add(now sim.Time, delta int64) {
 
 // Mean returns the time-averaged occupancy over [0, now].
 func (t *UtilTrack) Mean(now sim.Time) float64 {
-	if t == nil || now <= 0 {
+	if now <= 0 {
 		return 0
 	}
 	integral := t.integral
@@ -92,7 +78,7 @@ func (t *UtilTrack) Mean(now sim.Time) float64 {
 // MeanPct returns mean occupancy as a percentage of the track capacity
 // (0 when the track is uncapped).
 func (t *UtilTrack) MeanPct(now sim.Time) float64 {
-	if t == nil || t.cap <= 0 {
+	if t.cap <= 0 {
 		return 0
 	}
 	return 100 * t.Mean(now) / float64(t.cap)
@@ -104,7 +90,7 @@ const sparkLevels = " .:-=+*#%@"
 // timeline renders the track's binned history over [0, now] compressed
 // to at most width glyphs.
 func (t *UtilTrack) timeline(now sim.Time, width int) string {
-	if t == nil || now <= 0 || width <= 0 {
+	if now <= 0 || width <= 0 {
 		return ""
 	}
 	nbins := int(now/t.series.BinWidth) + 1
@@ -148,19 +134,13 @@ func (t *UtilTrack) timeline(now sim.Time, width int) string {
 // Util is the registry of a machine's utilization tracks, rendered at
 // /sys/genesys/util and exported as Chrome counter tracks.
 type Util struct {
-	bin    sim.Time
 	tracks []*UtilTrack
 	log    *EventLog
 }
 
-// NewUtil returns an empty utilization registry with the given bin
-// width (DefaultUtilBin if <= 0).
-func NewUtil(bin sim.Time) *Util {
-	if bin <= 0 {
-		bin = DefaultUtilBin
-	}
-	return &Util{bin: bin}
-}
+// NewUtil returns an empty utilization registry whose tracks mirror
+// counter samples into l (when it is enabled).
+func NewUtil(l *EventLog) *Util { return &Util{log: l} }
 
 // Track registers a new timeline. capacity enables percent-of-capacity
 // reporting (pass 0 for uncapped tracks like queue occupancy).
@@ -169,20 +149,11 @@ func (u *Util) Track(name string, capacity int) *UtilTrack {
 		name:   name,
 		cap:    capacity,
 		tid:    len(u.tracks),
-		series: sim.NewSeries(u.bin),
+		series: sim.NewSeries(utilBin),
 		log:    u.log,
 	}
 	u.tracks = append(u.tracks, t)
 	return t
-}
-
-// SetEventLog attaches the event log all tracks mirror counter samples
-// into (when it is enabled).
-func (u *Util) SetEventLog(l *EventLog) {
-	u.log = l
-	for _, t := range u.tracks {
-		t.log = l
-	}
 }
 
 // Tracks returns the registered tracks in registration order.
@@ -193,7 +164,7 @@ func (u *Util) Tracks() []*UtilTrack { return u.tracks }
 // compressed timeline of the whole run.
 func (u *Util) Render(now sim.Time) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "utilization over %s (timeline bin %s):\n", now, u.bin)
+	fmt.Fprintf(&b, "utilization over %s (timeline bin %s):\n", now, utilBin)
 	fmt.Fprintf(&b, "  %-22s %5s %5s %8s %7s  %s\n",
 		"track", "cap", "cur", "mean", "util%", "timeline (low '.' to high '@')")
 	for _, t := range u.tracks {

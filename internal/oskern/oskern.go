@@ -38,13 +38,12 @@ type Config struct {
 	ContextSwitch   sim.Time // switching a worker into a process context
 	SyscallSoftware sim.Time // base in-kernel cost of one system call
 	FDLimit         int
-
-	// StallTimeout is how long a picked work-queue task may sit without
-	// starting execution before the stall detector re-dispatches it to
-	// another worker. Detection only arms while fault injection is
-	// active; 0 selects a default.
-	StallTimeout sim.Time
 }
+
+// stallTimeout is how long a picked work-queue task may sit without
+// starting execution before the stall detector re-dispatches it to
+// another worker. Detection only arms while fault injection is active.
+const stallTimeout = 750 * sim.Microsecond
 
 // DefaultConfig starts the pool at cores-1 (one core stays free for the
 // application / GPU runtime) with latencies in the ranges the paper's
@@ -98,12 +97,12 @@ type OS struct {
 	// their work to a trace-viewer thread.
 	workerProc map[*sim.Proc]int
 
-	// events, when attached and enabled, receives one span per executed
-	// work-queue task (one trace-viewer thread per worker).
+	// events, when enabled, receives one span per executed work-queue
+	// task (one trace-viewer thread per worker).
 	events *obs.EventLog
 
-	// busyWorkers, when attached, integrates how many workers are
-	// executing a task at each virtual instant.
+	// busyWorkers integrates how many workers are executing a task at
+	// each virtual instant.
 	busyWorkers *obs.UtilTrack
 
 	// Inject, when active, feeds the kernel's injection points (worker
@@ -123,23 +122,29 @@ type OS struct {
 
 // New assembles a kernel over the given substrates and starts its worker
 // pool. vmCfg parameterizes the address spaces of processes it creates.
+// Workers record their tasks in events and their occupancy in busy, and
+// draw worker stalls from in.
 func New(e *sim.Engine, c *cpu.CPU, v *fs.VFS, net *netstack.Stack,
-	pool *vmm.Pool, vmCfg vmm.Config, cfg Config) *OS {
+	pool *vmm.Pool, vmCfg vmm.Config, cfg Config,
+	events *obs.EventLog, busy *obs.UtilTrack, in *fault.Injector) *OS {
 	if cfg.Workers <= 0 {
 		panic("oskern: need at least one worker")
 	}
 	os := &OS{
-		E:          e,
-		CPU:        c,
-		VFS:        v,
-		Net:        net,
-		Pool:       pool,
-		cfg:        cfg,
-		vmCfg:      vmCfg,
-		procs:      make(map[int]*Process),
-		nextPID:    1,
-		wq:         sim.NewQueue[Task](e, "kernel-workqueue", 0),
-		workerProc: make(map[*sim.Proc]int),
+		E:           e,
+		CPU:         c,
+		VFS:         v,
+		Net:         net,
+		Pool:        pool,
+		cfg:         cfg,
+		vmCfg:       vmCfg,
+		procs:       make(map[int]*Process),
+		nextPID:     1,
+		wq:          sim.NewQueue[Task](e, "kernel-workqueue", 0),
+		workerProc:  make(map[*sim.Proc]int),
+		events:      events,
+		busyWorkers: busy,
+		Inject:      in,
 	}
 	if os.cfg.MaxWorkers < os.cfg.Workers {
 		os.cfg.MaxWorkers = os.cfg.Workers
@@ -203,28 +208,6 @@ func (o *OS) setupNamespaces() {
 // RUSAGE_GPU) can report accelerator usage.
 func (o *OS) AttachGPU(d *gpu.Device) { o.GPU = d }
 
-// SetEventLog attaches the machine's structured event log and labels the
-// already-spawned worker threads in it.
-func (o *OS) SetEventLog(l *obs.EventLog) {
-	o.events = l
-	for id := 0; id < o.workers; id++ {
-		l.NameThread(obs.PIDKernel, id, fmt.Sprintf("kworker/%d", id))
-	}
-}
-
-// SetUtil attaches the busy-worker occupancy track.
-func (o *OS) SetUtil(busy *obs.UtilTrack) { o.busyWorkers = busy }
-
-// SetInjector attaches the machine's fault injector.
-func (o *OS) SetInjector(in *fault.Injector) { o.Inject = in }
-
-func (o *OS) stallTimeout() sim.Time {
-	if o.cfg.StallTimeout > 0 {
-		return o.cfg.StallTimeout
-	}
-	return 750 * sim.Microsecond
-}
-
 // AddDevice registers a device node under /dev.
 func (o *OS) AddDevice(name string, n fs.Node) {
 	d, err := o.VFS.ResolveDir("/dev")
@@ -252,7 +235,7 @@ func (st *taskState) claim() bool {
 }
 
 // watchTask arms the stall detector for a picked task: if the task has
-// not started executing within StallTimeout (its worker is parked by an
+// not started executing within stallTimeout (its worker is parked by an
 // injected stall), a fresh copy is re-dispatched to the pool. Returns
 // nil — arming nothing — when fault injection is inactive, keeping the
 // default path free of timer events.
@@ -261,7 +244,7 @@ func (o *OS) watchTask(t Task) *taskState {
 		return nil
 	}
 	st := &taskState{}
-	o.E.CallAfter(o.stallTimeout(), func() {
+	o.E.CallAfter(stallTimeout, func() {
 		if st.executed || st.redispatched {
 			return
 		}

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"genesys/internal/cpu"
+	"genesys/internal/fault"
 	"genesys/internal/fs"
 	"genesys/internal/netstack"
+	"genesys/internal/obs"
 	"genesys/internal/sim"
 	"genesys/internal/vmm"
 )
@@ -14,14 +16,20 @@ import (
 func newOS(t *testing.T) (*sim.Engine, *OS) {
 	t.Helper()
 	e := sim.NewEngine(1)
-	c := cpu.New(e, cpu.DefaultConfig())
-	v := fs.NewVFS()
-	net := netstack.New(e, netstack.DefaultConfig())
-	vmCfg := vmm.DefaultConfig()
-	pool := &vmm.Pool{Total: vmCfg.PhysPages}
-	os := New(e, c, v, net, pool, vmCfg, DefaultConfig())
+	os := newKernel(e, DefaultConfig(), &vmm.Pool{Total: vmm.DefaultConfig().PhysPages})
 	t.Cleanup(e.Shutdown)
 	return e, os
+}
+
+// newKernel builds a kernel over default substrates, all wired to one
+// fresh observer and an injector with an empty plan.
+func newKernel(e *sim.Engine, cfg Config, pool *vmm.Pool) *OS {
+	o := obs.New(0)
+	in := fault.NewInjector(e, 1, fault.Plan{}, func() {})
+	c := cpu.New(e, cpu.DefaultConfig(), o.Util.Track("cpu.busy", 0), o.Util.Track("cpu.waiting", 0))
+	net := netstack.New(e, netstack.DefaultConfig(), o.Events, in)
+	return New(e, c, fs.NewVFS(), net, pool, vmm.DefaultConfig(), cfg,
+		o.Events, o.Util.Track("oskern.busy", 0), in)
 }
 
 func TestWorkqueueRunsTasks(t *testing.T) {

@@ -3,9 +3,6 @@ package oskern
 import (
 	"testing"
 
-	"genesys/internal/cpu"
-	"genesys/internal/fs"
-	"genesys/internal/netstack"
 	"genesys/internal/sim"
 	"genesys/internal/vmm"
 )
@@ -15,13 +12,9 @@ import (
 // pool's concurrency, so Enqueue spawns new workers up to MaxWorkers.
 func TestWorkerPoolGrowsWhenBlocked(t *testing.T) {
 	e := sim.NewEngine(1)
-	c := cpu.New(e, cpu.DefaultConfig())
-	v := fs.NewVFS()
-	net := netstack.New(e, netstack.DefaultConfig())
-	vmCfg := vmm.DefaultConfig()
 	cfg := DefaultConfig()
 	cfg.Workers, cfg.MaxWorkers = 2, 6
-	os := New(e, c, v, net, &vmm.Pool{Total: vmCfg.PhysPages}, vmCfg, cfg)
+	os := newKernel(e, cfg, &vmm.Pool{Total: vmm.DefaultConfig().PhysPages})
 	t.Cleanup(e.Shutdown)
 
 	if os.Workers() != 2 {
@@ -63,13 +56,9 @@ func TestWorkerPoolGrowsWhenBlocked(t *testing.T) {
 
 func TestMaxWorkersFloor(t *testing.T) {
 	e := sim.NewEngine(1)
-	c := cpu.New(e, cpu.DefaultConfig())
-	v := fs.NewVFS()
-	net := netstack.New(e, netstack.DefaultConfig())
-	vmCfg := vmm.DefaultConfig()
 	cfg := DefaultConfig()
 	cfg.Workers, cfg.MaxWorkers = 4, 1 // cap below the floor is raised
-	os := New(e, c, v, net, &vmm.Pool{Total: 1}, vmCfg, cfg)
+	os := newKernel(e, cfg, &vmm.Pool{Total: 1})
 	t.Cleanup(e.Shutdown)
 	if os.Config().MaxWorkers != 4 {
 		t.Fatalf("MaxWorkers = %d, want raised to Workers", os.Config().MaxWorkers)

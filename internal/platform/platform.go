@@ -113,24 +113,56 @@ type Machine struct {
 	Obs *obs.Observer
 }
 
-// New builds a machine: engine, substrates, kernel namespaces (/dev,
-// /proc, /sys, /tmp on tmpfs, /data on the SSD) and the GENESYS layer.
+// New builds a machine: engine, observability, fault injector,
+// substrates, kernel namespaces (/dev, /proc, /sys, /tmp on tmpfs, /data
+// on the SSD) and the GENESYS layer. Every layer is built wired to the
+// machine's event log, flight recorder, utilization tracks and injector.
 func New(cfg Config) *Machine {
 	e := sim.NewEngine(cfg.Seed)
 	m := &Machine{Cfg: cfg, E: e}
+	m.Obs = obs.New(cfg.EventCap)
+	ev, util, fl := m.Obs.Events, m.Obs.Util, m.Obs.Flight
+
+	// The injector always exists (so its metrics register and
+	// /sys/genesys/faults renders) but has an empty plan — and therefore
+	// injects nothing and arms no recovery timers — unless Cfg.Faults is
+	// set. Its RNG stream is salted off the machine seed so enabling
+	// injection never perturbs the engine's own random stream. Surfaced
+	// faults feed the flight recorder's fault-surfaced detector.
+	plan := fault.Plan{}
+	if cfg.Faults != nil {
+		plan = *cfg.Faults
+	}
+	m.Inject = fault.NewInjector(e, cfg.Seed^0x5DEECE66D, plan,
+		func() { fl.NoteSurfaced(e.Now()) })
+
+	// Utilization timelines (§VII's parallelism-vs-coalescing evidence):
+	// capped tracks report percent-of-capacity; uncapped ones (waiting
+	// threads, busy workers — the pool grows on demand) scale to their
+	// own peak. A track's counter-track ID in exported traces is its
+	// registration index, so the kernel's track is registered before the
+	// GPU's although the kernel is built after the GPU.
 	m.Mem = mem.New(e, cfg.Mem)
-	m.CPU = cpu.New(e, cfg.CPU)
-	m.GPU = gpu.New(e, cfg.GPU)
+	m.CPU = cpu.New(e, cfg.CPU,
+		util.Track("cpu.busy_cores", cfg.CPU.Cores),
+		util.Track("cpu.runnable_waiting", 0))
+	busyWorkers := util.Track("oskern.busy_workers", 0)
+	m.GPU = gpu.New(e, cfg.GPU, ev,
+		util.Track("gpu.busy_cus", cfg.GPU.CUs),
+		util.Track("gpu.resident_waves", cfg.GPU.CUs*cfg.GPU.WavefrontsPerCU),
+		util.Track("gpu.halted_waves", 0),
+		util.Track("gpu.polling_waves", 0))
 	m.VFS = fs.NewVFS()
-	m.Net = netstack.New(e, cfg.Net)
+	m.Net = netstack.New(e, cfg.Net, ev, m.Inject)
 	pool := &vmm.Pool{Total: cfg.VM.PhysPages}
-	m.OS = oskern.New(e, m.CPU, m.VFS, m.Net, pool, cfg.VM, cfg.Kernel)
+	m.OS = oskern.New(e, m.CPU, m.VFS, m.Net, pool, cfg.VM, cfg.Kernel,
+		ev, busyWorkers, m.Inject)
 
 	m.Tmpfs = fs.NewTmpfs()
 	if _, err := m.Tmpfs.Mount(m.VFS, "/tmp"); err != nil {
 		panic(err)
 	}
-	m.SSD = blockdev.New(e, cfg.SSD)
+	m.SSD = blockdev.New(e, cfg.SSD, ev, m.Inject)
 	m.SSDFS = fs.NewSSDFS(m.SSD)
 	if _, err := m.SSDFS.Mount(m.VFS, "/data"); err != nil {
 		panic(err)
@@ -139,33 +171,17 @@ func New(cfg Config) *Machine {
 	m.OS.AddDevice("fb0", m.FB)
 
 	m.OS.AttachGPU(m.GPU)
-	m.Genesys = core.New(e, m.GPU, m.OS, m.Mem, m.CPU, cfg.Genesys)
-
-	// The injector always exists (so its metrics register and
-	// /sys/genesys/faults renders) but has an empty plan — and therefore
-	// injects nothing and arms no recovery timers — unless Cfg.Faults is
-	// set. Its RNG stream is salted off the machine seed so enabling
-	// injection never perturbs the engine's own random stream.
-	plan := fault.Plan{}
-	if cfg.Faults != nil {
-		plan = *cfg.Faults
-	}
-	m.Inject = fault.NewInjector(e, cfg.Seed^0x5DEECE66D, plan)
-	m.Net.SetInjector(m.Inject)
-	m.SSD.SetInjector(m.Inject)
-	m.OS.SetInjector(m.Inject)
-	m.Genesys.SetInjector(m.Inject)
+	m.Genesys = core.New(e, m.GPU, m.OS, m.Mem, m.CPU, cfg.Genesys, ev, fl, m.Inject)
 
 	m.wireObservability(pool)
 	return m
 }
 
-// wireObservability builds the machine's Observer: every subsystem's
-// counters and gauges are published under "<subsystem>.<stat>" names,
-// the event log is attached to the GPU, kernel and GENESYS layers, and
-// the registry is served at /sys/genesys/metrics.
+// wireObservability publishes every subsystem's counters and gauges in
+// the machine's registry under "<subsystem>.<stat>" names, names the
+// event log's synthetic processes, registers the flight recorder's
+// snapshot sources and serves the views under /sys/genesys.
 func (m *Machine) wireObservability(pool *vmm.Pool) {
-	m.Obs = obs.New(m.Cfg.EventCap)
 	reg := m.Obs.Metrics
 
 	reg.RegisterCounter("gpu.kernels_launched", &m.GPU.KernelsLaunched)
@@ -290,26 +306,6 @@ func (m *Machine) wireObservability(pool *vmm.Pool) {
 		ev.NameThread(obs.PIDGPU, slot,
 			fmt.Sprintf("cu%d/wave%d", slot/wavesPerCU, slot%wavesPerCU))
 	}
-	m.GPU.SetEventLog(ev)
-	m.OS.SetEventLog(ev)
-	m.Genesys.SetEventLog(ev)
-	m.SSD.SetEventLog(ev)
-	m.Net.SetEventLog(ev)
-
-	// Utilization timelines (§VII's parallelism-vs-coalescing evidence):
-	// capped tracks report percent-of-capacity; uncapped ones (waiting
-	// threads, busy workers — the pool grows on demand) scale to their
-	// own peak.
-	util := m.Obs.Util
-	m.CPU.SetUtil(
-		util.Track("cpu.busy_cores", m.Cfg.CPU.Cores),
-		util.Track("cpu.runnable_waiting", 0))
-	m.OS.SetUtil(util.Track("oskern.busy_workers", 0))
-	m.GPU.SetUtilTracks(
-		util.Track("gpu.busy_cus", m.Cfg.GPU.CUs),
-		util.Track("gpu.resident_waves", m.GPU.HWWavefronts()),
-		util.Track("gpu.halted_waves", 0),
-		util.Track("gpu.polling_waves", 0))
 
 	// Exact end-to-end latency extremes (satellite of the percentile
 	// views): the tracer's min/max, readable without Perfetto.
@@ -326,9 +322,7 @@ func (m *Machine) wireObservability(pool *vmm.Pool) {
 	// detectors, the injector notifies it of surfaced faults, and the
 	// snapshot sources below freeze the machine state views into each
 	// diagnostic bundle at its trigger instant.
-	fl := m.Obs.Flight
-	m.Genesys.SetFlight(fl)
-	m.Inject.SetSurfacedHook(func() { fl.NoteSurfaced(m.E.Now()) })
+	util, fl := m.Obs.Util, m.Obs.Flight
 	fl.AddSnapshot("critpath", func() []byte {
 		return []byte(m.Genesys.Tracer().CritPath())
 	})

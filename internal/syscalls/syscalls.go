@@ -77,16 +77,15 @@ type Ctx struct {
 	OS   *oskern.OS
 	Proc *oskern.Process
 
-	// Events, when attached, receives back-end spans (storage transfers,
-	// socket operations) linked by Trace — the trace ID of the request
-	// currently being dispatched.
+	// Events, set when GENESYS dispatches the call, receives socket
+	// operation spans linked by Trace — the trace ID of the request
+	// currently being dispatched, which storage transfers carry too.
 	Events *obs.EventLog
 	Trace  uint64
 }
 
 func (c *Ctx) io() *fs.IOCtx {
-	return &fs.IOCtx{P: c.P, CPU: c.OS.CPU, Prio: cpu.PrioKernel,
-		Events: c.Events, Trace: c.Trace}
+	return &fs.IOCtx{P: c.P, CPU: c.OS.CPU, Prio: cpu.PrioKernel, Trace: c.Trace}
 }
 
 // Handler implements one system call.
@@ -577,8 +576,9 @@ func sysSendto(c *Ctx, r *Request) {
 
 // netSpan records a socket operation on the netstack process's timeline,
 // linked into the call's causal flow chain when it carries a trace ID.
+// A call dispatched without an event log (a CPU-side Ctx) records none.
 func netSpan(c *Ctx, op string, r *Request, port int, t0 sim.Time) {
-	if !c.Events.CaptureActive() {
+	if c.Events == nil {
 		return
 	}
 	fp, fn := obs.FlowNone, ""

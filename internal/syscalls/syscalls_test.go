@@ -6,8 +6,10 @@ import (
 
 	"genesys/internal/cpu"
 	"genesys/internal/errno"
+	"genesys/internal/fault"
 	"genesys/internal/fs"
 	"genesys/internal/netstack"
+	"genesys/internal/obs"
 	"genesys/internal/oskern"
 	"genesys/internal/sig"
 	"genesys/internal/sim"
@@ -24,12 +26,15 @@ type env struct {
 func newEnv(t *testing.T) *env {
 	t.Helper()
 	e := sim.NewEngine(1)
-	c := cpu.New(e, cpu.DefaultConfig())
+	o := obs.New(0)
+	in := fault.NewInjector(e, 1, fault.Plan{}, func() {})
+	c := cpu.New(e, cpu.DefaultConfig(), o.Util.Track("cpu.busy", 0), o.Util.Track("cpu.waiting", 0))
 	v := fs.NewVFS()
-	net := netstack.New(e, netstack.DefaultConfig())
+	net := netstack.New(e, netstack.DefaultConfig(), o.Events, in)
 	vmCfg := vmm.DefaultConfig()
 	pool := &vmm.Pool{Total: vmCfg.PhysPages}
-	os := oskern.New(e, c, v, net, pool, vmCfg, oskern.DefaultConfig())
+	os := oskern.New(e, c, v, net, pool, vmCfg, oskern.DefaultConfig(),
+		o.Events, o.Util.Track("oskern.busy", 0), in)
 	fs.NewTmpfs().Mount(v, "/tmp")
 	fb := fs.NewFramebuffer(fs.VScreenInfo{XRes: 64, YRes: 64, BPP: 32})
 	os.AddDevice("fb0", fb)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"genesys/internal/fault"
 	"genesys/internal/platform"
 	"genesys/internal/sim"
 )
@@ -194,6 +195,36 @@ func TestWordcountAllVariantsCorrect(t *testing.T) {
 		}
 		if !res.Correct() {
 			t.Fatalf("%v: counts mismatch", v)
+		}
+	}
+}
+
+// TestWordcountFailedReadsFailTheRun: when every GPU read fails with a
+// surfaced errno, nothing is scanned, each failed read is counted and
+// the run is not correct (the leader used to slice its buffer with the
+// read's -1).
+func TestWordcountFailedReadsFailTheRun(t *testing.T) {
+	cfg := DefaultWordcountConfig(WordcountGENESYS)
+	cfg.Files = 32
+	pcfg := platform.DefaultConfig()
+	plan, err := fault.PlanFor("transient-errno", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcfg.Faults = &plan
+	m := platform.New(pcfg)
+	t.Cleanup(m.Shutdown)
+	res, err := RunWordcount(m, cfg, NewWordcountCorpus(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FailedReads != cfg.Files || res.Correct() {
+		t.Fatalf("failed reads = %d of %d files, correct = %v; want all failed, not correct",
+			res.FailedReads, cfg.Files, res.Correct())
+	}
+	for w, n := range res.Counts {
+		if n != 0 {
+			t.Fatalf("word %d counted %d times with no successful read", w, n)
 		}
 	}
 }

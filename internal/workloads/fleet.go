@@ -148,7 +148,7 @@ type latSample struct {
 }
 
 // noteRequest feeds one client-observed outcome into the flight
-// recorder's SLO burn-rate detector (nil-safe, pure accounting).
+// recorder's SLO burn-rate detector (pure accounting).
 func (h *fleetHarness) noteRequest(at sim.Time, ok bool) {
 	h.m.Obs.Flight.NoteRequest(at, ok)
 }

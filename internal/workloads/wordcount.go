@@ -93,6 +93,9 @@ type WordcountResult struct {
 	Counts []int64
 	// Expected is the reference count computed outside the simulation.
 	Expected []int64
+	// FailedReads counts files whose read returned an error (an
+	// injected fault that surfaced); their bytes were never scanned.
+	FailedReads int
 	// MeanCPUUtil is mean CPU utilization (%) over the run (Figure 14).
 	MeanCPUUtil float64
 	// DiskTrace is per-bin SSD throughput in MB/s (Figure 14).
@@ -103,9 +106,10 @@ type WordcountResult struct {
 	MeanDiskMBs float64
 }
 
-// Correct reports whether the counts match the reference.
+// Correct reports whether every read succeeded and the counts match
+// the reference.
 func (r WordcountResult) Correct() bool {
-	if len(r.Counts) != len(r.Expected) {
+	if r.FailedReads > 0 || len(r.Counts) != len(r.Expected) {
 		return false
 	}
 	for i := range r.Counts {
@@ -236,6 +240,7 @@ func RunWordcount(m *platform.Machine, cfg WordcountConfig, c *WordcountCorpus) 
 	counts := make([]int64, cfg.Words)
 
 	var runtime sim.Time
+	failedReads := 0
 	switch cfg.Variant {
 	case WordcountCPU:
 		// OpenMP: each thread claims files, reading and scanning them.
@@ -348,6 +353,14 @@ func RunWordcount(m *platform.Machine, cfg WordcountConfig, c *WordcountCorpus) 
 							sh["n"] = r.Ret
 						}
 						n := sh["n"].(int64)
+						if n < 0 {
+							// The read failed with a surfaced errno:
+							// nothing to scan, and the run fails.
+							n = 0
+							if w.IsLeader() {
+								failedReads++
+							}
+						}
 						w.ComputeTime(sim.Time(float64(n) / cfg.GPUScanBytesPerNS))
 						if w.IsLeader() {
 							countChunk(buf[:n], words, local)
@@ -377,6 +390,7 @@ func RunWordcount(m *platform.Machine, cfg WordcountConfig, c *WordcountCorpus) 
 		Runtime:     runtime,
 		Counts:      counts,
 		Expected:    slices.Clone(c.expected),
+		FailedReads: failedReads,
 		MeanCPUUtil: m.CPU.MeanUtilization(runtime),
 		DiskTrace:   m.SSD.ThroughputTrace(),
 	}
