@@ -16,17 +16,17 @@ import (
 // byte-identical tables at two seeds whether its data points run one at
 // a time or four at once. Under -short, Figures 7 and 10 (256 MiB pread
 // sweeps) are left out. Under the race detector, whose state grows with
-// every simulated process a test binary ever spawns (Figure 8 alone adds
-// 0.9 GB a pass), only the concurrent pass runs, at one seed, and
-// Figures 7, 8 and 10 are left out; the ablation study still runs the
-// pread workload concurrently.
+// every goroutine a test binary ever starts (one per pooled proc
+// coroutine, so each machine adds its peak of live procs), only the
+// concurrent pass runs, at one seed, and Figures 7 and 10 are left out;
+// the ablation study still runs the pread workload concurrently.
 func TestExperimentTablesParallelEqualSequential(t *testing.T) {
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
 			fn, _ := ByID(id)
 			heavy := id == "fig7" || id == "fig10"
 			switch {
-			case raceOn && (heavy || id == "fig8"):
+			case raceOn && heavy:
 				t.Skip("race-detector memory")
 			case raceOn:
 				fn(Options{Runs: 1, BaseSeed: 1, Parallel: 4})

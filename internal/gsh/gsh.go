@@ -347,6 +347,14 @@ func cmdFlight(s *Shell, w *gpu.Wavefront, args []string) error {
 
 const topUsage = "top [frames [interval_us]]"
 
+// top's upper bounds keep one dashboard run within 100 s of virtual
+// time: the machine's utilization tracks keep a bin per elapsed virtual
+// millisecond, and a large enough interval overflows the clock.
+const (
+	topMaxFrames     = 100
+	topMaxIntervalUS = 1_000_000
+)
+
 // cmdTop renders the live dashboard: `top [frames [interval_us]]`
 // refreshes /sys/genesys/top every interval of *virtual* time (default
 // 1 frame; 500µs interval), so successive frames show the machine
@@ -362,14 +370,14 @@ func cmdTop(s *Shell, w *gpu.Wavefront, args []string) error {
 	// "500x" is a usage error too, not silently truncated.
 	if len(args) >= 1 {
 		n, err := strconv.Atoi(args[0])
-		if err != nil || n < 1 {
+		if err != nil || n < 1 || n > topMaxFrames {
 			return fmt.Errorf("bad frames %q (usage: %s)", args[0], topUsage)
 		}
 		frames = n
 	}
 	if len(args) >= 2 {
 		us, err := strconv.Atoi(args[1])
-		if err != nil || us < 1 {
+		if err != nil || us < 1 || us > topMaxIntervalUS {
 			return fmt.Errorf("bad interval_us %q (usage: %s)", args[1], topUsage)
 		}
 		interval = sim.Time(us) * sim.Microsecond

@@ -232,6 +232,9 @@ func TestTopBadArgs(t *testing.T) {
 		{"top 2 0", "bad interval_us"},
 		{"top 2 500x", "bad interval_us"},
 		{"top 2 1e3", "bad interval_us"},
+		{"top 101", "bad frames"},
+		{"top 2 1000001", "bad interval_us"},
+		{"top 2 9223372036854775", "bad interval_us"},
 	} {
 		out, err := s.Run(tc.line)
 		if err == nil || !strings.Contains(out, tc.want) || !strings.Contains(out, "usage: top [frames [interval_us]]") {

@@ -140,6 +140,7 @@ func TestCopyOccupiesController(t *testing.T) {
 func TestNoMissWithinCapacityProperty(t *testing.T) {
 	f := func(seed int64, ws uint16) bool {
 		e, m := newSys(seed)
+		defer e.Shutdown()
 		capped := int(ws)
 		if capped > m.Config().L2Lines {
 			capped = m.Config().L2Lines

@@ -256,10 +256,11 @@ func BenchmarkEnginePollers(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSpawn measures proc creation (one iter.Pull coroutine
-// each), execution, and reaping in batches.
+// BenchmarkEngineSpawn measures proc creation, execution, and reaping in
+// batches. After the first batch every spawn runs on a pooled coroutine.
 func BenchmarkEngineSpawn(b *testing.B) {
 	e := NewEngine(1)
+	defer e.Shutdown()
 	const batch = 256
 	b.ReportAllocs()
 	b.ResetTimer()

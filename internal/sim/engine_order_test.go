@@ -552,15 +552,15 @@ func runRandomStops(t *testing.T, seed int64, stop func(e *Engine, executed int)
 // TestRunUntilStopsMatchReferenceOrder: the runRandomStops workload must
 // execute in the reference (t, seq) order, each calendar resident must
 // lie within the horizon of the clock after every stop, and the engine
-// must conserve events: every event scheduled has run, been canceled or
-// is still pending.
+// must pass Audit at every stop, counting exactly the events that ran.
 func TestRunUntilStopsMatchReferenceOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		got, expect := runRandomStops(t, seed, func(e *Engine, executed int) {
-			st := e.Stats()
-			if st.Scheduled != uint64(executed)+st.TimersCanceled+uint64(e.Pending()) {
-				t.Errorf("seed %d at %v: scheduled %d != executed %d + canceled %d + pending %d",
-					seed, e.Now(), st.Scheduled, executed, st.TimersCanceled, e.Pending())
+			if err := e.Audit(); err != nil {
+				t.Errorf("seed %d at %v: %v", seed, e.Now(), err)
+			}
+			if e.executed != uint64(executed) {
+				t.Errorf("seed %d at %v: engine counts %d events executed, %d ran", seed, e.Now(), e.executed, executed)
 			}
 		})
 		if fmt.Sprint(got) != fmt.Sprint(expect) {

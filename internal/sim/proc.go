@@ -1,8 +1,10 @@
 //go:build go1.23
 
-// Each Proc body runs in an iter.Pull coroutine: a direct goroutine
-// switch, no scheduler round trip. The build line sets this file's
-// language version, as the module's go directive predates iter.Pull.
+// Each Proc body runs on a pooled iter.Pull coroutine: a direct goroutine
+// switch, no scheduler round trip. A coroutine runs bodies back to back;
+// between bodies it is parked on its engine's free list, and Shutdown
+// stops it. The build line sets this file's language version, as the
+// module's go directive predates iter.Pull.
 
 package sim
 
@@ -32,8 +34,7 @@ type killSignal struct{}
 type Proc struct {
 	e      *Engine
 	name   string
-	next   func() (struct{}, bool) // runs the body until it next suspends or returns
-	yield  func(struct{}) bool     // suspends the body back into next
+	co     *coro // the coroutine running this body
 	state  procState
 	reason string // why the proc is blocked, for deadlock reports
 	idx    int    // position in Engine.procs, for swap-remove reaping
@@ -44,6 +45,18 @@ type Proc struct {
 	// waits allocate nothing: a suspended process occupies at most one
 	// wait list at a time (see sync.go).
 	cw condWaiter
+}
+
+// coro is one pooled coroutine: an iter.Pull goroutine that runs proc
+// bodies back to back. While it runs a body, p and fn are that body's;
+// between bodies they are nil and the coroutine is parked in yield on
+// Engine.pool.
+type coro struct {
+	next  func() (struct{}, bool) // runs the body until it next suspends or returns
+	stop  func()                  // ends the parked coroutine (Shutdown only)
+	yield func(struct{}) bool     // suspends the body back into next
+	p     *Proc
+	fn    func(*Proc)
 }
 
 // Name returns the process name given at spawn time.
@@ -81,39 +94,68 @@ func (e *Engine) spawn(name string, fn func(*Proc), daemon bool) *Proc {
 	if !daemon {
 		e.liveUser++
 	}
-	// The body always runs to its end (Shutdown kills rather than
-	// abandons), so the coroutine finishes on its own and stop is unused.
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		defer func() {
-			// Recovering here, inside the coroutine, keeps a crash from
-			// re-panicking out of next in the engine loop: Run reports it.
-			if r := recover(); r != nil {
-				if _, isKill := r.(killSignal); !isKill && e.fatal == nil {
-					e.fatal = fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
-				}
-			}
-			p.state = procDone
-			e.live--
-			if !p.daemon {
-				e.liveUser--
-			}
-			e.reap(p)
-		}()
-		if p.killed {
-			panic(killSignal{})
-		}
-		p.state = procRunning
-		fn(p)
-	})
+	var c *coro
+	if n := len(e.pool); n > 0 {
+		c = e.pool[n-1]
+		e.pool[n-1] = nil
+		e.pool = e.pool[:n-1]
+	} else {
+		c = e.newCoro()
+	}
+	c.p, c.fn = p, fn
+	p.co = c
 	e.schedule(e.now, p, nil)
 	p.state = procRunnable
 	return p
 }
 
+// newCoro starts a coroutine that runs bodies until Shutdown stops it.
+// After each body it drops the body's references and parks itself on
+// e.pool; the next spawn that pops it resumes it with the new body.
+func (e *Engine) newCoro() *coro {
+	c := new(coro)
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			e.runBody(c.p, c.fn)
+			c.p, c.fn = nil, nil
+			e.pool = append(e.pool, c)
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return c
+}
+
+// runBody runs fn as p's body. Recovering here, per body, keeps a crash
+// or a kill from ending the coroutine or re-panicking out of next in the
+// engine loop: Run reports the crash, and the coroutine goes on to its
+// next body.
+func (e *Engine) runBody(p *Proc, fn func(*Proc)) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, isKill := r.(killSignal); !isKill && e.fatal == nil {
+				e.fatal = fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
+			}
+		}
+		p.state = procDone
+		e.live--
+		if !p.daemon {
+			e.liveUser--
+		}
+		e.reap(p)
+	}()
+	if p.killed {
+		panic(killSignal{})
+	}
+	p.state = procRunning
+	fn(p)
+}
+
 // reap removes a completed process from the proc table by swap-remove, so
 // long-running simulations do not accumulate one *Proc per retired
-// activity (e.g. per retired wavefront). It runs in the dying process's
+// activity (e.g. per retired wavefront). It runs on the dying process's
 // coroutine while the engine is suspended in resume(), so the table is
 // never touched concurrently; deadlock reports and Shutdown only ever need
 // the still-live processes that remain.
@@ -139,14 +181,14 @@ func (e *Engine) resume(p *Proc) {
 	}
 	e.stats.ProcSwitches++
 	e.inProc = true
-	p.next()
+	p.co.next()
 	e.inProc = false
 }
 
 // switchToEngine suspends the process back into the engine's resume and
 // returns when the engine next resumes it.
 func (p *Proc) switchToEngine() {
-	p.yield(struct{}{})
+	p.co.yield(struct{}{})
 	if p.killed {
 		panic(killSignal{})
 	}
@@ -154,9 +196,9 @@ func (p *Proc) switchToEngine() {
 }
 
 // Shutdown kills every still-live process, unwinding its body (deferred
-// calls run) so no coroutine is left suspended. It must be called from
-// outside the engine loop (i.e. not from a proc or callback), typically
-// after Run returns.
+// calls run), then stops every pooled coroutine, so no goroutine outlives
+// the engine. It must be called from outside the engine loop (i.e. not
+// from a proc or callback), typically after Run returns.
 func (e *Engine) Shutdown() {
 	// Dying procs swap-remove themselves from e.procs, so kill a snapshot.
 	live := make([]*Proc, len(e.procs))
@@ -168,6 +210,12 @@ func (e *Engine) Shutdown() {
 		p.killed = true
 		e.resume(p)
 	}
+	// Every body has ended, so every coroutine is parked on the pool.
+	for _, c := range e.pool {
+		c.stop()
+	}
+	e.pool = nil
+	e.discarded += uint64(e.Pending())
 	e.cal = calendar{}
 	e.far.evs = nil
 }

@@ -10,7 +10,8 @@ import (
 
 // TestShutdownReleasesEveryCoroutine: whatever state a proc is in when
 // the run stops — finished, panicked, blocked on a Cond, sleeping, or
-// spawned but never started — Shutdown leaves no coroutine behind.
+// spawned but never started — and with finished bodies' coroutines
+// parked on the pool, Shutdown leaves no coroutine behind.
 func TestShutdownReleasesEveryCoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine(1)
@@ -25,11 +26,16 @@ func TestShutdownReleasesEveryCoroutine(t *testing.T) {
 	if err := e.RunUntil(10); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("RunUntil err = %v, want the panic", err)
 	}
+	// The finished and panicked bodies parked their coroutines; the
+	// unstarted proc takes one of them.
 	e.Spawn("never-started", func(p *Proc) { t.Error("never-started proc ran its body") })
-	if got := runtime.NumGoroutine() - before; got != 3 {
-		t.Fatalf("%d coroutines live before Shutdown, want 3 (daemon, sleeper, unstarted)", got)
+	if got := runtime.NumGoroutine() - before; got != 4 || len(e.pool) != 1 {
+		t.Fatalf("%d coroutines live and %d pooled before Shutdown, want 4 (daemon, sleeper, unstarted, pooled) and 1", got, len(e.pool))
 	}
 	e.Shutdown()
+	if err := e.Audit(); err != nil {
+		t.Fatal(err)
+	}
 	if got := runtime.NumGoroutine(); got != before {
 		t.Fatalf("goroutines after Shutdown = %d, want %d", got, before)
 	}
@@ -62,6 +68,9 @@ func TestShutdownRunsKilledProcDefers(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Shutdown()
+	if err := e.Audit(); err != nil {
+		t.Fatal(err)
+	}
 	sort.Strings(log)
 	want := "[cond:inner cond:outer parked:inner parked:outer queue:inner queue:outer sleeper:inner sleeper:outer]"
 	if got := fmt.Sprint(log); got != want {
@@ -147,4 +156,148 @@ func TestBlockingRoundTripsAllocFree(t *testing.T) {
 		t.Errorf("blocking round trip allocates %.2f/op, want 0", avg)
 	}
 	e.Shutdown()
+	if err := e.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPooledCoroutineRunsAfterPanic: a body that panics ends only
+// itself. The next body on the same coroutine runs cleanly, and Run
+// still reports the panic.
+func TestPooledCoroutineRunsAfterPanic(t *testing.T) {
+	e := NewEngine(1)
+	want := `proc "panicker" panicked: boom`
+	first := e.Spawn("panicker", func(p *Proc) { panic("boom") })
+	if err := e.Run(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run err = %v, want the panic", err)
+	}
+	ran := false
+	second := e.Spawn("after", func(p *Proc) { ran = true })
+	if second.co != first.co {
+		t.Fatal("the proc after the panic did not reuse the panicked body's coroutine")
+	}
+	// The engine loop stops at the reported panic, so run the body
+	// directly.
+	e.resume(second)
+	if !ran || second.state != procDone || len(e.pool) != 1 {
+		t.Fatalf("body after the panic: ran=%v state=%d pooled=%d", ran, second.state, len(e.pool))
+	}
+	if err := e.Run(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run err after the second body = %v, want the panic", err)
+	}
+	e.Shutdown()
+	if err := e.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKillUnwindsOnlyItsBody: killing a proc on a reused coroutine runs
+// that body's defers, not those of the body the coroutine ran before,
+// and leaves the coroutine parked and able to run another body.
+func TestKillUnwindsOnlyItsBody(t *testing.T) {
+	e := NewEngine(1)
+	var log []string
+	body := func(name string, block bool) func(*Proc) {
+		return func(p *Proc) {
+			defer func() { log = append(log, name+":deferred") }()
+			if block {
+				p.Park("forever")
+			}
+			log = append(log, name+":returned")
+		}
+	}
+	done := e.Spawn("done", body("done", false))
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	victim := e.SpawnDaemon("victim", body("victim", true))
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	co := victim.co
+	if co != done.co {
+		t.Fatal("victim did not reuse the finished proc's coroutine")
+	}
+	victim.killed = true
+	e.resume(victim)
+	if got, want := fmt.Sprint(log), "[done:returned done:deferred victim:deferred]"; got != want {
+		t.Fatalf("log = %s, want %s", got, want)
+	}
+	if len(e.pool) != 1 || e.pool[0] != co || co.p != nil || co.fn != nil {
+		t.Fatal("the killed body's coroutine is not parked empty on the pool")
+	}
+	if next := e.Spawn("next", body("next", false)); next.co != co {
+		t.Fatal("the proc after the kill did not reuse the coroutine")
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := log[len(log)-1]; got != "next:deferred" {
+		t.Fatalf("last log entry = %s, want next:deferred", got)
+	}
+	e.Shutdown()
+	if err := e.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSequentialSpawnsReuseCoroutines: 10,000 procs in one Run, each
+// spawning the next as its last act, keep the goroutine count within the
+// peak of live procs (two) plus a small constant, not one per proc.
+func TestSequentialSpawnsReuseCoroutines(t *testing.T) {
+	const n = 10000
+	before := runtime.NumGoroutine()
+	e := NewEngine(1)
+	peak, spawned := 0, 0
+	var body func(p *Proc)
+	body = func(p *Proc) {
+		p.Sleep(1)
+		if g := runtime.NumGoroutine() - before; g > peak {
+			peak = g
+		}
+		if spawned++; spawned < n {
+			e.Spawn("link", body)
+		}
+	}
+	e.Spawn("link", body)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if spawned != n || e.Stats().ProcsReaped != n {
+		t.Fatalf("spawned %d, reaped %d, want %d", spawned, e.Stats().ProcsReaped, n)
+	}
+	if peak > 2+2 {
+		t.Fatalf("peak of %d goroutines over the baseline for at most 2 live procs", peak)
+	}
+	e.Shutdown()
+	if err := e.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("goroutines after Shutdown = %d, more than the %d before", got, before)
+	}
+}
+
+// TestCallbackSpawnReusesFinishedCoroutine: a proc spawned from a
+// callback runs on the coroutine a finished proc parked.
+func TestCallbackSpawnReusesFinishedCoroutine(t *testing.T) {
+	e := NewEngine(1)
+	first := e.Spawn("first", func(p *Proc) { p.Sleep(5) })
+	var second *Proc
+	e.CallAt(10, func() {
+		second = e.Spawn("second", func(p *Proc) { p.Sleep(5) })
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if second == nil || second.co != first.co {
+		t.Fatal("the callback's proc did not reuse the finished proc's coroutine")
+	}
+	if len(e.pool) != 1 {
+		t.Fatalf("%d coroutines pooled, want 1", len(e.pool))
+	}
+	e.Shutdown()
+	if err := e.Audit(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -34,6 +34,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -171,11 +172,18 @@ type Engine struct {
 	inProc bool
 
 	procs    []*Proc // live (not yet completed) processes
+	pool     []*coro // parked coroutines, each ready to run a new body
 	live     int     // procs spawned and not yet done
 	liveUser int     // live non-daemon procs
 	fatal    error
 
 	stats EngineStats
+
+	// executed and discarded count events run by RunUntil and dropped
+	// unrun by Shutdown, for Audit. They stay out of EngineStats, whose
+	// counters are published and checkpointed.
+	executed  uint64
+	discarded uint64
 
 	// Rand is the engine-wide deterministic random source.
 	Rand *rand.Rand
@@ -202,6 +210,30 @@ func (e *Engine) FarPending() int { return len(e.far.evs) }
 
 // LiveProcs returns the number of processes spawned and not yet finished.
 func (e *Engine) LiveProcs() int { return e.live }
+
+// Audit checks the engine's conservation laws and reports each one
+// broken: every proc spawned is reaped or still live; every event
+// scheduled has run, been canceled, been dropped by Shutdown or is still
+// pending; and no parked coroutine still holds a proc or body. Call it
+// from outside RunUntil and Shutdown.
+func (e *Engine) Audit() error {
+	var errs []error
+	st := e.stats
+	if st.ProcsSpawned != st.ProcsReaped+uint64(e.live) {
+		errs = append(errs, fmt.Errorf("sim audit: spawned %d != reaped %d + live %d",
+			st.ProcsSpawned, st.ProcsReaped, e.live))
+	}
+	if done := e.executed + st.TimersCanceled + e.discarded + uint64(e.Pending()); st.Scheduled != done {
+		errs = append(errs, fmt.Errorf("sim audit: scheduled %d != executed %d + canceled %d + discarded %d + pending %d",
+			st.Scheduled, e.executed, st.TimersCanceled, e.discarded, e.Pending()))
+	}
+	for i, c := range e.pool {
+		if c.p != nil || c.fn != nil {
+			errs = append(errs, fmt.Errorf("sim audit: pooled coroutine %d still holds a proc", i))
+		}
+	}
+	return errors.Join(errs...)
+}
 
 // --- event containers ------------------------------------------------------
 
@@ -395,6 +427,7 @@ func (e *Engine) RunUntil(limit Time) error {
 			return nil
 		}
 		ev := e.calPop()
+		e.executed++
 		e.now = ev.t
 		if ev.tmr != nil {
 			ev.tmr.loc = timerInert

@@ -210,6 +210,7 @@ func TestBadAddresses(t *testing.T) {
 func TestPoolAccountingInvariant(t *testing.T) {
 	f := func(seed int64, ops []uint8) bool {
 		e := sim.NewEngine(seed)
+		defer e.Shutdown()
 		cfg := DefaultConfig()
 		cfg.PhysPages = 32
 		pool := &Pool{Total: 32}

@@ -95,6 +95,9 @@ func TestFillPatternMatchesFormula(t *testing.T) {
 	}
 }
 
+// TestPermuteBlockMatchesFormula: one round moves byte i to
+// (i*257+31) mod n, and for every n prime to 257 a composed pass of R
+// rounds equals R single rounds.
 func TestPermuteBlockMatchesFormula(t *testing.T) {
 	for _, n := range []int{0, 1, 31, 256, 257, 258, 8192} {
 		b := make([]byte, n)
@@ -103,9 +106,24 @@ func TestPermuteBlockMatchesFormula(t *testing.T) {
 		for i := 0; i < n; i++ {
 			want[(i*257+31)%n] = b[i]
 		}
-		permuteBlock(b, make([]byte, n))
+		orig := bytes.Clone(b)
+		permuteBlock(b, make([]byte, n), 1)
 		if !bytes.Equal(b, want) {
 			t.Fatalf("n %d: permuteBlock differs from (i*257+31)%%n", n)
+		}
+		if n%257 == 0 {
+			continue
+		}
+		for rounds := 1; rounds <= 32; rounds *= 2 {
+			single := bytes.Clone(orig)
+			for r := 0; r < rounds; r++ {
+				permuteBlock(single, make([]byte, n), 1)
+			}
+			composed := bytes.Clone(orig)
+			permuteBlock(composed, make([]byte, n), rounds)
+			if !bytes.Equal(composed, single) {
+				t.Fatalf("n %d: %d rounds in one pass differ from %d single rounds", n, rounds, rounds)
+			}
 		}
 	}
 }

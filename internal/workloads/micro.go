@@ -236,16 +236,22 @@ type PermuteResult struct {
 	Validated      bool
 }
 
-// permuteBlock applies one round of the fixed block permutation: byte i
-// moves to (i*257+31) mod n, with the index stepped incrementally. tmp
-// is scratch of at least len(b) bytes.
-func permuteBlock(b, tmp []byte) {
+// permuteBlock applies rounds rounds of the fixed block permutation, in
+// which byte i moves to (i*257+31) mod n, as one pass: after R rounds
+// byte i is at (257^R·i + 31·(1+257+…+257^(R−1))) mod n, with the index
+// stepped incrementally. The pass equals R single rounds only when
+// gcd(257, n) = 1, as a single round is then a bijection. tmp is scratch
+// of at least len(b) bytes.
+func permuteBlock(b, tmp []byte, rounds int) {
 	n := len(b)
 	if n == 0 {
 		return
 	}
 	tmp = tmp[:n]
-	j, step := 31%n, 257%n
+	step, j := 1, 0 // the composed map is i → step·i + j mod n
+	for r := 0; r < rounds; r++ {
+		step, j = step*257%n, (j*257+31)%n
+	}
 	for _, c := range b {
 		tmp[j] = c
 		if j += step; j >= n {
@@ -265,6 +271,9 @@ func RunPermute(m *platform.Machine, cfg PermuteConfig) (PermuteResult, error) {
 	}
 	if cfg.ComputePerIter <= 0 {
 		cfg.ComputePerIter = 3 * sim.Microsecond
+	}
+	if cfg.BlockSize%257 == 0 {
+		return PermuteResult{}, fmt.Errorf("permute: block size %d is a multiple of 257, so one round is no permutation", cfg.BlockSize)
 	}
 	pr := m.NewProcess("permute")
 	f, err := m.VFS.Open("/tmp/permuted", fs.O_CREAT|fs.O_WRONLY)
@@ -295,12 +304,13 @@ func RunPermute(m *platform.Machine, cfg PermuteConfig) (PermuteResult, error) {
 			WGSize:     cfg.WGSize,
 			Fn: func(w *gpu.Wavefront) {
 				// Each wavefront contributes its share of every round's
-				// permutation work; the leader applies the functional
-				// permutation once per round.
+				// permutation work; nothing reads the block before the
+				// pwrite, so the leader applies all rounds at once, in
+				// the last.
 				for it := 0; it < cfg.Iterations; it++ {
 					w.ComputeTime(cfg.ComputePerIter)
-					if w.IsLeader() {
-						permuteBlock(input[w.WG.ID], scratch)
+					if w.IsLeader() && it == cfg.Iterations-1 {
+						permuteBlock(input[w.WG.ID], scratch, cfg.Iterations)
 					}
 					w.Barrier()
 				}
@@ -321,11 +331,12 @@ func RunPermute(m *platform.Machine, cfg PermuteConfig) (PermuteResult, error) {
 		return PermuteResult{}, err
 	}
 	res.PerPermutation = res.TotalTime / sim.Time(cfg.Blocks*maxInt(cfg.Iterations, 1))
-	// Validate against a reference permutation of block 0.
+	// Validate against a reference permutation of block 0, applied one
+	// round at a time.
 	ref := make([]byte, cfg.BlockSize)
 	fillPattern(ref, 0)
 	for it := 0; it < cfg.Iterations; it++ {
-		permuteBlock(ref, scratch)
+		permuteBlock(ref, scratch, 1)
 	}
 	out, err := m.ReadFile("/tmp/permuted")
 	if err != nil {

@@ -126,6 +126,14 @@ func TestPermuteValidatesOutput(t *testing.T) {
 	}
 }
 
+// TestPermuteRejectsBlockSizeMultipleOf257: one round is no permutation
+// of such a block, so the composed rounds would not equal single ones.
+func TestPermuteRejectsBlockSizeMultipleOf257(t *testing.T) {
+	if _, err := RunPermute(newM(t, 1), PermuteConfig{Blocks: 1, BlockSize: 2 * 257, Iterations: 2}); err == nil {
+		t.Fatal("block size 514 accepted")
+	}
+}
+
 func TestPermuteBlockingOrderingSpectrum(t *testing.T) {
 	// Figure 8 at low iteration count: strong-block is worst;
 	// weak-non-block is best.
