@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench baselines
+.PHONY: all build test check fmt vet race bench baselines loc
 
 all: build
 
@@ -44,3 +44,10 @@ bench:
 # artifacts of the seed-1 suite, identical at any -parallel.
 baselines:
 	$(GO) run ./cmd/genesys bench -out baselines
+
+# loc prints the non-test Go lines of each package under internal/ and
+# cmd/, then their total.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'

@@ -70,5 +70,5 @@ func main() {
 	// Read stats off sh.M, not m: a 'ckpt load' swaps the shell's
 	// machine for the restored one.
 	fmt.Printf("[%d GPU kernels, %d GPU system calls]\n",
-		sh.M.GPU.KernelsLaunched.Value(), sh.M.Genesys.Invocations.Value())
+		sh.M.GPU.KernelsLaunched, sh.M.Genesys.Invocations)
 }

@@ -84,5 +84,5 @@ func main() {
 	fmt.Printf("output file: %d bytes; block 0 starts with %q, block 7 with %q\n",
 		len(data), data[0], data[7*blockSize])
 	fmt.Printf("GPU syscalls invoked: %d (slots: %d KiB syscall area)\n",
-		m.Genesys.Invocations.Value(), m.Genesys.AreaBytes()/1024)
+		m.Genesys.Invocations, m.Genesys.AreaBytes()/1024)
 }

@@ -13,8 +13,7 @@ func (d *SSD) CheckpointState() []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "blockdev v1\n")
 	fmt.Fprintf(&b, "counters read=%d written=%d commands=%d retries=%d\n",
-		d.BytesRead.Value(), d.BytesWritten.Value(), d.Commands.Value(),
-		d.Retries.Value())
+		d.BytesRead, d.BytesWritten, d.Commands, d.Retries)
 	for i, t := range d.chFree {
 		fmt.Fprintf(&b, "channel %d free_at=%d\n", i, int64(t))
 	}

@@ -44,12 +44,12 @@ type SSD struct {
 	inject *fault.Injector
 	events *obs.EventLog
 
-	BytesRead    sim.Counter
-	BytesWritten sim.Counter
-	Commands     sim.Counter
+	BytesRead    int64
+	BytesWritten int64
+	Commands     int64
 	// Retries counts transiently-failed commands the device's firmware
 	// reissued (the block layer's retry-on-media-error behaviour).
-	Retries sim.Counter
+	Retries int64
 
 	trace *sim.Series // bytes transferred per trace bin
 }
@@ -107,7 +107,7 @@ func (d *SSD) transfer(p *sim.Proc, n int64, op string, trace uint64) error {
 		}
 		end := start + service
 		d.chFree[best] = end
-		d.Commands.Inc()
+		d.Commands++
 		d.trace.AddInterval(start, end, float64(n))
 		fp := obs.FlowNone
 		if trace != 0 {
@@ -118,7 +118,7 @@ func (d *SSD) transfer(p *sim.Proc, n int64, op string, trace uint64) error {
 		p.Sleep(end - now)
 		if d.inject.Should(fault.BlockError) {
 			if attempt < maxCmdRetries {
-				d.Retries.Inc()
+				d.Retries++
 				continue
 			}
 			d.inject.NoteSurfaced()
@@ -140,7 +140,7 @@ func (d *SSD) ReadTraced(p *sim.Proc, n int64, trace uint64) error {
 	if n <= 0 {
 		return nil
 	}
-	d.BytesRead.Add(n)
+	d.BytesRead += n
 	return d.transfer(p, n, "read", trace)
 }
 
@@ -153,7 +153,7 @@ func (d *SSD) WriteTraced(p *sim.Proc, n int64, trace uint64) error {
 	if n <= 0 {
 		return nil
 	}
-	d.BytesWritten.Add(n)
+	d.BytesWritten += n
 	return d.transfer(p, n, "write", trace)
 }
 
@@ -171,8 +171,6 @@ func (d *SSD) ThroughputTrace() []float64 {
 // ResetStats clears counters and the throughput trace (channel occupancy
 // is preserved).
 func (d *SSD) ResetStats() {
-	d.BytesRead = sim.Counter{}
-	d.BytesWritten = sim.Counter{}
-	d.Commands = sim.Counter{}
+	d.BytesRead, d.BytesWritten, d.Commands = 0, 0, 0
 	d.trace = sim.NewSeries(traceBin)
 }

@@ -84,7 +84,7 @@ func TestThroughputTrace(t *testing.T) {
 		t.Fatalf("trace = %v", tr)
 	}
 	d.ResetStats()
-	if d.BytesRead.Value() != 0 || len(d.ThroughputTrace()) != 0 {
+	if d.BytesRead != 0 || len(d.ThroughputTrace()) != 0 {
 		t.Fatal("ResetStats did not clear")
 	}
 }
@@ -99,7 +99,7 @@ func TestWriteCounts(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if d.BytesWritten.Value() != 4096 || d.Commands.Value() != 1 {
-		t.Fatalf("written=%d cmds=%d", d.BytesWritten.Value(), d.Commands.Value())
+	if d.BytesWritten != 4096 || d.Commands != 1 {
+		t.Fatalf("written=%d cmds=%d", d.BytesWritten, d.Commands)
 	}
 }

@@ -29,9 +29,8 @@ func (g *Genesys) CheckpointState() []byte {
 	fmt.Fprintf(&b, "next_trace %d\noutstanding %d\n", g.nextTrace, g.outstanding)
 	fmt.Fprintf(&b, "counters invocations=%d batches=%d batched_waves=%d conflicts=%d "+
 		"orphans_adopted=%d orphans_completed=%d irq_retx=%d retries=%d\n",
-		g.Invocations.Value(), g.Batches.Value(), g.BatchedWaves.Value(),
-		g.SlotConflicts.Value(), g.OrphansAdopted.Value(), g.OrphansCompleted.Value(),
-		g.IRQRetransmits.Value(), g.Retries.Value())
+		g.Invocations, g.Batches, g.BatchedWaves, g.SlotConflicts,
+		g.OrphansAdopted, g.OrphansCompleted, g.IRQRetransmits, g.Retries)
 
 	// Non-free slots, in slot-ID order (the array is already ordered).
 	busy := 0
@@ -201,7 +200,7 @@ func (g *Genesys) InjectReady(slotID int, gen uint64, req syscalls.Request) erro
 	s.Req = req
 	h.blocking = false
 	h.state = SlotReady
-	g.Invocations.Inc()
+	g.Invocations++
 	g.outstanding++
 	g.noteReady(s)
 	return nil

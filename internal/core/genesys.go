@@ -257,22 +257,22 @@ type Genesys struct {
 	// and /sys/genesys/stats can see adoption balance out.
 	orphans map[int]uint64
 
-	Invocations   sim.Counter
-	Batches       sim.Counter
-	BatchedWaves  sim.Counter
-	SlotConflicts sim.Counter
+	Invocations   int64
+	Batches       int64
+	BatchedWaves  int64
+	SlotConflicts int64
 
 	// OrphansAdopted counts in-flight slots handed to the reaper at
 	// wavefront retirement; OrphansCompleted counts those that later
 	// finished (or were EINTR-aborted by the watchdog) and freed.
-	OrphansAdopted   sim.Counter
-	OrphansCompleted sim.Counter
+	OrphansAdopted   int64
+	OrphansCompleted int64
 
 	// IRQRetransmits counts doorbell redeliveries by the watchdog;
 	// Retries counts syscall restarts (kernel-side here, user-side via
 	// gclib's restartable layer, which shares this counter).
-	IRQRetransmits sim.Counter
-	Retries        sim.Counter
+	IRQRetransmits int64
+	Retries        int64
 
 	inject *fault.Injector
 	retx   map[doorbell]*retxState // armed retransmit watchdogs, by (hw wave, generation)
@@ -492,9 +492,9 @@ func (g *Genesys) registerSysfs() {
 		return []byte(fmt.Sprintf(
 			"invocations %d\nbatches %d\nbatched_waves %d\nslot_conflicts %d\noutstanding %d\n"+
 				"orphans_adopted %d\norphans_completed %d\norphans_live %d\n",
-			g.Invocations.Value(), g.Batches.Value(), g.BatchedWaves.Value(),
-			g.SlotConflicts.Value(), g.outstanding,
-			g.OrphansAdopted.Value(), g.OrphansCompleted.Value(), len(g.orphans)))
+			g.Invocations, g.Batches, g.BatchedWaves,
+			g.SlotConflicts, g.outstanding,
+			g.OrphansAdopted, g.OrphansCompleted, len(g.orphans)))
 	}})
 }
 
@@ -539,7 +539,7 @@ func (g *Genesys) populateSlot(w *gpu.Wavefront, lane int, req syscalls.Request,
 		// an orphan of a retired predecessor tenancy — so nothing (owner,
 		// generation, trace) may be written until the claim wins, or the
 		// in-flight call would complete against the new tenant's identity.
-		g.SlotConflicts.Inc()
+		g.SlotConflicts++
 		w.P.Sleep(g.cfg.PollInterval)
 	}
 	g.nextTrace++
@@ -561,7 +561,7 @@ func (g *Genesys) populateSlot(w *gpu.Wavefront, lane int, req syscalls.Request,
 	g.Mem.GPUAtomic(w.P, mem.OpSwap, 0)
 	h.state = SlotReady
 	s.trace.ready = g.E.Now()
-	g.Invocations.Inc()
+	g.Invocations++
 	g.outstanding++
 	g.noteReady(s)
 	return s
@@ -630,7 +630,7 @@ func (pw *pollWaiter) step() (d sim.Time, finished bool) {
 		case phaseScan:
 			if h.state != SlotFinished {
 				pw.phase = phaseLoadDone
-				if d := g.Mem.PollLoadStart(); d > 0 {
+				if d := g.Mem.AtomicStart(mem.OpAtomicLoad); d > 0 {
 					return d, false // the atomic-load latency sleep
 				}
 				continue
@@ -638,7 +638,7 @@ func (pw *pollWaiter) step() (d sim.Time, finished bool) {
 			pw.unlink(h)
 		case phaseLoadDone:
 			pw.phase = phaseSettled
-			if d := g.Mem.PollLoadFinish(); d > 0 {
+			if d := g.Mem.Settle(g.Mem.PolledLines()); d > 0 {
 				return d, false // DRAM spill on an L2 miss
 			}
 			continue
@@ -766,7 +766,7 @@ func (g *Genesys) adoptOrphans(hw int, gen uint64) {
 			continue
 		}
 		g.orphans[id] = gen
-		g.OrphansAdopted.Inc()
+		g.OrphansAdopted++
 		if g.events.Enabled() {
 			g.events.Instant("genesys", "orphan-adopted", obs.PIDSyscalls, id, g.E.Now())
 		}
@@ -778,7 +778,7 @@ func (g *Genesys) adoptOrphans(hw int, gen uint64) {
 func (g *Genesys) slotReleased(s *Slot) {
 	if gen, ok := g.orphans[s.ID]; ok && gen == g.hot[s.ID].gen {
 		delete(g.orphans, s.ID)
-		g.OrphansCompleted.Inc()
+		g.OrphansCompleted++
 	}
 }
 
@@ -951,7 +951,7 @@ func (g *Genesys) checkRetransmit(db doorbell, st *retxState) {
 	}
 	st.attempts++
 	st.sent = true
-	g.IRQRetransmits.Inc()
+	g.IRQRetransmits++
 	g.handleIRQ(db.hw, db.gen)
 	g.E.CallAfter(g.cfg.RetransmitTimeout, func() { g.checkRetransmit(db, st) })
 }
@@ -1000,8 +1000,8 @@ func (g *Genesys) flushPending() {
 }
 
 func (g *Genesys) enqueueBatch(waves []doorbell) {
-	g.Batches.Inc()
-	g.BatchedWaves.Add(int64(len(waves)))
+	g.Batches++
+	g.BatchedWaves += int64(len(waves))
 	// Stamp unconditionally (stamping is free in virtual time): the
 	// tracer must see fully-stamped traces, not a zero enqueued stamp
 	// that yields hugely negative delivery-phase samples. Only the
@@ -1122,7 +1122,7 @@ func (g *Genesys) restartInPlace(p *sim.Proc, ctx *syscalls.Ctx, s *Slot, orig s
 	const maxRestarts = 4
 	backoff := 4 * sim.Microsecond
 	for attempt := 0; attempt < maxRestarts && transientErr(s.Req.Err); attempt++ {
-		g.Retries.Inc()
+		g.Retries++
 		p.Sleep(backoff)
 		if backoff < 64*sim.Microsecond {
 			backoff *= 2

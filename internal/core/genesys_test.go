@@ -135,7 +135,7 @@ func TestWorkItemGranularityPread(t *testing.T) {
 			t.Fatalf("lane %d data mismatch", lane)
 		}
 	}
-	if m.GPU.Halts.Value() == 0 {
+	if m.GPU.Halts == 0 {
 		t.Fatal("halt-resume path never halted")
 	}
 }
@@ -296,7 +296,7 @@ func TestSlotConflictDelaysInvocation(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Genesys.SlotConflicts.Value() == 0 {
+	if m.Genesys.SlotConflicts == 0 {
 		t.Fatal("second call on busy slot did not conflict")
 	}
 	data, _ := m.ReadFile("/tmp/out")
@@ -328,7 +328,7 @@ func TestCoalescingBatchesInterrupts(t *testing.T) {
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return m.Genesys.Batches.Value(), m.Genesys.BatchedWaves.Value()
+		return m.Genesys.Batches, m.Genesys.BatchedWaves
 	}
 	b0, w0 := run(0, 1)
 	if b0 != w0 {
@@ -404,7 +404,7 @@ func TestCoalesceKnobWriteFlushesParkedBatch(t *testing.T) {
 	if setDone >= 2*window {
 		t.Fatalf("SetCoalescing did not flush: round 2 finished at %v", setDone)
 	}
-	if b, w := m.Genesys.Batches.Value(), m.Genesys.BatchedWaves.Value(); b != 2 || w != 8 {
+	if b, w := m.Genesys.Batches, m.Genesys.BatchedWaves; b != 2 || w != 8 {
 		t.Fatalf("batches=%d waves=%d, want 2 batches of 4 waves each", b, w)
 	}
 }
@@ -447,13 +447,13 @@ func TestRestartInPlaceReissuesOriginalRequest(t *testing.T) {
 	if m.Inject.InjectedAt(fault.SyscallErrno) == 0 {
 		t.Fatal("injection window fired nothing; first dispatch missed it")
 	}
-	if m.Genesys.Retries.Value() == 0 {
+	if m.Genesys.Retries == 0 {
 		t.Fatal("transient failure did not trigger an in-place restart")
 	}
-	if m.Inject.Surfaced.Value() != 0 {
-		t.Fatalf("surfaced = %d; the restart should have recovered", m.Inject.Surfaced.Value())
+	if m.Inject.Surfaced != 0 {
+		t.Fatalf("surfaced = %d; the restart should have recovered", m.Inject.Surfaced)
 	}
-	if m.Inject.Recovered.Value() == 0 {
+	if m.Inject.Recovered == 0 {
 		t.Fatal("recovery not recorded")
 	}
 	data, _ := m.ReadFile("/tmp/out")

@@ -150,10 +150,10 @@ func TestOrphanedCallCompletesInOriginalOwner(t *testing.T) {
 		t.Fatalf("outstanding at first-kernel completion = %d, want 1 (call must outlive its wavefront)",
 			outstandingAtK1Done)
 	}
-	if got := m.Genesys.OrphansAdopted.Value(); got != 1 {
+	if got := m.Genesys.OrphansAdopted; got != 1 {
 		t.Fatalf("orphans adopted = %d, want 1", got)
 	}
-	if got := m.Genesys.OrphansCompleted.Value(); got != 1 {
+	if got := m.Genesys.OrphansCompleted; got != 1 {
 		t.Fatalf("orphans completed = %d, want 1", got)
 	}
 	if got := m.Genesys.Orphans(); got != 0 {
@@ -200,7 +200,7 @@ func TestContextSwitchChargedPerOwnerChange(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Genesys.Batches.Value(); got >= 8 {
+	if got := m.Genesys.Batches; got >= 8 {
 		t.Fatalf("coalescing produced %d batches for 8 calls", got)
 	}
 	data, _ := m.ReadFile("/tmp/one")

@@ -96,8 +96,8 @@ func TestPollWaitExact(t *testing.T) {
 	} {
 		m := newPollWaitMachine(tc.packed, tc.skip)
 		got := pollWaitRun{done: pollWaitKernels(t, m, 1)}
-		got.hits, got.misses = m.Mem.L2Hits.Value(), m.Mem.L2Misses.Value()
-		got.atomics = m.Mem.AtomicOps.Value()
+		got.hits, got.misses = m.Mem.L2Hits, m.Mem.L2Misses
+		got.atomics = m.Mem.AtomicOps
 		m.Shutdown()
 		if got != tc.want {
 			t.Errorf("packed=%v skip=%v: got %#v, want %#v", tc.packed, tc.skip, got, tc.want)

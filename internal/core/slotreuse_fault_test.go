@@ -108,10 +108,10 @@ func TestIRQLossRecoveryAcrossSlotReuse(t *testing.T) {
 	if m.Inject.InjectedAt(fault.IRQDrop) == 0 {
 		t.Fatal("drop window injected nothing")
 	}
-	if m.Genesys.IRQRetransmits.Value() == 0 {
+	if m.Genesys.IRQRetransmits == 0 {
 		t.Fatal("no retransmissions attempted")
 	}
-	if n := m.Inject.Surfaced.Value(); n != 0 {
+	if n := m.Inject.Surfaced; n != 0 {
 		t.Fatalf("%d faults surfaced; both generations should have recovered", n)
 	}
 	if !resB.Ok() || resB.Ret != sizeB {
@@ -121,9 +121,9 @@ func TestIRQLossRecoveryAcrossSlotReuse(t *testing.T) {
 	if len(a) != sizeA {
 		t.Fatalf("/tmp/a = %d bytes, want %d (orphaned write lost)", len(a), sizeA)
 	}
-	if m.Genesys.OrphansAdopted.Value() != 1 || m.Genesys.OrphansCompleted.Value() != 1 {
+	if m.Genesys.OrphansAdopted != 1 || m.Genesys.OrphansCompleted != 1 {
 		t.Fatalf("orphans adopted=%d completed=%d, want 1/1",
-			m.Genesys.OrphansAdopted.Value(), m.Genesys.OrphansCompleted.Value())
+			m.Genesys.OrphansAdopted, m.Genesys.OrphansCompleted)
 	}
 	if m.Genesys.Orphans() != 0 || m.Genesys.Outstanding() != 0 {
 		t.Fatalf("orphans=%d outstanding=%d after drain",
@@ -219,20 +219,20 @@ func TestWatchdogExhaustionScopedToOrphanGeneration(t *testing.T) {
 		t.Fatalf("successor released after %v, want ≥ %v (aborted by the orphan's watchdog?)",
 			held, ownBudget)
 	}
-	if n := m.Inject.Surfaced.Value(); n != 2 {
+	if n := m.Inject.Surfaced; n != 2 {
 		t.Fatalf("surfaced = %d, want 2 (one per generation)", n)
 	}
-	if m.Genesys.OrphansAdopted.Value() != 1 || m.Genesys.OrphansCompleted.Value() != 1 {
+	if m.Genesys.OrphansAdopted != 1 || m.Genesys.OrphansCompleted != 1 {
 		t.Fatalf("orphans adopted=%d completed=%d, want 1/1",
-			m.Genesys.OrphansAdopted.Value(), m.Genesys.OrphansCompleted.Value())
+			m.Genesys.OrphansAdopted, m.Genesys.OrphansCompleted)
 	}
 	if m.Genesys.Orphans() != 0 || m.Genesys.Outstanding() != 0 {
 		t.Fatalf("orphans=%d outstanding=%d after drain",
 			m.Genesys.Orphans(), m.Genesys.Outstanding())
 	}
-	if m.GPU.Resumes.Value() != 0 {
+	if m.GPU.Resumes != 0 {
 		t.Fatalf("resumes = %d: an exhaustion doorbell woke a polling wave's slot",
-			m.GPU.Resumes.Value())
+			m.GPU.Resumes)
 	}
 }
 
@@ -312,7 +312,7 @@ func TestDuplicateDoorbellSingleDispatch(t *testing.T) {
 	if !done {
 		t.Fatal("kernel never completed: a duplicate batch's completion stranded a recycled slot")
 	}
-	if m.Genesys.IRQRetransmits.Value() == 0 {
+	if m.Genesys.IRQRetransmits == 0 {
 		t.Fatal("no doorbell redelivery happened; scenario not exercised")
 	}
 	if !res1.Ok() || res1.Ret != size1 || !res2.Ok() || res2.Ret != size2 {

@@ -58,8 +58,7 @@ func Chaos(o Options) *Table {
 			if !res.Validated {
 				panic(fmt.Sprintf("chaos %s@%.2f: corrupt data survived recovery", profile, rate))
 			}
-			return sample{res, m.Inject.Injected.Value(), m.Inject.Recovered.Value(),
-				m.Inject.Surfaced.Value()}
+			return sample{res, m.Inject.Injected, m.Inject.Recovered, m.Inject.Surfaced}
 		})
 	}
 	type cell struct {

@@ -156,11 +156,11 @@ type Injector struct {
 	// Injected / Recovered / Surfaced are the machine-wide totals: every
 	// fault injected anywhere, every fault a recovery mechanism absorbed,
 	// and every fault that reached the workload as an errno.
-	Injected  sim.Counter
-	Recovered sim.Counter
-	Surfaced  sim.Counter
+	Injected  int64
+	Recovered int64
+	Surfaced  int64
 
-	perPoint map[Point]*sim.Counter
+	perPoint map[Point]int64
 
 	// surfaced fires on every NoteSurfaced — the flight recorder's
 	// fault-surfaced detector hangs off it.
@@ -179,14 +179,11 @@ func NewInjector(e *sim.Engine, seed int64, plan Plan, surfaced func()) *Injecto
 		rng:      rand.New(rand.NewSource(seed)),
 		plan:     plan,
 		rules:    make(map[Point][]Rule),
-		perPoint: make(map[Point]*sim.Counter),
+		perPoint: make(map[Point]int64),
 		surfaced: surfaced,
 	}
 	for _, r := range plan.Rules {
 		in.rules[r.Point] = append(in.rules[r.Point], r)
-	}
-	for _, p := range Points() {
-		in.perPoint[p] = &sim.Counter{}
 	}
 	return in
 }
@@ -215,8 +212,8 @@ func (in *Injector) Fire(pt Point) (Rule, bool) {
 			continue
 		}
 		if in.rng.Float64() < r.Rate {
-			in.Injected.Inc()
-			in.perPoint[pt].Inc()
+			in.Injected++
+			in.perPoint[pt]++
 			return r, true
 		}
 	}
@@ -240,22 +237,16 @@ func (in *Injector) Pick(n int) int {
 
 // NoteRecovered records that a recovery mechanism (retry, retransmit,
 // re-dispatch) transparently absorbed an injected fault.
-func (in *Injector) NoteRecovered() { in.Recovered.Inc() }
+func (in *Injector) NoteRecovered() { in.Recovered++ }
 
 // NoteSurfaced records that a fault reached the workload as an errno.
 func (in *Injector) NoteSurfaced() {
-	in.Surfaced.Inc()
+	in.Surfaced++
 	in.surfaced()
 }
 
 // InjectedAt returns the number of injections at one point.
-func (in *Injector) InjectedAt(pt Point) int64 {
-	c, ok := in.perPoint[pt]
-	if !ok {
-		return 0
-	}
-	return c.Value()
-}
+func (in *Injector) InjectedAt(pt Point) int64 { return in.perPoint[pt] }
 
 // Render produces the /sys/genesys/faults view: the active plan and the
 // per-point injection counts.
@@ -276,15 +267,12 @@ func (in *Injector) Render() string {
 		}
 		b.WriteString("\n")
 	}
-	pts := make([]string, 0, len(in.perPoint))
-	for p := range in.perPoint {
-		pts = append(pts, string(p))
-	}
-	sort.Strings(pts)
+	pts := Points()
+	sort.Slice(pts, func(i, j int) bool { return pts[i] < pts[j] })
 	for _, p := range pts {
-		fmt.Fprintf(&b, "injected.%s %d\n", p, in.perPoint[Point(p)].Value())
+		fmt.Fprintf(&b, "injected.%s %d\n", p, in.perPoint[p])
 	}
 	fmt.Fprintf(&b, "injected %d\nrecovered %d\nsurfaced %d\n",
-		in.Injected.Value(), in.Recovered.Value(), in.Surfaced.Value())
+		in.Injected, in.Recovered, in.Surfaced)
 	return b.String()
 }

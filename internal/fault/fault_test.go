@@ -19,7 +19,7 @@ func TestEmptyPlanIsInactive(t *testing.T) {
 			t.Fatal("empty plan fired")
 		}
 	}
-	if in.Injected.Value() != 0 {
+	if in.Injected != 0 {
 		t.Fatal("empty plan counted injections")
 	}
 }
@@ -39,9 +39,9 @@ func TestRatesZeroAndOne(t *testing.T) {
 			t.Fatal("rate-0 rule fired")
 		}
 	}
-	if in.InjectedAt(IRQDrop) != 50 || in.Injected.Value() != 50 {
+	if in.InjectedAt(IRQDrop) != 50 || in.Injected != 50 {
 		t.Fatalf("injection counts: point=%d total=%d",
-			in.InjectedAt(IRQDrop), in.Injected.Value())
+			in.InjectedAt(IRQDrop), in.Injected)
 	}
 }
 

@@ -288,9 +288,9 @@ func TestSSDFSPageCache(t *testing.T) {
 		late, _ := v.Open("/data/late", O_RDWR|O_CREAT)
 		late.Pwrite(&IOCtx{}, bytes.Repeat([]byte("y"), 1<<20), 0)
 		for _, g := range []*File{f, late, f, late} {
-			before := dev.BytesRead.Value()
+			before := dev.BytesRead
 			g.Pread(io, buf, 0)
-			faults = append(faults, dev.BytesRead.Value()-before)
+			faults = append(faults, dev.BytesRead-before)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -299,8 +299,8 @@ func TestSSDFSPageCache(t *testing.T) {
 	if fmt.Sprint(faults) != fmt.Sprint([]int64{1 << 20, 1 << 20, 0, 0}) {
 		t.Fatalf("device bytes per read after DropCaches = %v, want [1MiB 1MiB 0 0]", faults)
 	}
-	if dev.BytesRead.Value() != 3<<20 {
-		t.Fatalf("device read %d bytes, want 3MiB exactly (merged, once per cold file)", dev.BytesRead.Value())
+	if dev.BytesRead != 3<<20 {
+		t.Fatalf("device read %d bytes, want 3MiB exactly (merged, once per cold file)", dev.BytesRead)
 	}
 	if cold < 10*warm {
 		t.Fatalf("cold=%v warm=%v: page cache ineffective", cold, warm)

@@ -69,7 +69,7 @@ func (c C) invoke(w *gpu.Wavefront, req syscalls.Request) core.Result {
 	}
 	backoff := restartBackoffBase
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		c.G.Retries.Inc()
+		c.G.Retries++
 		w.P.Sleep(backoff)
 		if backoff < restartBackoffLimit {
 			backoff *= 2

@@ -17,8 +17,7 @@ func (d *Device) CheckpointState() []byte {
 	fmt.Fprintf(&b, "cfg cus=%d simd=%d wpc=%d clock=%d\n",
 		d.cfg.CUs, d.cfg.SIMDWidth, d.cfg.WavefrontsPerCU, d.cfg.ClockMHz)
 	fmt.Fprintf(&b, "counters kernels=%d wgs=%d irqs=%d halts=%d resumes=%d\n",
-		d.KernelsLaunched.Value(), d.WGsDispatched.Value(), d.Interrupts.Value(),
-		d.Halts.Value(), d.Resumes.Value())
+		d.KernelsLaunched, d.WGsDispatched, d.Interrupts, d.Halts, d.Resumes)
 
 	for _, c := range d.cus {
 		fmt.Fprintf(&b, "cu %d resident=%d pollers=%d free=%v\n",

@@ -106,11 +106,11 @@ type Device struct {
 	utilHalted  *obs.UtilTrack
 	utilPolling *obs.UtilTrack
 
-	KernelsLaunched sim.Counter
-	WGsDispatched   sim.Counter
-	Interrupts      sim.Counter
-	Halts           sim.Counter
-	Resumes         sim.Counter
+	KernelsLaunched int64
+	WGsDispatched   int64
+	Interrupts      int64
+	Halts           int64
+	Resumes         int64
 }
 
 type cu struct {
@@ -239,7 +239,7 @@ func (d *Device) LaunchAsync(k Kernel) *KernelRun {
 		LaunchedAt: d.e.Now(),
 	}
 	d.pending = append(d.pending, kr)
-	d.KernelsLaunched.Inc()
+	d.KernelsLaunched++
 	d.dispatch.Broadcast()
 	return kr
 }
@@ -327,7 +327,7 @@ func (d *Device) startWG(kr *KernelRun, c *cu) {
 		Shared:  make(map[string]any),
 	}
 	kr.nextWG++
-	d.WGsDispatched.Inc()
+	d.WGsDispatched++
 	waves := kr.wavesPerWG(d.cfg.SIMDWidth)
 	remaining := kr.WGSize
 	for i := 0; i < waves; i++ {
@@ -428,7 +428,7 @@ func (d *Device) Resume(hwWave int, gen uint64) {
 	if w == nil || w.Gen != gen || !w.halted {
 		return
 	}
-	d.Resumes.Inc()
+	d.Resumes++
 	w.halted = false
 	w.resumeCond.Broadcast()
 }
@@ -570,7 +570,7 @@ func (w *Wavefront) GlobalBarrier() {
 // allocation-free CallAfter fast path — the doorbell is the hottest hop
 // in the system (one per invocation, more under retransmission).
 func (w *Wavefront) Interrupt() {
-	w.dev.Interrupts.Inc()
+	w.dev.Interrupts++
 	d := w.dev
 	hw, gen := w.HWSlot, w.Gen
 	d.events.Instant("gpu", "irq", obs.PIDGPU, hw, d.e.Now())
@@ -585,7 +585,7 @@ func (w *Wavefront) Interrupt() {
 // the CPU calls Device.Resume on its hardware slot. The resume latency is
 // charged on wake-up.
 func (w *Wavefront) Halt() {
-	w.dev.Halts.Inc()
+	w.dev.Halts++
 	start := w.dev.e.Now()
 	w.halted = true
 	w.dev.utilHalted.Add(start, 1)

@@ -235,8 +235,8 @@ func TestHaltResume(t *testing.T) {
 	if resumedAt != want {
 		t.Fatalf("resumedAt = %v, want %v", resumedAt, want)
 	}
-	if d.Halts.Value() != 1 || d.Resumes.Value() != 1 {
-		t.Fatalf("halts=%d resumes=%d", d.Halts.Value(), d.Resumes.Value())
+	if d.Halts != 1 || d.Resumes != 1 {
+		t.Fatalf("halts=%d resumes=%d", d.Halts, d.Resumes)
 	}
 }
 
@@ -252,7 +252,7 @@ func TestResumeOfVacatedSlotIsNoop(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Resumes.Value() != 0 {
+	if d.Resumes != 0 {
 		t.Fatal("resume of vacated slot counted")
 	}
 }
@@ -321,8 +321,8 @@ func TestResumeOfStaleGenerationDropped(t *testing.T) {
 		t.Fatalf("resumedAt = %v, want %v (stale-generation resume must be dropped)",
 			resumedAt, want)
 	}
-	if d.Resumes.Value() != 1 {
-		t.Fatalf("resumes = %d, want 1", d.Resumes.Value())
+	if d.Resumes != 1 {
+		t.Fatalf("resumes = %d, want 1", d.Resumes)
 	}
 }
 

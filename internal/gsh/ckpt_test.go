@@ -44,7 +44,7 @@ func TestCkptSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	origCalls := s.M.Genesys.Invocations.Value()
+	origCalls := s.M.Genesys.Invocations
 
 	// The restored session continues identically.
 	restored, err := Restore(path)
@@ -59,7 +59,7 @@ func TestCkptSaveLoadRoundTrip(t *testing.T) {
 	if restOut != origOut {
 		t.Errorf("restored session diverges:\noriginal: %q\nrestored: %q", origOut, restOut)
 	}
-	if got := restored.M.Genesys.Invocations.Value(); got != origCalls {
+	if got := restored.M.Genesys.Invocations; got != origCalls {
 		t.Errorf("restored session at %d invocations, original at %d", got, origCalls)
 	}
 }
@@ -75,7 +75,7 @@ func TestCkptLoadSwapsSession(t *testing.T) {
 	if _, err := s.Run("ckpt save " + path); err != nil {
 		t.Fatal(err)
 	}
-	savedCalls := s.M.Genesys.Invocations.Value()
+	savedCalls := s.M.Genesys.Invocations
 
 	// Mutate the session past the save point, then load it back.
 	if _, err := s.Run("cat /tmp/poem.txt"); err != nil {
@@ -89,7 +89,7 @@ func TestCkptLoadSwapsSession(t *testing.T) {
 	if !strings.Contains(out, "restored session") || !strings.Contains(out, "verified") {
 		t.Fatalf("load output: %q", out)
 	}
-	if got := s.M.Genesys.Invocations.Value(); got != savedCalls {
+	if got := s.M.Genesys.Invocations; got != savedCalls {
 		t.Errorf("loaded session at %d invocations, saved at %d", got, savedCalls)
 	}
 	// The swapped-in machine keeps working.

@@ -8,6 +8,8 @@
 package gsh
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -173,6 +175,33 @@ func cmdLs(s *Shell, w *gpu.Wavefront, args []string) error {
 	return nil
 }
 
+// maxInput caps the bytes cat, wc and grep read from one file: input
+// that never ends (/dev/zero) stops the command with an error instead of
+// running it, and growing the console, forever.
+const maxInput = 1 << 20
+
+var errInputTooLong = fmt.Errorf("input exceeds %d bytes", maxInput)
+
+// readChunks reads fd to EOF in 4 KiB chunks and passes each to chunk.
+// It returns the read's errno, or an error naming path once more than
+// maxInput bytes arrive; the chunk past the budget is not passed on.
+func (s *Shell) readChunks(w *gpu.Wavefront, fd int, path string, chunk func([]byte)) error {
+	buf := make([]byte, 4096)
+	for total := 0; ; {
+		n, rerr := s.C.Read(w, fd, buf)
+		if rerr != errno.OK {
+			return rerr
+		}
+		if n == 0 {
+			return nil
+		}
+		if total += n; total > maxInput {
+			return fmt.Errorf("%s: %w", path, errInputTooLong)
+		}
+		chunk(buf[:n])
+	}
+}
+
 func cmdCat(s *Shell, w *gpu.Wavefront, args []string) error {
 	path, err := oneArg(args)
 	if err != nil {
@@ -183,17 +212,7 @@ func cmdCat(s *Shell, w *gpu.Wavefront, args []string) error {
 		return oerr
 	}
 	defer s.C.Close(w, fd)
-	buf := make([]byte, 4096)
-	for {
-		n, rerr := s.C.Read(w, fd, buf)
-		if rerr != errno.OK {
-			return rerr
-		}
-		if n == 0 {
-			return nil
-		}
-		s.C.Write(w, 1, buf[:n])
-	}
+	return s.readChunks(w, fd, path, func(b []byte) { s.C.Write(w, 1, b) })
 }
 
 func cmdWc(s *Shell, w *gpu.Wavefront, args []string) error {
@@ -206,21 +225,13 @@ func cmdWc(s *Shell, w *gpu.Wavefront, args []string) error {
 		return oerr
 	}
 	defer s.C.Close(w, fd)
-	var lines, words, bytes int
+	var lines, words, size int
 	inWord := false
-	buf := make([]byte, 4096)
-	for {
-		n, rerr := s.C.Read(w, fd, buf)
-		if rerr != errno.OK {
-			return rerr
-		}
-		if n == 0 {
-			break
-		}
+	err = s.readChunks(w, fd, path, func(b []byte) {
 		// The whole work-group scans the buffer cooperatively.
-		w.ComputeTime(sim.Time(n) * sim.Nanosecond / 8)
-		bytes += n
-		for _, c := range buf[:n] {
+		w.ComputeTime(sim.Time(len(b)) * sim.Nanosecond / 8)
+		size += len(b)
+		for _, c := range b {
 			if c == '\n' {
 				lines++
 			}
@@ -230,8 +241,11 @@ func cmdWc(s *Shell, w *gpu.Wavefront, args []string) error {
 			}
 			inWord = !isSpace
 		}
+	})
+	if err != nil {
+		return err
 	}
-	s.C.Printf(w, "%7d %7d %7d %s\n", lines, words, bytes, path)
+	s.C.Printf(w, "%7d %7d %7d %s\n", lines, words, size, path)
 	return nil
 }
 
@@ -239,7 +253,7 @@ func cmdGrep(s *Shell, w *gpu.Wavefront, args []string) error {
 	if len(args) < 2 {
 		return errno.EINVAL
 	}
-	word := args[0]
+	word := []byte(args[0])
 	for _, path := range args[1:] {
 		fd, oerr := s.C.Open(w, path, fs.O_RDONLY)
 		if oerr != errno.OK {
@@ -247,28 +261,31 @@ func cmdGrep(s *Shell, w *gpu.Wavefront, args []string) error {
 			continue
 		}
 		lineNo := 1
-		carry := ""
-		buf := make([]byte, 4096)
-		for {
-			n, rerr := s.C.Read(w, fd, buf)
-			if rerr != errno.OK || n == 0 {
-				break
-			}
-			w.ComputeTime(sim.Time(n) * sim.Nanosecond / 8)
-			text := carry + string(buf[:n])
-			lines := strings.Split(text, "\n")
-			carry = lines[len(lines)-1]
-			for _, l := range lines[:len(lines)-1] {
-				if strings.Contains(l, word) {
-					s.C.Printf(w, "%s:%d:%s\n", path, lineNo, l)
+		var line []byte // the current line, not yet ended by a newline
+		err := s.readChunks(w, fd, path, func(b []byte) {
+			w.ComputeTime(sim.Time(len(b)) * sim.Nanosecond / 8)
+			for {
+				i := bytes.IndexByte(b, '\n')
+				if i < 0 {
+					line = append(line, b...)
+					return
+				}
+				line = append(line, b[:i]...)
+				if bytes.Contains(line, word) {
+					s.C.Printf(w, "%s:%d:%s\n", path, lineNo, line)
 				}
 				lineNo++
+				line, b = line[:0], b[i+1:]
 			}
-		}
-		if strings.Contains(carry, word) {
-			s.C.Printf(w, "%s:%d:%s\n", path, lineNo, carry)
-		}
+		})
 		s.C.Close(w, fd)
+		// A read errno ends this file's scan quietly, as EOF does.
+		if errors.Is(err, errInputTooLong) {
+			return err
+		}
+		if bytes.Contains(line, word) {
+			s.C.Printf(w, "%s:%d:%s\n", path, lineNo, line)
+		}
 	}
 	return nil
 }
@@ -348,8 +365,8 @@ func cmdFlight(s *Shell, w *gpu.Wavefront, args []string) error {
 const topUsage = "top [frames [interval_us]]"
 
 // top's upper bounds keep one dashboard run within 100 s of virtual
-// time: the machine's utilization tracks keep a bin per elapsed virtual
-// millisecond, and a large enough interval overflows the clock.
+// time: a large enough interval overflows the clock, and every frame
+// costs host time.
 const (
 	topMaxFrames     = 100
 	topMaxIntervalUS = 1_000_000

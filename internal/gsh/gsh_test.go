@@ -1,6 +1,7 @@
 package gsh
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -108,16 +109,37 @@ func TestErrorsSurfaceOnTerminal(t *testing.T) {
 	}
 }
 
+// TestEndlessInputStops reads /dev/zero, which never reaches EOF: each
+// command stops at maxInput with an error naming the path, and the
+// console holds at most maxInput bytes of its output.
+func TestEndlessInputStops(t *testing.T) {
+	for _, line := range []string{"cat /dev/zero", "wc /dev/zero", "grep x /dev/zero"} {
+		t.Run(line, func(t *testing.T) {
+			s := newShell(t)
+			out, err := s.Run(line)
+			if !errors.Is(err, errInputTooLong) || !strings.Contains(err.Error(), "/dev/zero") {
+				t.Fatalf("err = %v, want one naming /dev/zero and wrapping %v", err, errInputTooLong)
+			}
+			if len(out) > maxInput+256 {
+				t.Fatalf("console grew %d bytes, budget %d", len(out), maxInput)
+			}
+			if !strings.HasSuffix(out, "input exceeds 1048576 bytes\n") {
+				t.Fatalf("console does not end with the error: %q", out[max(0, len(out)-80):])
+			}
+		})
+	}
+}
+
 func TestEverythingRanOnTheGPU(t *testing.T) {
 	s := newShell(t)
 	if _, err := s.Run("wc /tmp/poem.txt"); err != nil {
 		t.Fatal(err)
 	}
-	if s.M.GPU.KernelsLaunched.Value() == 0 {
+	if s.M.GPU.KernelsLaunched == 0 {
 		t.Fatal("no kernel launched")
 	}
-	if s.M.Genesys.Invocations.Value() < 3 {
-		t.Fatalf("only %d GPU syscalls", s.M.Genesys.Invocations.Value())
+	if s.M.Genesys.Invocations < 3 {
+		t.Fatalf("only %d GPU syscalls", s.M.Genesys.Invocations)
 	}
 }
 

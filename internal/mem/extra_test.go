@@ -37,8 +37,8 @@ func TestWriteLinePollLoadAndAccessors(t *testing.T) {
 	if elapsed != m.Config().LineWriteTime {
 		t.Fatalf("write line = %v", elapsed)
 	}
-	if m.AtomicOps.Value() != 1 {
-		t.Fatalf("atomics = %d", m.AtomicOps.Value())
+	if m.AtomicOps != 1 {
+		t.Fatalf("atomics = %d", m.AtomicOps)
 	}
 }
 

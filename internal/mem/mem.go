@@ -108,10 +108,10 @@ type System struct {
 	// go.
 	polledLines int
 
-	DRAMAccesses sim.Counter
-	L2Hits       sim.Counter
-	L2Misses     sim.Counter
-	AtomicOps    sim.Counter
+	DRAMAccesses int64
+	L2Hits       int64
+	L2Misses     int64
+	AtomicOps    int64
 }
 
 // New returns a memory system bound to e.
@@ -157,20 +157,14 @@ func (m *System) dramStart(n int64) sim.Time {
 		occupancy = 1
 	}
 	m.ctrlFree = start + occupancy
-	m.DRAMAccesses.Inc()
+	m.DRAMAccesses++
 	return start + occupancy + m.cfg.DRAMAccessTime - now
-}
-
-// dram charges one DRAM controller access transferring n bytes; the
-// calling process waits for queueing delay, occupancy and fixed latency.
-func (m *System) dram(p *sim.Proc, n int64) {
-	p.Sleep(m.dramStart(n))
 }
 
 // CPUAccess performs one uncached CPU access of a single line, through
 // the shared controller. Used by the Figure 9 probe.
 func (m *System) CPUAccess(p *sim.Proc) {
-	m.dram(p, m.cfg.LineSize)
+	p.Sleep(m.dramStart(m.cfg.LineSize))
 }
 
 // Copy charges the cost of moving n bytes through the memory system
@@ -180,7 +174,7 @@ func (m *System) Copy(p *sim.Proc, n int64) {
 	if n <= 0 {
 		return
 	}
-	m.dram(p, n)
+	p.Sleep(m.dramStart(n))
 }
 
 // GPUAtomic performs one GPU atomic operation against a working set of
@@ -188,33 +182,40 @@ func (m *System) Copy(p *sim.Proc, n int64) {
 // capacity the access may miss and additionally occupy DRAM — the
 // mechanism behind Figure 9's contention knee.
 func (m *System) GPUAtomic(p *sim.Proc, op Op, workingSetLines int) {
-	m.AtomicOps.Inc()
-	// Serialize on the L2 atomic unit before paying the op latency.
-	now := m.e.Now()
-	start := now
-	if m.l2AtomicFree > start {
-		start = m.l2AtomicFree
-	}
-	m.l2AtomicFree = start + m.cfg.L2AtomicService
-	p.Sleep(start - now + m.OpTime(op))
-	if m.l2Miss(workingSetLines) {
-		m.L2Misses.Inc()
-		m.dram(p, m.cfg.LineSize)
-	} else {
-		m.L2Hits.Inc()
-	}
+	p.Sleep(m.AtomicStart(op))
+	p.Sleep(m.Settle(workingSetLines))
 }
 
 // GPULoad performs a plain GPU load against a working set of
 // workingSetLines distinct lines (0 = always hits).
 func (m *System) GPULoad(p *sim.Proc, workingSetLines int) {
 	p.Sleep(m.cfg.L1HitTime)
+	p.Sleep(m.Settle(workingSetLines))
+}
+
+// AtomicStart and Settle are the two phases of every GPU atomic; the
+// callback-driven poll wait in core calls them directly. AtomicStart
+// serializes on the L2 atomic unit at the current instant and returns
+// the delay until op completes; Settle, called at that later instant,
+// decides hit or miss for one line of a workingSetLines-line working set
+// and returns any extra DRAM spill delay (zero on a hit). Sleeping
+// through both delays in turn is GPUAtomic.
+func (m *System) AtomicStart(op Op) sim.Time {
+	m.AtomicOps++
+	now := m.e.Now()
+	start := max(now, m.l2AtomicFree)
+	m.l2AtomicFree = start + m.cfg.L2AtomicService
+	return start - now + m.OpTime(op)
+}
+
+// Settle is the second phase of a GPU atomic or load (see AtomicStart).
+func (m *System) Settle(workingSetLines int) sim.Time {
 	if m.l2Miss(workingSetLines) {
-		m.L2Misses.Inc()
-		m.dram(p, m.cfg.LineSize)
-	} else {
-		m.L2Hits.Inc()
+		m.L2Misses++
+		return m.dramStart(m.cfg.LineSize)
 	}
+	m.L2Hits++
+	return 0
 }
 
 // GPUWriteLine charges the cost of storing one line (e.g. populating a
@@ -247,38 +248,9 @@ func (m *System) AddPolledLines(n int) int {
 // PolledLines returns the number of lines currently polled.
 func (m *System) PolledLines() int { return m.polledLines }
 
-// PollLoad performs one GPU polling load whose working set is the current
-// number of polled lines.
+// PollLoad performs one GPU polling load whose working set is the number
+// of lines polled when the load's latency has passed.
 func (m *System) PollLoad(p *sim.Proc) {
-	p.Sleep(m.PollLoadStart())
-	p.Sleep(m.PollLoadFinish())
-}
-
-// PollLoadStart / PollLoadFinish are the two phases of PollLoad split
-// for callback-driven pollers (the engine-loop poll wait in core): Start
-// reserves the L2 atomic unit at the current instant and returns the
-// delay until the load completes; Finish, called at that later instant,
-// settles the hit/miss outcome and returns any extra DRAM spill delay
-// (zero on a hit). Running Start at t, Finish at t+Start's delay, and
-// continuing after Finish's delay performs exactly the state mutations,
-// counter increments and random draws of PollLoad at exactly the same
-// instants.
-func (m *System) PollLoadStart() sim.Time {
-	m.AtomicOps.Inc()
-	now := m.e.Now()
-	start := now
-	if m.l2AtomicFree > start {
-		start = m.l2AtomicFree
-	}
-	m.l2AtomicFree = start + m.cfg.L2AtomicService
-	return start - now + m.OpTime(OpAtomicLoad)
-}
-
-func (m *System) PollLoadFinish() sim.Time {
-	if m.l2Miss(m.polledLines) {
-		m.L2Misses.Inc()
-		return m.dramStart(m.cfg.LineSize)
-	}
-	m.L2Hits.Inc()
-	return 0
+	p.Sleep(m.AtomicStart(OpAtomicLoad))
+	p.Sleep(m.Settle(m.polledLines))
 }

@@ -40,8 +40,8 @@ func TestGPUAtomicCost(t *testing.T) {
 	if elapsed != want {
 		t.Fatalf("elapsed = %v, want %v", elapsed, want)
 	}
-	if m.L2Misses.Value() != 0 {
-		t.Fatalf("unexpected L2 misses: %d", m.L2Misses.Value())
+	if m.L2Misses != 0 {
+		t.Fatalf("unexpected L2 misses: %d", m.L2Misses)
 	}
 }
 
@@ -57,8 +57,8 @@ func TestL2CapacityKnee(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.L2Misses.Value() != 0 {
-		t.Fatalf("misses within capacity: %d", m.L2Misses.Value())
+	if m.L2Misses != 0 {
+		t.Fatalf("misses within capacity: %d", m.L2Misses)
 	}
 
 	e2, m2 := newSys(7)
@@ -70,7 +70,7 @@ func TestL2CapacityKnee(t *testing.T) {
 	if err := e2.Run(); err != nil {
 		t.Fatal(err)
 	}
-	missRate := float64(m2.L2Misses.Value()) / 500
+	missRate := float64(m2.L2Misses) / 500
 	if missRate < 0.6 || missRate > 0.9 {
 		t.Fatalf("miss rate at 4x capacity = %.2f, want ~0.75", missRate)
 	}
@@ -150,7 +150,7 @@ func TestNoMissWithinCapacityProperty(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				m.GPULoad(p, capped)
 			}
-			ok = m.L2Misses.Value() == 0
+			ok = m.L2Misses == 0
 		})
 		if err := e.Run(); err != nil {
 			return false

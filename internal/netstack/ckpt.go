@@ -18,8 +18,7 @@ func (s *Stack) CheckpointState() []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "netstack v1\n")
 	fmt.Fprintf(&b, "counters sent=%d dropped=%d conns=%d refused=%d stream_bytes=%d\n",
-		s.Sent.Value(), s.Dropped.Value(), s.StreamConns.Value(),
-		s.StreamRefused.Value(), s.StreamBytes.Value())
+		s.Sent, s.Dropped, s.StreamConns, s.StreamRefused, s.StreamBytes)
 	fmt.Fprintf(&b, "next_ephemeral %d\n", s.nextEphemeral)
 
 	ports := make([]int, 0, len(s.ports))

@@ -19,8 +19,8 @@ func TestSendToUnboundPortDrops(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Sent.Value() != 1 || st.Dropped.Value() != 1 {
-		t.Fatalf("sent=%d dropped=%d, want 1/1", st.Sent.Value(), st.Dropped.Value())
+	if st.Sent != 1 || st.Dropped != 1 {
+		t.Fatalf("sent=%d dropped=%d, want 1/1", st.Sent, st.Dropped)
 	}
 }
 
@@ -55,8 +55,8 @@ func TestClosedSocketErrors(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Dropped.Value() != 1 {
-		t.Errorf("dropped=%d, want 1 (in-flight to closed socket)", st.Dropped.Value())
+	if st.Dropped != 1 {
+		t.Errorf("dropped=%d, want 1 (in-flight to closed socket)", st.Dropped)
 	}
 }
 
@@ -91,8 +91,8 @@ func TestRecvQueueOverflowDrops(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Dropped.Value() != 3 {
-		t.Errorf("dropped=%d, want 3 (queue cap 2)", st.Dropped.Value())
+	if st.Dropped != 3 {
+		t.Errorf("dropped=%d, want 3 (queue cap 2)", st.Dropped)
 	}
 	if server.QueueLen() != 2 {
 		t.Errorf("queue len=%d, want 2", server.QueueLen())
@@ -144,7 +144,7 @@ func TestInjectedFaults(t *testing.T) {
 	if err := st.NewSocket().SendTo(9000, []byte("x")); err != errno.ECONNREFUSED {
 		t.Errorf("reset fault: %v, want ECONNREFUSED", err)
 	}
-	if st.inject.Surfaced.Value() != 1 {
+	if st.inject.Surfaced != 1 {
 		t.Errorf("reset not counted surfaced")
 	}
 
@@ -159,8 +159,8 @@ func TestInjectedFaults(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Dropped.Value() != 1 || server.QueueLen() != 0 {
-		t.Errorf("dropped=%d queueLen=%d, want 1/0", st.Dropped.Value(), server.QueueLen())
+	if st.Dropped != 1 || server.QueueLen() != 0 {
+		t.Errorf("dropped=%d queueLen=%d, want 1/0", st.Dropped, server.QueueLen())
 	}
 	if st.inject.InjectedAt(fault.NetDrop) != 1 {
 		t.Errorf("drop not counted at its injection point")

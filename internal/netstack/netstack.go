@@ -74,18 +74,18 @@ type Stack struct {
 	inflFree []*inflight
 	pollFree []*Poller
 
-	Sent    sim.Counter
-	Dropped sim.Counter
+	Sent    int64
+	Dropped int64
 
 	// Stream-socket accounting (stream.go).
-	StreamConns   sim.Counter // connections ever established
-	StreamRefused sim.Counter // connects refused (no listener / backlog full)
-	StreamBytes   sim.Counter // payload bytes delivered over streams
+	StreamConns   int64 // connections ever established
+	StreamRefused int64 // connects refused (no listener / backlog full)
+	StreamBytes   int64 // payload bytes delivered over streams
 }
 
 // noteDrop counts a lost datagram and marks it in the event log.
 func (s *Stack) noteDrop(dg Datagram) {
-	s.Dropped.Inc()
+	s.Dropped++
 	s.events.Instant("netstack", "drop", obs.PIDNetstack, dg.DstPort, s.e.Now())
 }
 
@@ -370,7 +370,7 @@ func (sk *Socket) SendTo(dstPort int, data []byte) error {
 	st := sk.stack
 	payload := st.getBuf(len(data))
 	copy(payload, data)
-	st.Sent.Inc()
+	st.Sent++
 	st.sendDatagram(Datagram{SrcPort: sk.port, DstPort: dstPort, Data: payload, SentAt: st.e.Now()})
 	return nil
 }

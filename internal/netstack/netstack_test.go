@@ -124,8 +124,8 @@ func TestDropOnFullQueueAndDeadPort(t *testing.T) {
 	if dst.QueueLen() != 2 {
 		t.Fatalf("queue len = %d, want 2 (capacity)", dst.QueueLen())
 	}
-	if st.Dropped.Value() != 4 { // 3 overflow + 1 dead port
-		t.Fatalf("drops = %d, want 4", st.Dropped.Value())
+	if st.Dropped != 4 { // 3 overflow + 1 dead port
+		t.Fatalf("drops = %d, want 4", st.Dropped)
 	}
 }
 
@@ -177,8 +177,8 @@ func TestDatagramConservationProperty(t *testing.T) {
 		for _, s := range socks {
 			queued += s.QueueLen()
 		}
-		total := int(st.Sent.Value())
-		accounted := queued + consumed + int(st.Dropped.Value())
+		total := int(st.Sent)
+		accounted := queued + consumed + int(st.Dropped)
 		return total == len(sends) && accounted == total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

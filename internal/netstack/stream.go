@@ -59,14 +59,14 @@ func (sk *Socket) Connect(p *sim.Proc, dstPort int) error {
 	st := sk.stack
 	if st.inject.Should(fault.NetReset) {
 		st.inject.NoteSurfaced()
-		st.StreamRefused.Inc()
+		st.StreamRefused++
 		return errno.ECONNREFUSED
 	}
 	// SYN after one-way delay; SYN-ACK (or RST) after another.
 	st.e.CallAfter(st.delay(), func() {
 		lst, ok := st.ports[dstPort]
 		if !ok || !lst.open || !lst.listening || len(lst.backlog) >= lst.backlogMax {
-			st.StreamRefused.Inc()
+			st.StreamRefused++
 			st.e.CallAfter(st.delay(), func() {
 				if !sk.open {
 					return
@@ -95,7 +95,7 @@ func (sk *Socket) Connect(p *sim.Proc, dstPort int) error {
 			sk.remotePort = dstPort
 			conn.remotePort = sk.port
 			sk.connected = true
-			st.StreamConns.Inc()
+			st.StreamConns++
 			sk.wakeAll()
 			lst.wakeReady() // connection is now acceptable
 		})
@@ -226,7 +226,7 @@ func (st *Stack) land(peer *Socket, data []byte, n int) {
 	}
 	peer.rbuf = append(peer.rbuf, data[:n]...)
 	st.PutBuf(data)
-	st.StreamBytes.Add(int64(n))
+	st.StreamBytes += int64(n)
 	if peer.finPending && peer.inFlight == 0 {
 		peer.finPending = false
 		peer.peerClosed = true // FIN was held back for this data

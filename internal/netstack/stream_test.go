@@ -63,8 +63,8 @@ func TestStreamConnectAcceptEcho(t *testing.T) {
 	if !bytes.Equal(echoed, []byte("stream-ping")) {
 		t.Fatalf("echoed = %q", echoed)
 	}
-	if st.StreamConns.Value() != 1 {
-		t.Fatalf("StreamConns = %d", st.StreamConns.Value())
+	if st.StreamConns != 1 {
+		t.Fatalf("StreamConns = %d", st.StreamConns)
 	}
 }
 
@@ -95,8 +95,8 @@ func TestStreamConnectRefused(t *testing.T) {
 	if backlogFull != errno.ECONNREFUSED {
 		t.Fatalf("connect past backlog = %v, want ECONNREFUSED", backlogFull)
 	}
-	if st.StreamRefused.Value() != 2 {
-		t.Fatalf("StreamRefused = %d, want 2", st.StreamRefused.Value())
+	if st.StreamRefused != 2 {
+		t.Fatalf("StreamRefused = %d, want 2", st.StreamRefused)
 	}
 }
 
@@ -151,8 +151,8 @@ func TestStreamFlowControl(t *testing.T) {
 			t.Fatalf("byte %d = %d, out of order", i, b)
 		}
 	}
-	if st.StreamBytes.Value() != total {
-		t.Fatalf("StreamBytes = %d", st.StreamBytes.Value())
+	if st.StreamBytes != total {
+		t.Fatalf("StreamBytes = %d", st.StreamBytes)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"genesys/internal/sim"
@@ -14,9 +15,7 @@ import (
 
 func TestRegistrySnapshotSorted(t *testing.T) {
 	r := NewRegistry()
-	var c1, c2 sim.Counter
-	c1.Add(7)
-	c2.Add(3)
+	c1, c2 := int64(7), int64(3)
 	r.RegisterCounter("zeta.ops", &c1)
 	r.RegisterCounter("alpha.ops", &c2)
 	depth := int64(5)
@@ -38,16 +37,11 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 	}
 
 	// Registered pointers stay live: later increments are visible.
-	c1.Inc()
+	c1++
 	depth = 9
-	if v, ok := r.Value("zeta.ops"); !ok || v != 8 {
-		t.Fatalf("zeta.ops = %d, %v", v, ok)
-	}
-	if v, _ := r.Value("mid.depth"); v != 9 {
-		t.Fatalf("mid.depth = %d", v)
-	}
-	if _, ok := r.Value("missing"); ok {
-		t.Fatal("missing metric resolved")
+	snap = r.Snapshot()
+	if snap["zeta.ops"] != 8 || snap["mid.depth"] != 9 || len(snap) != 3 {
+		t.Fatalf("snapshot after updates = %v", snap)
 	}
 
 	out := r.Render()
@@ -56,16 +50,33 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 	}
 }
 
+// TestRegistryDuplicatePanics: a duplicate, empty-named or nil
+// registration panics, for counters and gauges alike.
 func TestRegistryDuplicatePanics(t *testing.T) {
-	r := NewRegistry()
-	var c sim.Counter
-	r.RegisterCounter("x.y", &c)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	r.RegisterGauge("x.y", func() int64 { return 0 })
+	var c int64
+	zero := func() int64 { return 0 }
+	for _, tc := range []struct {
+		name     string
+		register func(r *Registry)
+	}{
+		{"duplicate gauge", func(r *Registry) { r.RegisterGauge("x.y", zero) }},
+		{"duplicate counter", func(r *Registry) { r.RegisterCounter("x.y", &c) }},
+		{"empty counter name", func(r *Registry) { r.RegisterCounter("", &c) }},
+		{"empty gauge name", func(r *Registry) { r.RegisterGauge("", zero) }},
+		{"nil counter", func(r *Registry) { r.RegisterCounter("x.z", nil) }},
+		{"nil gauge", func(r *Registry) { r.RegisterGauge("x.z", nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry()
+			r.RegisterCounter("x.y", &c)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("registration did not panic")
+				}
+			}()
+			tc.register(r)
+		})
+	}
 }
 
 // --- EventLog --------------------------------------------------------------
@@ -398,6 +409,43 @@ func TestChromeTraceExportAfterWrap(t *testing.T) {
 	for i := range want {
 		if ts[i] != want[i] {
 			t.Fatalf("export order %v, want %v", ts, want)
+		}
+	}
+}
+
+// --- Utilization tracks ----------------------------------------------------
+
+// TestUtilTrackBinsBounded holds a track at 1 for 2,000 virtual seconds,
+// once as one interval and once in 1 s steps: the shared bin width
+// doubles until a track needs at most maxUtilBins bins, and coarsening
+// keeps the occupancy mass.
+func TestUtilTrackBinsBounded(t *testing.T) {
+	const span = 2000 * sim.Second
+	for _, step := range []sim.Time{span, sim.Second} {
+		u := NewUtil(NewEventLog(0, NewFlight()))
+		busy, idle := u.Track("busy", 1), u.Track("idle", 1)
+		busy.Add(0, 1)
+		for at := step; at <= span; at += step {
+			busy.Add(at, 0)
+		}
+		busy.Add(span, -1)
+		if n := busy.series.NumBins(); n > maxUtilBins {
+			t.Fatalf("step %v: %d bins, cap %d", step, n, maxUtilBins)
+		}
+		if u.bin != 32*utilBin || busy.series.BinWidth != u.bin || idle.series.BinWidth != u.bin {
+			t.Fatalf("step %v: bin widths util %v busy %v idle %v, want %v",
+				step, u.bin, busy.series.BinWidth, idle.series.BinWidth, 32*utilBin)
+		}
+		var mass float64
+		for _, v := range busy.series.Bins() {
+			mass += v
+		}
+		if math.Abs(mass-float64(span)) > 1e-6*float64(span) || busy.Mean(span) != 1 {
+			t.Fatalf("step %v: mass %g, mean %g; want %g, 1", step, mass, busy.Mean(span), float64(span))
+		}
+		out := u.Render(span)
+		if !strings.Contains(out, "(timeline bin 32.000ms)") || !strings.Contains(out, "|@@@@") {
+			t.Fatalf("step %v: render:\n%s", step, out)
 		}
 	}
 }

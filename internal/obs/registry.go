@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"genesys/internal/sim"
 )
 
 // Gauge reports an instantaneous value (queue depth, outstanding calls,
@@ -28,43 +26,32 @@ type Gauge func() int64
 // registering a duplicate name panics, since it would silently shadow a
 // statistic.
 type Registry struct {
-	counters map[string]*sim.Counter
-	gauges   map[string]Gauge
+	gauges map[string]Gauge
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*sim.Counter),
-		gauges:   make(map[string]Gauge),
-	}
+	return &Registry{gauges: make(map[string]Gauge)}
 }
 
-func (r *Registry) checkName(name string) {
-	if name == "" {
-		panic("obs: empty metric name")
-	}
-	if _, ok := r.counters[name]; ok {
-		panic("obs: duplicate metric " + name)
-	}
-	if _, ok := r.gauges[name]; ok {
-		panic("obs: duplicate metric " + name)
-	}
-}
-
-// RegisterCounter publishes a subsystem counter under name. The registry
-// keeps the pointer, so later increments are visible in snapshots.
-func (r *Registry) RegisterCounter(name string, c *sim.Counter) {
-	r.checkName(name)
+// RegisterCounter publishes a subsystem's int64 counter field under
+// name. The registry keeps the pointer, so later increments are visible
+// in snapshots.
+func (r *Registry) RegisterCounter(name string, c *int64) {
 	if c == nil {
 		panic("obs: nil counter " + name)
 	}
-	r.counters[name] = c
+	r.RegisterGauge(name, func() int64 { return *c })
 }
 
 // RegisterGauge publishes an instantaneous statistic under name.
 func (r *Registry) RegisterGauge(name string, g Gauge) {
-	r.checkName(name)
+	if name == "" {
+		panic("obs: empty metric name")
+	}
+	if _, ok := r.gauges[name]; ok {
+		panic("obs: duplicate metric " + name)
+	}
 	if g == nil {
 		panic("obs: nil gauge " + name)
 	}
@@ -73,10 +60,7 @@ func (r *Registry) RegisterGauge(name string, g Gauge) {
 
 // Names returns all registered metric names, sorted.
 func (r *Registry) Names() []string {
-	names := make([]string, 0, len(r.counters)+len(r.gauges))
-	for n := range r.counters {
-		names = append(names, n)
-	}
+	names := make([]string, 0, len(r.gauges))
 	for n := range r.gauges {
 		names = append(names, n)
 	}
@@ -84,23 +68,9 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Value returns the current value of one metric.
-func (r *Registry) Value(name string) (int64, bool) {
-	if c, ok := r.counters[name]; ok {
-		return c.Value(), true
-	}
-	if g, ok := r.gauges[name]; ok {
-		return g(), true
-	}
-	return 0, false
-}
-
 // Snapshot returns the current value of every registered metric.
 func (r *Registry) Snapshot() map[string]int64 {
-	out := make(map[string]int64, len(r.counters)+len(r.gauges))
-	for n, c := range r.counters {
-		out[n] = c.Value()
-	}
+	out := make(map[string]int64, len(r.gauges))
 	for n, g := range r.gauges {
 		out[n] = g()
 	}

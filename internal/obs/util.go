@@ -7,8 +7,14 @@ import (
 	"genesys/internal/sim"
 )
 
-// utilBin is the bin width of utilization time-series tracks.
-const utilBin = sim.Millisecond
+// utilBin is the initial bin width of utilization time-series tracks.
+// A machine's tracks share one width, which doubles (summing adjacent
+// bins) whenever a track would need more than maxUtilBins bins, so host
+// memory stays bounded however much virtual time a machine spans.
+const (
+	utilBin     = sim.Millisecond
+	maxUtilBins = 1 << 16
+)
 
 // UtilTrack is one virtual-time occupancy timeline (busy CPU cores,
 // busy OS workers, resident GPU waves, ...). Call sites report +1/-1
@@ -29,7 +35,7 @@ type UtilTrack struct {
 	integral float64 // ∫ cur dt, in count·ns
 	series   *sim.Series
 
-	log *EventLog
+	u *Util
 }
 
 // Name returns the track name.
@@ -45,6 +51,7 @@ func (t *UtilTrack) advance(now sim.Time) {
 	dt := float64(now - t.last)
 	t.integral += float64(t.cur) * dt
 	if t.cur != 0 {
+		t.u.fit(now)
 		t.series.AddInterval(t.last, now, float64(t.cur)*dt)
 	}
 	t.last = now
@@ -58,8 +65,8 @@ func (t *UtilTrack) Add(now sim.Time, delta int64) {
 	if t.cur < 0 {
 		t.cur = 0
 	}
-	if t.log.Enabled() {
-		t.log.Counter("util", t.name, PIDUtil, t.tid, now, float64(t.cur))
+	if t.u.log.Enabled() {
+		t.u.log.Counter("util", t.name, PIDUtil, t.tid, now, float64(t.cur))
 	}
 }
 
@@ -136,11 +143,23 @@ func (t *UtilTrack) timeline(now sim.Time, width int) string {
 type Util struct {
 	tracks []*UtilTrack
 	log    *EventLog
+	bin    sim.Time // every track's current bin width
 }
 
 // NewUtil returns an empty utilization registry whose tracks mirror
 // counter samples into l (when it is enabled).
-func NewUtil(l *EventLog) *Util { return &Util{log: l} }
+func NewUtil(l *EventLog) *Util { return &Util{log: l, bin: utilBin} }
+
+// fit coarsens every track until a bin holding time now has an index
+// below maxUtilBins.
+func (u *Util) fit(now sim.Time) {
+	for now >= u.bin*maxUtilBins {
+		u.bin *= 2
+		for _, t := range u.tracks {
+			t.series.Coarsen()
+		}
+	}
+}
 
 // Track registers a new timeline. capacity enables percent-of-capacity
 // reporting (pass 0 for uncapped tracks like queue occupancy).
@@ -149,8 +168,8 @@ func (u *Util) Track(name string, capacity int) *UtilTrack {
 		name:   name,
 		cap:    capacity,
 		tid:    len(u.tracks),
-		series: sim.NewSeries(utilBin),
-		log:    u.log,
+		series: sim.NewSeries(u.bin),
+		u:      u,
 	}
 	u.tracks = append(u.tracks, t)
 	return t
@@ -164,7 +183,7 @@ func (u *Util) Tracks() []*UtilTrack { return u.tracks }
 // compressed timeline of the whole run.
 func (u *Util) Render(now sim.Time) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "utilization over %s (timeline bin %s):\n", now, utilBin)
+	fmt.Fprintf(&b, "utilization over %s (timeline bin %s):\n", now, u.bin)
 	fmt.Fprintf(&b, "  %-22s %5s %5s %8s %7s  %s\n",
 		"track", "cap", "cur", "mean", "util%", "timeline (low '.' to high '@')")
 	for _, t := range u.tracks {

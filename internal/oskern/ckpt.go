@@ -21,8 +21,7 @@ func (o *OS) CheckpointState() []byte {
 	fmt.Fprintf(&b, "workers %d idle %d queue_depth %d next_pid %d\n",
 		o.workers, o.idleWorkers, o.wq.Len(), o.nextPID)
 	fmt.Fprintf(&b, "counters tasks=%d syscalls=%d redispatches=%d orphans_reaped=%d\n",
-		o.TasksRun.Value(), o.Syscalls.Value(), o.Redispatches.Value(),
-		o.OrphansReaped.Value())
+		o.TasksRun, o.Syscalls, o.Redispatches, o.OrphansReaped)
 
 	h := fnv.New64a()
 	h.Write([]byte(o.Console.Contents()))

@@ -111,13 +111,13 @@ type OS struct {
 	// for transient-errno injection.
 	Inject *fault.Injector
 
-	TasksRun sim.Counter
-	Syscalls sim.Counter
+	TasksRun int64
+	Syscalls int64
 	// Redispatches counts stalled tasks the detector handed to another
 	// worker; OrphansReaped counts stalled originals that woke to find
 	// their task already executed.
-	Redispatches  sim.Counter
-	OrphansReaped sim.Counter
+	Redispatches  int64
+	OrphansReaped int64
 }
 
 // New assembles a kernel over the given substrates and starts its worker
@@ -249,7 +249,7 @@ func (o *OS) watchTask(t Task) *taskState {
 			return
 		}
 		st.redispatched = true
-		o.Redispatches.Inc()
+		o.Redispatches++
 		o.Inject.NoteRecovered()
 		o.Enqueue(Task{Name: t.Name + ":redispatch", Run: func(p *sim.Proc) {
 			if st.claim() {
@@ -281,11 +281,11 @@ func (o *OS) worker(p *sim.Proc, id int) {
 			if !st.claim() {
 				// The stall detector re-dispatched this task while we
 				// were parked and the copy already ran it.
-				o.OrphansReaped.Inc()
+				o.OrphansReaped++
 				continue
 			}
 		}
-		o.TasksRun.Inc()
+		o.TasksRun++
 		o.busyWorkers.Add(o.E.Now(), 1)
 		t.Run(p)
 		o.busyWorkers.Add(o.E.Now(), -1)

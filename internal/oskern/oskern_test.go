@@ -49,8 +49,8 @@ func TestWorkqueueRunsTasks(t *testing.T) {
 	if len(done) != 8 {
 		t.Fatalf("tasks run = %d", len(done))
 	}
-	if os.TasksRun.Value() != 8 {
-		t.Fatalf("TasksRun = %d", os.TasksRun.Value())
+	if os.TasksRun != 8 {
+		t.Fatalf("TasksRun = %d", os.TasksRun)
 	}
 	// 8 tasks × 100us on 3 workers (4 cores): at least 3 waves.
 	if last := done[len(done)-1]; last < 270*sim.Microsecond {

@@ -96,10 +96,10 @@ func TestTotalInterruptLossSurfacesEINTR(t *testing.T) {
 	if n := m.Genesys.Outstanding(); n != 0 {
 		t.Fatalf("%d invocations still outstanding", n)
 	}
-	if m.Genesys.IRQRetransmits.Value() == 0 {
+	if m.Genesys.IRQRetransmits == 0 {
 		t.Fatal("no retransmissions attempted")
 	}
-	if m.Inject.Surfaced.Value() == 0 {
+	if m.Inject.Surfaced == 0 {
 		t.Fatal("total interrupt loss surfaced no errors")
 	}
 }
@@ -120,12 +120,12 @@ func TestPartialInterruptLossRecovers(t *testing.T) {
 	if m.Inject.InjectedAt(fault.IRQDrop) == 0 {
 		t.Fatal("rate-0.5 drop plan dropped nothing")
 	}
-	if m.Genesys.IRQRetransmits.Value() == 0 {
+	if m.Genesys.IRQRetransmits == 0 {
 		t.Fatal("drops were not retransmitted")
 	}
-	if m.Inject.Surfaced.Value() != 0 {
+	if m.Inject.Surfaced != 0 {
 		t.Fatalf("%d faults surfaced; retransmission should have recovered all",
-			m.Inject.Surfaced.Value())
+			m.Inject.Surfaced)
 	}
 }
 

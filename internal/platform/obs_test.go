@@ -269,3 +269,35 @@ func TestFlowLinkedSyscallChain(t *testing.T) {
 		t.Fatalf("critpath table lacks pwrite64 row:\n%s", out)
 	}
 }
+
+// TestMetricNamesPinned pins the metric name set of a default machine.
+// The benchmark's golden digests hash Metrics.Render(), so a metric that
+// is dropped, renamed or added changes them; this test names the change.
+func TestMetricNamesPinned(t *testing.T) {
+	m := platform.New(platform.DefaultConfig())
+	t.Cleanup(m.Shutdown)
+	want := strings.Fields(`
+		blockdev.bytes_read blockdev.bytes_written blockdev.commands blockdev.retries
+		cpu.busy_ns
+		fault.injected fault.recovered fault.surfaced
+		genesys.batched_waves genesys.batches genesys.invocations
+		genesys.irq_retransmits genesys.orphans_adopted genesys.orphans_completed
+		genesys.orphans_live genesys.outstanding genesys.retries
+		genesys.slot_conflicts genesys.total_lat_max_ns genesys.total_lat_min_ns
+		gpu.halts gpu.interrupts gpu.kernels_launched gpu.resumes gpu.wgs_dispatched
+		mem.atomic_ops mem.dram_accesses mem.l2_hits mem.l2_misses
+		netstack.dropped netstack.sent netstack.stream_bytes netstack.stream_conns
+		netstack.stream_refused
+		obs.events_dropped obs.events_rejected obs.flight_anomalies
+		obs.flight_bundles obs.flight_chains obs.flight_suppressed
+		oskern.orphans_reaped oskern.queue_depth oskern.redispatches
+		oskern.syscalls oskern.tasks_run oskern.workers
+		sim.callbacks_run sim.events_pending sim.events_ready_fast
+		sim.events_total sim.proc_switches_total sim.procs_live sim.procs_reaped
+		sim.timers_canceled sim.wheel_canceled sim.wheel_peak sim.wheel_pending
+		sim.wheel_scheduled
+		vmm.free_pages`)
+	if got := m.Obs.Metrics.Names(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("metric names changed:\n got %v\nwant %v", got, want)
+	}
+}

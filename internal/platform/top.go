@@ -33,7 +33,7 @@ func (m *Machine) RenderTop() string {
 		st.FarScheduled, st.FarCanceled, m.E.FarPending(), st.FarPeak)
 
 	fmt.Fprintf(&b, "kernel  workers=%d idle=%d queue=%d tasks=%d\n",
-		m.OS.Workers(), m.OS.IdleWorkers(), m.OS.QueueDepth(), m.OS.TasksRun.Value())
+		m.OS.Workers(), m.OS.IdleWorkers(), m.OS.QueueDepth(), m.OS.TasksRun)
 
 	counts := m.Genesys.SlotStateCounts()
 	fmt.Fprintf(&b, "slots   free=%d populating=%d ready=%d processing=%d finished=%d outstanding=%d\n",
@@ -41,8 +41,7 @@ func (m *Machine) RenderTop() string {
 		counts[core.SlotProcessing], counts[core.SlotFinished], m.Genesys.Outstanding())
 
 	fmt.Fprintf(&b, "calls   invocations=%d batches=%d retransmits=%d",
-		m.Genesys.Invocations.Value(), m.Genesys.Batches.Value(),
-		m.Genesys.IRQRetransmits.Value())
+		m.Genesys.Invocations, m.Genesys.Batches, m.Genesys.IRQRetransmits)
 	if t := m.Genesys.Tracer(); t.Calls() > 0 {
 		h := t.Total()
 		q := h.Percentiles(50, 99)

@@ -517,9 +517,9 @@ func Run(t *Trace, opt Options) (*Report, error) {
 
 		DurationNS:   int64(m.E.Now()),
 		Workers:      m.OS.Workers(),
-		Batches:      m.Genesys.Batches.Value(),
-		BatchedWaves: m.Genesys.BatchedWaves.Value(),
-		TasksRun:     m.OS.TasksRun.Value(),
+		Batches:      m.Genesys.Batches,
+		BatchedWaves: m.Genesys.BatchedWaves,
+		TasksRun:     m.OS.TasksRun,
 	}
 	for _, c := range rep.PerNR {
 		rep.Completed += c.Completed

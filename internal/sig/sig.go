@@ -32,7 +32,7 @@ type State struct {
 	e     *sim.Engine
 	queue *sim.Queue[Siginfo]
 
-	Delivered sim.Counter
+	Delivered int64
 }
 
 // NewState returns empty signal state for one process.
@@ -44,7 +44,7 @@ func NewState(e *sim.Engine) *State {
 func (s *State) Queue(si Siginfo) {
 	si.SentAt = s.e.Now()
 	s.queue.TryPut(si)
-	s.Delivered.Inc()
+	s.Delivered++
 }
 
 // Wait blocks until a signal is queued and returns it (sigwaitinfo).

@@ -28,8 +28,8 @@ func TestQueueAndWait(t *testing.T) {
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("got %v", got)
 	}
-	if st.Delivered.Value() != 3 {
-		t.Fatalf("delivered = %d", st.Delivered.Value())
+	if st.Delivered != 3 {
+		t.Fatalf("delivered = %d", st.Delivered)
 	}
 }
 

@@ -136,20 +136,20 @@ func (s *Series) Bin(i int) float64 {
 // NumBins returns the number of bins touched so far.
 func (s *Series) NumBins() int { return len(s.bins) }
 
-// Counter is a named monotonically increasing statistic.
-type Counter struct {
-	Name  string
-	value int64
+// Coarsen doubles the bin width, summing each pair of adjacent bins.
+// Summing is the right merge for additive quantities (occupancy mass,
+// bytes), not for per-bin maxima.
+func (s *Series) Coarsen() {
+	s.BinWidth *= 2
+	for i := 0; i < len(s.bins); i += 2 {
+		v := s.bins[i]
+		if i+1 < len(s.bins) {
+			v += s.bins[i+1]
+		}
+		s.bins[i/2] = v
+	}
+	s.bins = s.bins[:(len(s.bins)+1)/2]
 }
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.value++ }
-
-// Add adds n to the counter.
-func (c *Counter) Add(n int64) { c.value += n }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.value }
 
 // Percentiles returns the requested percentiles (0..100) of samples.
 // It sorts a copy of the input.

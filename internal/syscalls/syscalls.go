@@ -130,7 +130,7 @@ func Dispatch(c *Ctx, r *Request) {
 		return
 	}
 	c.Trace = r.Trace
-	c.OS.Syscalls.Inc()
+	c.OS.Syscalls++
 	if rule, hit := c.OS.Inject.Fire(fault.SyscallErrno); hit {
 		// Injected transient failure: the call fails before its handler
 		// runs, exactly as an interrupted or resource-starved kernel path
@@ -461,12 +461,12 @@ func sysGetrusage(c *Ctx, r *Request) {
 		}
 		d := c.OS.GPU
 		copy(r.Buf, EncodeGPURusage(GPURusage{
-			KernelsLaunched: d.KernelsLaunched.Value(),
-			WGsDispatched:   d.WGsDispatched.Value(),
-			Interrupts:      d.Interrupts.Value(),
-			Halts:           d.Halts.Value(),
-			Resumes:         d.Resumes.Value(),
-			Syscalls:        c.OS.Syscalls.Value(),
+			KernelsLaunched: d.KernelsLaunched,
+			WGsDispatched:   d.WGsDispatched,
+			Interrupts:      d.Interrupts,
+			Halts:           d.Halts,
+			Resumes:         d.Resumes,
+			Syscalls:        c.OS.Syscalls,
 		}))
 		return
 	}

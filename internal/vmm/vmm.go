@@ -107,9 +107,9 @@ type AddressSpace struct {
 	// residency FIFO for eviction
 	resident []pageID
 
-	MinorFaults sim.Counter
-	MajorFaults sim.Counter
-	SwapOuts    sim.Counter
+	MinorFaults int64
+	MajorFaults int64
+	SwapOuts    int64
 
 	rssTrace *sim.Series // max RSS bytes seen per bin
 }
@@ -330,9 +330,9 @@ func (as *AddressSpace) Touch(p *sim.Proc, addr uint64, length int64, gpu bool) 
 			cost += as.cfg.MinorFault
 		}
 	}
-	as.MinorFaults.Add(minor)
-	as.MajorFaults.Add(major)
-	as.SwapOuts.Add(evict)
+	as.MinorFaults += minor
+	as.MajorFaults += major
+	as.SwapOuts += evict
 	as.noteRSS()
 	if p != nil && cost > 0 {
 		p.Sleep(cost)
@@ -374,9 +374,9 @@ func (as *AddressSpace) Usage() Rusage {
 	return Rusage{
 		MaxRSSBytes: as.MaxRSSBytes(),
 		RSSBytes:    as.RSSBytes(),
-		MinorFaults: as.MinorFaults.Value(),
-		MajorFaults: as.MajorFaults.Value(),
-		SwapOuts:    as.SwapOuts.Value(),
+		MinorFaults: as.MinorFaults,
+		MajorFaults: as.MajorFaults,
+		SwapOuts:    as.SwapOuts,
 	}
 }
 

@@ -41,8 +41,8 @@ func TestMmapIsLazy(t *testing.T) {
 		if as.RSSBytes() != 8192 {
 			t.Errorf("rss after touching 2 pages = %d", as.RSSBytes())
 		}
-		if as.MinorFaults.Value() != 2 {
-			t.Errorf("minor faults = %d", as.MinorFaults.Value())
+		if as.MinorFaults != 2 {
+			t.Errorf("minor faults = %d", as.MinorFaults)
 		}
 	})
 }
@@ -57,8 +57,8 @@ func TestTouchIsIdempotent(t *testing.T) {
 		if p.Now() != before {
 			t.Error("touching a present page cost time")
 		}
-		if as.MinorFaults.Value() != 1 {
-			t.Errorf("faults = %d", as.MinorFaults.Value())
+		if as.MinorFaults != 1 {
+			t.Errorf("faults = %d", as.MinorFaults)
 		}
 	})
 }
@@ -78,9 +78,9 @@ func TestMadviseDontneedReleasesPages(t *testing.T) {
 			t.Fatalf("rss=%d pool=%d after DONTNEED of half", as.RSSBytes(), as.Pool().Used())
 		}
 		// Re-touch: minor (zero-fill) fault, not major — content discarded.
-		major := as.MajorFaults.Value()
+		major := as.MajorFaults
 		as.Touch(p, addr, 4096, false)
-		if as.MajorFaults.Value() != major {
+		if as.MajorFaults != major {
 			t.Error("DONTNEED page refaulted as major")
 		}
 	})
@@ -96,8 +96,8 @@ func TestEvictionAndMajorFaults(t *testing.T) {
 				t.Fatalf("touch %d: %v", i, err)
 			}
 		}
-		if as.SwapOuts.Value() != 8 {
-			t.Fatalf("swap-outs = %d, want 8", as.SwapOuts.Value())
+		if as.SwapOuts != 8 {
+			t.Fatalf("swap-outs = %d, want 8", as.SwapOuts)
 		}
 		if as.RSSBytes() != 8*4096 {
 			t.Fatalf("rss = %d", as.RSSBytes())
@@ -106,8 +106,8 @@ func TestEvictionAndMajorFaults(t *testing.T) {
 		if err := as.Touch(p, addr, 4096, false); err != nil {
 			t.Fatal(err)
 		}
-		if as.MajorFaults.Value() != 1 {
-			t.Fatalf("major faults = %d", as.MajorFaults.Value())
+		if as.MajorFaults != 1 {
+			t.Fatalf("major faults = %d", as.MajorFaults)
 		}
 	})
 }

@@ -37,8 +37,8 @@ func TestChaosBaseline(t *testing.T) {
 	if res.EchoOK != int64(DefaultChaosConfig().WorkGroups) {
 		t.Errorf("echo ok = %d, want %d", res.EchoOK, DefaultChaosConfig().WorkGroups)
 	}
-	if m.Inject.Injected.Value() != 0 {
-		t.Errorf("baseline machine injected %d faults", m.Inject.Injected.Value())
+	if m.Inject.Injected != 0 {
+		t.Errorf("baseline machine injected %d faults", m.Inject.Injected)
 	}
 }
 
@@ -60,7 +60,7 @@ func TestChaosUnderEveryProfile(t *testing.T) {
 			if !res.Validated {
 				t.Error("recovered run returned corrupt data")
 			}
-			if m.Inject.Injected.Value() == 0 {
+			if m.Inject.Injected == 0 {
 				t.Errorf("profile %s at rate 0.25 injected nothing", profile)
 			}
 		})
@@ -84,9 +84,9 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		}
 		return snap{
 			runtime:   int64(res.Runtime),
-			injected:  m.Inject.Injected.Value(),
-			recovered: m.Inject.Recovered.Value(),
-			surfaced:  m.Inject.Surfaced.Value(),
+			injected:  m.Inject.Injected,
+			recovered: m.Inject.Recovered,
+			surfaced:  m.Inject.Surfaced,
 			opsOK:     res.OpsOK,
 			opsFailed: res.OpsFailed,
 			echoOK:    res.EchoOK,

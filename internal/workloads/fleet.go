@@ -382,7 +382,7 @@ func (r *FleetRun) Finish() *obs.SLOReport {
 		Sessions:   h.sessions,
 		DurationNs: int64(m.E.Now()),
 	}
-	h.udp.Drops = m.Net.Dropped.Value()
+	h.udp.Drops = m.Net.Dropped
 	fillClass(rep.Class("udp"), &h.udp, h.udpLat)
 	fillClass(rep.Class("stream"), &h.stream, h.streamLat)
 	rep.Finalize()

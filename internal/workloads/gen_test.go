@@ -128,6 +128,26 @@ func TestPermuteBlockMatchesFormula(t *testing.T) {
 	}
 }
 
+// TestPermuteCheckSeesOffsetError: a composed pass whose additive
+// constant is off by 256 moves every byte 256 places further. Over
+// fillPattern's 256-byte period that output equals the right one, so
+// permute's input must not repeat that way for the check to reject it.
+func TestPermuteCheckSeesOffsetError(t *testing.T) {
+	const n, rounds = 8 << 10, 3
+	good := permuteInput(1, n)[0]
+	permuteBlock(good, make([]byte, n), rounds)
+	if !permutedValid(good, 1, n, rounds) {
+		t.Fatal("correct output rejected")
+	}
+	shifted := make([]byte, n)
+	for i, c := range good {
+		shifted[(i+256)%n] = c
+	}
+	if permutedValid(shifted, 1, n, rounds) {
+		t.Fatal("output with the constant shifted by 256 accepted")
+	}
+}
+
 // TestMCTableSharesValues: every memcached value is fillPattern with
 // seed byte(b*31+e), and entries with the same seed share one backing
 // array, so a table holds at most 256 distinct values however large.

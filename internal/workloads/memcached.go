@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -245,7 +246,7 @@ func RunMemcached(m *platform.Machine, cfg MemcachedConfig) (MemcachedResult, er
 			lastReply = p.Now()
 			be := expect[seq]
 			want, _ := table.get(be[0], be[1])
-			if bytesEqual(dg.Data[mcReplyHdr:], want) {
+			if bytes.Equal(dg.Data[mcReplyHdr:], want) {
 				res.Correct++
 			}
 		}

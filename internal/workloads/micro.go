@@ -6,7 +6,9 @@
 package workloads
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 
 	"genesys/internal/core"
 	"genesys/internal/fs"
@@ -210,7 +212,7 @@ func RunPread(m *platform.Machine, cfg PreadConfig) (PreadResult, error) {
 		return PreadResult{}, err
 	}
 	res.Bytes = cfg.FileSize
-	res.Syscalls = g.Invocations.Value()
+	res.Syscalls = g.Invocations
 	res.Validated = validated
 	return res, nil
 }
@@ -285,12 +287,7 @@ func RunPermute(m *platform.Machine, cfg PermuteConfig) (PermuteResult, error) {
 		return PermuteResult{}, err
 	}
 
-	// Input blocks preloaded with deterministic pseudo-random values.
-	input := make([][]byte, cfg.Blocks)
-	for i := range input {
-		input[i] = make([]byte, cfg.BlockSize)
-		fillPattern(input[i], byte(i))
-	}
+	input := permuteInput(cfg.Blocks, cfg.BlockSize)
 
 	// scratch is permuteBlock's buffer for the whole run: the leaders'
 	// calls never yield, so they cannot overlap.
@@ -331,19 +328,37 @@ func RunPermute(m *platform.Machine, cfg PermuteConfig) (PermuteResult, error) {
 		return PermuteResult{}, err
 	}
 	res.PerPermutation = res.TotalTime / sim.Time(cfg.Blocks*maxInt(cfg.Iterations, 1))
-	// Validate against a reference permutation of block 0, applied one
-	// round at a time.
-	ref := make([]byte, cfg.BlockSize)
-	fillPattern(ref, 0)
-	for it := 0; it < cfg.Iterations; it++ {
-		permuteBlock(ref, scratch, 1)
-	}
 	out, err := m.ReadFile("/tmp/permuted")
 	if err != nil {
 		return PermuteResult{}, err
 	}
-	res.Validated = len(out) == cfg.Blocks*cfg.BlockSize && bytesEqual(out[:cfg.BlockSize], ref)
+	res.Validated = permutedValid(out, cfg.Blocks, cfg.BlockSize, cfg.Iterations)
 	return res, nil
+}
+
+// permuteInput returns blocks input blocks of size bytes, filled from one
+// seeded math/rand stream. Unlike fillPattern, which repeats every 256
+// bytes, no block has a period shorter than itself, so a byte moved to
+// the wrong place shows in the check.
+func permuteInput(blocks, size int) [][]byte {
+	rng := rand.New(rand.NewSource(1))
+	input := make([][]byte, blocks)
+	for i := range input {
+		input[i] = make([]byte, size)
+		rng.Read(input[i])
+	}
+	return input
+}
+
+// permutedValid reports whether out holds blocks blocks of size bytes
+// and its first block is permuteInput's first block after rounds rounds
+// of the block permutation, applied one round at a time.
+func permutedValid(out []byte, blocks, size, rounds int) bool {
+	ref, tmp := permuteInput(1, size)[0], make([]byte, size)
+	for r := 0; r < rounds; r++ {
+		permuteBlock(ref, tmp, 1)
+	}
+	return len(out) == blocks*size && bytes.Equal(out[:size], ref)
 }
 
 func maxInt(a, b int) int {
@@ -351,18 +366,6 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // PollProbeConfig parameterizes the Figure 9 experiment: a fixed
@@ -414,10 +417,10 @@ func RunPollProbe(m *platform.Machine, cfg PollProbeConfig) (PollProbeResult, er
 	if err := m.Run(); err != nil {
 		return PollProbeResult{}, err
 	}
-	total := m.Mem.L2Hits.Value() + m.Mem.L2Misses.Value()
+	total := m.Mem.L2Hits + m.Mem.L2Misses
 	missRate := 0.0
 	if total > 0 {
-		missRate = float64(m.Mem.L2Misses.Value()) / float64(total)
+		missRate = float64(m.Mem.L2Misses) / float64(total)
 	}
 	return PollProbeResult{
 		CPUAccessesPerSec: float64(accesses) / deadline.Seconds(),

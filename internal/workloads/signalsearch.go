@@ -138,7 +138,7 @@ func RunSignalSearch(m *platform.Machine, cfg SignalSearchConfig) (SignalSearchR
 	if err := m.Run(); err != nil {
 		return res, err
 	}
-	res.Signals = pr.Sig.Delivered.Value()
+	res.Signals = pr.Sig.Delivered
 	if cfg.UseSignals {
 		res.Signals -= int64(cfg.Handlers) // exclude shutdown poison
 	}

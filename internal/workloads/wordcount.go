@@ -400,7 +400,7 @@ func RunWordcount(m *platform.Machine, cfg WordcountConfig, c *WordcountCorpus) 
 		}
 	}
 	if runtime > 0 {
-		res.MeanDiskMBs = float64(m.SSD.BytesRead.Value()) / runtime.Seconds() / 1e6
+		res.MeanDiskMBs = float64(m.SSD.BytesRead) / runtime.Seconds() / 1e6
 	}
 	return res, nil
 }
