@@ -242,6 +242,51 @@ func BenchmarkSyscallRoundTrip(b *testing.B) {
 	b.ReportMetric(float64(virtual)/float64(b.N)/1000, "virtual-us/call")
 }
 
+// BenchmarkInvokeEachRoundTrip measures one blocking work-item-granularity
+// invocation end to end: each of one wavefront's 64 lanes preads its own
+// 64 bytes of a tmpfs file, and the wavefront polls until all are done
+// (virtual latency per round reported as a metric).
+func BenchmarkInvokeEachRoundTrip(b *testing.B) {
+	m := platform.New(platform.DefaultConfig())
+	defer m.Shutdown()
+	pr := m.NewProcess("bench")
+	if err := m.WriteFile("/tmp/bench", make([]byte, 64*64)); err != nil {
+		b.Fatal(err)
+	}
+	f, err := m.VFS.Open("/tmp/bench", fs.O_RDONLY)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fd, _ := pr.FDs.Install(f)
+	var virtual sim.Time
+	n := b.N
+	m.E.Spawn("host", func(p *sim.Proc) {
+		k := m.GPU.Launch(p, gpu.Kernel{
+			Name: "bench", WorkGroups: 1, WGSize: 64,
+			Fn: func(w *gpu.Wavefront) {
+				start := w.P.Now()
+				buf := make([]byte, 64*64)
+				for i := 0; i < n; i++ {
+					m.Genesys.InvokeEach(w, func(lane int) (syscalls.Request, bool) {
+						return syscalls.Request{
+							NR:   syscalls.SYS_pread64,
+							Args: [6]uint64{uint64(fd), 64, uint64(64 * lane)},
+							Buf:  buf[64*lane : 64*(lane+1)],
+						}, true
+					}, core.Options{Blocking: true, Wait: core.WaitPoll})
+				}
+				virtual = w.P.Now() - start
+			},
+		})
+		k.Wait(p)
+	})
+	b.ResetTimer()
+	if err := m.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(virtual)/float64(b.N)/1000, "virtual-us/round")
+}
+
 // BenchmarkSlotLayoutAblation quantifies why the paper pads slots to one
 // per cache line (Figure 5): the packed alternative false-shares on
 // work-item-granularity invocation (DESIGN.md ⚗2).

@@ -20,7 +20,7 @@ type Config struct {
 	CommandOverhead  sim.Time // per-command fixed service time
 }
 
-// traceBin is the bin width of the throughput trace.
+// traceBin is the initial bin width of the throughput trace.
 const traceBin = 10 * sim.Millisecond
 
 // DefaultConfig returns an 8-channel device with 24 MB/s per channel and
@@ -72,7 +72,7 @@ func New(e *sim.Engine, cfg Config, events *obs.EventLog, in *fault.Injector) *S
 		chFree: make([]sim.Time, cfg.Channels),
 		inject: in,
 		events: events,
-		trace:  sim.NewSeries(traceBin),
+		trace:  sim.NewSeries(traceBin, sim.SumBins),
 	}
 }
 
@@ -161,7 +161,7 @@ func (d *SSD) WriteTraced(p *sim.Proc, n int64, trace uint64) error {
 func (d *SSD) ThroughputTrace() []float64 {
 	bins := d.trace.Bins()
 	out := make([]float64, len(bins))
-	binSec := traceBin.Seconds()
+	binSec := d.trace.BinWidth.Seconds()
 	for i, b := range bins {
 		out[i] = b / binSec / 1e6
 	}
@@ -172,5 +172,5 @@ func (d *SSD) ThroughputTrace() []float64 {
 // is preserved).
 func (d *SSD) ResetStats() {
 	d.BytesRead, d.BytesWritten, d.Commands = 0, 0, 0
-	d.trace = sim.NewSeries(traceBin)
+	d.trace = sim.NewSeries(traceBin, sim.SumBins)
 }

@@ -1,6 +1,7 @@
 package blockdev
 
 import (
+	"math"
 	"testing"
 
 	"genesys/internal/fault"
@@ -101,5 +102,35 @@ func TestWriteCounts(t *testing.T) {
 	}
 	if d.BytesWritten != 4096 || d.Commands != 1 {
 		t.Fatalf("written=%d cmds=%d", d.BytesWritten, d.Commands)
+	}
+}
+
+// TestThroughputTraceBinsBounded reads 1 MiB every virtual second for
+// 2,000 seconds: the trace's 10 ms bins double until it needs at most
+// sim.MaxSeriesBins bins, and the bytes it shows are the bytes read.
+func TestThroughputTraceBinsBounded(t *testing.T) {
+	const reads = 2000
+	e := sim.NewEngine(1)
+	defer e.Shutdown()
+	d := newSSD(e)
+	e.Spawn("r", func(p *sim.Proc) {
+		for i := 0; i < reads; i++ {
+			d.Read(p, 1<<20)
+			p.Sleep(sim.Second)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	tr := d.ThroughputTrace()
+	if len(tr) > sim.MaxSeriesBins || d.trace.BinWidth != 4*traceBin {
+		t.Fatalf("%d bins of %v, want at most %d of %v", len(tr), d.trace.BinWidth, sim.MaxSeriesBins, 4*traceBin)
+	}
+	var bytes float64
+	for _, v := range tr {
+		bytes += v * d.trace.BinWidth.Seconds() * 1e6
+	}
+	if want := float64(reads << 20); math.Abs(bytes-want) > 1e-9*want {
+		t.Fatalf("trace holds %g bytes, want %g", bytes, want)
 	}
 }

@@ -707,8 +707,9 @@ func (g *Genesys) pollWait(w *gpu.Wavefront, slots []*Slot) {
 }
 
 // awaitSlots waits (per mode) until every given blocking slot reaches
-// finished, then harvests results and frees the slots.
-func (g *Genesys) awaitSlots(w *gpu.Wavefront, slots []*Slot, mode WaitMode) []Result {
+// finished, then harvests the slots' results into out, which is as long
+// as slots, and frees the slots.
+func (g *Genesys) awaitSlots(w *gpu.Wavefront, slots []*Slot, out []Result, mode WaitMode) {
 	switch mode {
 	case WaitHaltResume:
 		for !g.allFinished(slots) {
@@ -721,9 +722,8 @@ func (g *Genesys) awaitSlots(w *gpu.Wavefront, slots []*Slot, mode WaitMode) []R
 		g.pollWait(w, slots)
 		g.Mem.AddPolledLines(-len(slots))
 	}
-	results := make([]Result, len(slots))
 	for i, s := range slots {
-		results[i] = Result{Ret: s.Req.Ret, Err: s.Req.Err, OutArgs: s.Req.OutArgs}
+		out[i] = Result{Ret: s.Req.Ret, Err: s.Req.Err, OutArgs: s.Req.OutArgs}
 		g.Mem.GPUAtomic(w.P, mem.OpSwap, 0)
 		g.hot[s.ID].state = SlotFree
 		g.slotReleased(s)
@@ -731,7 +731,6 @@ func (g *Genesys) awaitSlots(w *gpu.Wavefront, slots []*Slot, mode WaitMode) []R
 		g.finishTrace(s)
 		g.noteCompleted()
 	}
-	return results
 }
 
 func (g *Genesys) allFinished(slots []*Slot) bool {
@@ -793,33 +792,38 @@ func (g *Genesys) Invoke(w *gpu.Wavefront, req syscalls.Request, o Options) Resu
 	if !o.Blocking {
 		return Result{}
 	}
-	return g.awaitSlots(w, []*Slot{s}, o.Wait)[0]
+	one, r := [1]*Slot{s}, [1]Result{}
+	g.awaitSlots(w, one[:], r[:], o.Wait)
+	return r[0]
 }
 
 // InvokeEach issues one system call per active lane of the wavefront —
-// work-item invocation granularity. The mk callback builds each lane's
-// request (return nil to skip a lane). Per the hardware, the lanes'
-// slots are populated serially but a single wavefront interrupt covers
-// all of them, and the CPU scans all 64 slots (§VI). Work-item
-// granularity implies strong ordering within the wavefront (§V-A).
-func (g *Genesys) InvokeEach(w *gpu.Wavefront, mk func(lane int) *syscalls.Request, o Options) []Result {
-	var slots []*Slot
+// work-item invocation granularity. The mk callback returns each lane's
+// request by value, with ok=false to skip the lane. Per the hardware, the
+// lanes' slots are populated serially but a single wavefront interrupt
+// covers all of them, and the CPU scans all 64 slots (§VI). Work-item
+// granularity implies strong ordering within the wavefront (§V-A). The
+// results are in lane order, one per lane that issued a call.
+func (g *Genesys) InvokeEach(w *gpu.Wavefront, mk func(lane int) (req syscalls.Request, ok bool), o Options) []Result {
+	slots := make([]*Slot, 0, w.Lanes)
 	for lane := 0; lane < w.Lanes; lane++ {
-		req := mk(lane)
-		if req == nil {
+		req, ok := mk(lane)
+		if !ok {
 			continue
 		}
-		slots = append(slots, g.populateSlot(w, lane, *req, o.Blocking))
+		slots = append(slots, g.populateSlot(w, lane, req, o.Blocking))
 	}
 	if len(slots) == 0 {
 		return nil
 	}
 	w.Interrupt()
 	g.armRetransmit(w.HWSlot, w.Gen)
+	results := make([]Result, len(slots))
 	if !o.Blocking {
-		return make([]Result, len(slots))
+		return results
 	}
-	return g.awaitSlots(w, slots, o.Wait)
+	g.awaitSlots(w, slots, results, o.Wait)
+	return results
 }
 
 // InvokeWG issues one system call at work-group granularity: wavefront 0

@@ -109,13 +109,13 @@ func TestWorkItemGranularityPread(t *testing.T) {
 		k := m.GPU.Launch(p, gpu.Kernel{
 			Name: "wi-read", WorkGroups: 1, WGSize: 64,
 			Fn: func(w *gpu.Wavefront) {
-				results = m.Genesys.InvokeEach(w, func(lane int) *syscalls.Request {
+				results = m.Genesys.InvokeEach(w, func(lane int) (syscalls.Request, bool) {
 					lanebufs[lane] = make([]byte, 16)
-					return &syscalls.Request{
+					return syscalls.Request{
 						NR:   syscalls.SYS_pread64,
 						Args: [6]uint64{uint64(fd), 16, uint64(lane * 16)},
 						Buf:  lanebufs[lane],
-					}
+					}, true
 				}, core.Options{Blocking: true, Wait: core.WaitHaltResume})
 			},
 		})
@@ -673,12 +673,12 @@ func TestPackedSlotsAblation(t *testing.T) {
 			k := m.GPU.Launch(p, gpu.Kernel{
 				Name: "flood", WorkGroups: 8, WGSize: 64,
 				Fn: func(w *gpu.Wavefront) {
-					m.Genesys.InvokeEach(w, func(lane int) *syscalls.Request {
-						return &syscalls.Request{
+					m.Genesys.InvokeEach(w, func(lane int) (syscalls.Request, bool) {
+						return syscalls.Request{
 							NR:   syscalls.SYS_pwrite64,
 							Args: [6]uint64{uint64(fd), 16, uint64(16 * w.GlobalWorkItemID(lane))},
 							Buf:  make([]byte, 16),
-						}
+						}, true
 					}, core.Options{Blocking: true, Wait: core.WaitPoll})
 				},
 			})

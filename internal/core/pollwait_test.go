@@ -44,9 +44,9 @@ func pollWaitKernels(tb testing.TB, m *platform.Machine, n int) (done [4]sim.Tim
 			m.GPU.Launch(p, gpu.Kernel{
 				Name: "poll-wait", WorkGroups: 4, WGSize: 64,
 				Fn: func(w *gpu.Wavefront) {
-					res := m.Genesys.InvokeEach(w, func(lane int) *syscalls.Request {
+					res := m.Genesys.InvokeEach(w, func(lane int) (syscalls.Request, bool) {
 						ns := uint64((lane*7+w.WG.ID*3)%11+1) * uint64(sim.Microsecond)
-						return &syscalls.Request{NR: syscalls.SYS_nanosleep, Args: [6]uint64{ns}}
+						return syscalls.Request{NR: syscalls.SYS_nanosleep, Args: [6]uint64{ns}}, true
 					}, core.Options{Blocking: true, Wait: core.WaitPoll})
 					for _, r := range res {
 						if !r.Ok() {

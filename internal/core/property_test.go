@@ -81,15 +81,15 @@ func TestSlotMachineQuiescenceProperty(t *testing.T) {
 						}
 					case 2: // work-item granularity: two lanes write two bytes
 						if w.IsLeader() {
-							rs := m.Genesys.InvokeEach(w, func(lane int) *syscalls.Request {
+							rs := m.Genesys.InvokeEach(w, func(lane int) (syscalls.Request, bool) {
 								if lane > 1 {
-									return nil
+									return syscalls.Request{}, false
 								}
-								return &syscalls.Request{
+								return syscalls.Request{
 									NR:   syscalls.SYS_pwrite64,
 									Args: [6]uint64{uint64(fd), 1, uint64(w.WG.ID)},
 									Buf:  payload,
-								}
+								}, true
 							}, core.Options{Blocking: blocking, Wait: wait})
 							if blocking {
 								for _, r := range rs {

@@ -62,15 +62,15 @@ func TestIRQLossRecoveryAcrossSlotReuse(t *testing.T) {
 			Name: "appA-orphan", WorkGroups: 1, WGSize: 64,
 			Fn: func(w *gpu.Wavefront) {
 				hwA, genA = w.HWSlot, w.Gen
-				m.Genesys.InvokeEach(w, func(lane int) *syscalls.Request {
+				m.Genesys.InvokeEach(w, func(lane int) (syscalls.Request, bool) {
 					if lane != 1 {
-						return nil
+						return syscalls.Request{}, false
 					}
-					return &syscalls.Request{
+					return syscalls.Request{
 						NR:   syscalls.SYS_pwrite64,
 						Args: [6]uint64{uint64(fdA), sizeA, 0},
 						Buf:  bytes.Repeat([]byte{'a'}, sizeA),
-					}
+					}, true
 				}, core.Options{Blocking: false})
 			},
 		})
@@ -160,15 +160,15 @@ func TestWatchdogExhaustionScopedToOrphanGeneration(t *testing.T) {
 			Name: "orphan", WorkGroups: 1, WGSize: 64,
 			Fn: func(w *gpu.Wavefront) {
 				hwA, genA = w.HWSlot, w.Gen
-				m.Genesys.InvokeEach(w, func(lane int) *syscalls.Request {
+				m.Genesys.InvokeEach(w, func(lane int) (syscalls.Request, bool) {
 					if lane != 1 {
-						return nil
+						return syscalls.Request{}, false
 					}
-					return &syscalls.Request{
+					return syscalls.Request{
 						NR:   syscalls.SYS_pwrite64,
 						Args: [6]uint64{uint64(fd), 1024, 0},
 						Buf:  make([]byte, 1024),
-					}
+					}, true
 				}, core.Options{Blocking: false})
 			},
 		})

@@ -24,15 +24,17 @@ func Ablation(o Options) *Table {
 	}
 
 	g := &grid{o: o}
+	v := &validator{o: o}
 	flood := func(tweak func(*platform.Config)) []float64 {
 		return each(g, tweak, func(m *platform.Machine, _ int64) float64 {
 			res, err := workloads.RunPread(m, workloads.PreadConfig{
 				FileSize: 512 * 4096, ChunkPerWI: 4096, WGSize: 64,
 				Granularity: workloads.GranWorkItem, Wait: core.WaitPoll,
 			})
-			if err != nil || !res.Validated {
+			if err != nil {
 				panic(fmt.Sprint("ablation: ", err))
 			}
+			v.check(res.Validated, "ablation: data not validated")
 			return res.ReadTime.Milli()
 		})
 	}
@@ -75,5 +77,6 @@ func Ablation(o Options) *Table {
 		s := summary(r.times)
 		t.AddRow(r.point, r.variant, ms(s), fmt.Sprintf("%.2fx", s.Mean()/b.Mean()))
 	}
+	v.note(t, len(g.points))
 	return t
 }

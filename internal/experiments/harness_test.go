@@ -102,16 +102,22 @@ func TestSweepAndFormatters(t *testing.T) {
 // TestFaultedFiguresReportFailures: under an armed fault profile, runs
 // whose answer an injected fault spoiled are counted in the table note
 // instead of panicking the driver (GPU wordcount used to slice its
-// buffer with a failed read's -1).
+// buffer with a failed read's -1, and fig7 and the ablation panicked on
+// their first spoiled pread).
 func TestFaultedFiguresReportFailures(t *testing.T) {
 	o := Options{Runs: 1, BaseSeed: 1, FaultProfile: "all", FaultRate: 0.05}
+	if raceOn {
+		o.Parallel = 1 // as in TestSmokeAll: fig7's 256 MiB machines one at a time
+	}
 	for _, c := range []struct {
 		fn   func(Options) *Table
 		want string
 	}{
+		{Fig7Granularity, "Under faults all@0.05, 11 of 17 run(s) failed validation"},
 		{Fig10Coalescing, "Under faults all@0.05, 10 of 10 run(s) failed validation"},
 		{Fig13bWordcount, "Under faults all@0.05, 1 of 3 run(s) failed validation"},
 		{Fig14WordcountTraces, "Under faults all@0.05, 1 of 2 run(s) failed validation"},
+		{Ablation, "Under faults all@0.05, 9 of 9 run(s) failed validation"},
 	} {
 		if tbl := c.fn(o); !strings.Contains(tbl.Note, c.want) {
 			t.Errorf("%s note lacks %q:\n%s", tbl.ID, c.want, tbl.Render())

@@ -416,9 +416,9 @@ func TestChromeTraceExportAfterWrap(t *testing.T) {
 // --- Utilization tracks ----------------------------------------------------
 
 // TestUtilTrackBinsBounded holds a track at 1 for 2,000 virtual seconds,
-// once as one interval and once in 1 s steps: the shared bin width
-// doubles until a track needs at most maxUtilBins bins, and coarsening
-// keeps the occupancy mass.
+// once as one interval and once in 1 s steps: the track's bin width
+// doubles until it needs at most sim.MaxSeriesBins bins, coarsening keeps
+// the occupancy mass, and an idle track keeps its width.
 func TestUtilTrackBinsBounded(t *testing.T) {
 	const span = 2000 * sim.Second
 	for _, step := range []sim.Time{span, sim.Second} {
@@ -429,12 +429,12 @@ func TestUtilTrackBinsBounded(t *testing.T) {
 			busy.Add(at, 0)
 		}
 		busy.Add(span, -1)
-		if n := busy.series.NumBins(); n > maxUtilBins {
-			t.Fatalf("step %v: %d bins, cap %d", step, n, maxUtilBins)
+		if n := busy.series.NumBins(); n > sim.MaxSeriesBins {
+			t.Fatalf("step %v: %d bins, cap %d", step, n, sim.MaxSeriesBins)
 		}
-		if u.bin != 32*utilBin || busy.series.BinWidth != u.bin || idle.series.BinWidth != u.bin {
-			t.Fatalf("step %v: bin widths util %v busy %v idle %v, want %v",
-				step, u.bin, busy.series.BinWidth, idle.series.BinWidth, 32*utilBin)
+		if busy.series.BinWidth != 32*utilBin || idle.series.BinWidth != utilBin {
+			t.Fatalf("step %v: bin widths busy %v idle %v, want %v and %v",
+				step, busy.series.BinWidth, idle.series.BinWidth, 32*utilBin, utilBin)
 		}
 		var mass float64
 		for _, v := range busy.series.Bins() {

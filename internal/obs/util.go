@@ -8,13 +8,9 @@ import (
 )
 
 // utilBin is the initial bin width of utilization time-series tracks.
-// A machine's tracks share one width, which doubles (summing adjacent
-// bins) whenever a track would need more than maxUtilBins bins, so host
-// memory stays bounded however much virtual time a machine spans.
-const (
-	utilBin     = sim.Millisecond
-	maxUtilBins = 1 << 16
-)
+// A track's Series doubles it, summing adjacent bins, once the track
+// would need sim.MaxSeriesBins bins.
+const utilBin = sim.Millisecond
 
 // UtilTrack is one virtual-time occupancy timeline (busy CPU cores,
 // busy OS workers, resident GPU waves, ...). Call sites report +1/-1
@@ -51,7 +47,6 @@ func (t *UtilTrack) advance(now sim.Time) {
 	dt := float64(now - t.last)
 	t.integral += float64(t.cur) * dt
 	if t.cur != 0 {
-		t.u.fit(now)
 		t.series.AddInterval(t.last, now, float64(t.cur)*dt)
 	}
 	t.last = now
@@ -143,23 +138,11 @@ func (t *UtilTrack) timeline(now sim.Time, width int) string {
 type Util struct {
 	tracks []*UtilTrack
 	log    *EventLog
-	bin    sim.Time // every track's current bin width
 }
 
 // NewUtil returns an empty utilization registry whose tracks mirror
 // counter samples into l (when it is enabled).
-func NewUtil(l *EventLog) *Util { return &Util{log: l, bin: utilBin} }
-
-// fit coarsens every track until a bin holding time now has an index
-// below maxUtilBins.
-func (u *Util) fit(now sim.Time) {
-	for now >= u.bin*maxUtilBins {
-		u.bin *= 2
-		for _, t := range u.tracks {
-			t.series.Coarsen()
-		}
-	}
-}
+func NewUtil(l *EventLog) *Util { return &Util{log: l} }
 
 // Track registers a new timeline. capacity enables percent-of-capacity
 // reporting (pass 0 for uncapped tracks like queue occupancy).
@@ -168,7 +151,7 @@ func (u *Util) Track(name string, capacity int) *UtilTrack {
 		name:   name,
 		cap:    capacity,
 		tid:    len(u.tracks),
-		series: sim.NewSeries(u.bin),
+		series: sim.NewSeries(utilBin, sim.SumBins),
 		u:      u,
 	}
 	u.tracks = append(u.tracks, t)
@@ -182,8 +165,12 @@ func (u *Util) Tracks() []*UtilTrack { return u.tracks }
 // capacity, current and mean occupancy, percent of capacity, and a
 // compressed timeline of the whole run.
 func (u *Util) Render(now sim.Time) string {
+	bin := utilBin // the widest track bin
+	for _, t := range u.tracks {
+		bin = max(bin, t.series.BinWidth)
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "utilization over %s (timeline bin %s):\n", now, u.bin)
+	fmt.Fprintf(&b, "utilization over %s (timeline bin %s):\n", now, bin)
 	fmt.Fprintf(&b, "  %-22s %5s %5s %8s %7s  %s\n",
 		"track", "cap", "cur", "mean", "util%", "timeline (low '.' to high '@')")
 	for _, t := range u.tracks {

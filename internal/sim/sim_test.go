@@ -381,7 +381,7 @@ func TestSummaryProperty(t *testing.T) {
 }
 
 func TestSeriesAddInterval(t *testing.T) {
-	s := NewSeries(10)
+	s := NewSeries(10, SumBins)
 	s.AddInterval(5, 25, 2.0) // spans bins 0,1,2: 5ns, 10ns, 5ns
 	bins := s.Bins()
 	if len(bins) != 3 {

@@ -58,19 +58,43 @@ func (s *Summary) String() string {
 	return fmt.Sprintf("%.3g ± %.2g (n=%d)", s.Mean(), s.Std(), s.n)
 }
 
+// MaxSeriesBins caps a Series: a sample that would need a bin index at
+// or past it first doubles the bin width, merging adjacent bin pairs by
+// the series' merge rule, so host memory stays bounded however much
+// virtual time a series spans.
+const MaxSeriesBins = 1 << 16
+
+// Merge is how a Series folds a sample into a bin, and two bins into one
+// when it coarsens.
+type Merge uint8
+
+const (
+	SumBins Merge = iota // additive quantities: occupancy mass, bytes
+	MaxBins              // per-bin peaks, such as resident set size
+)
+
+func (m Merge) fold(a, b float64) float64 {
+	if m == MaxBins {
+		return max(a, b)
+	}
+	return a + b
+}
+
 // Series accumulates values into fixed-width virtual-time bins; it backs
-// time-series traces such as CPU utilization and disk throughput.
+// time-series traces such as CPU utilization, disk throughput and RSS.
 type Series struct {
 	BinWidth Time
+	merge    Merge
 	bins     []float64
 }
 
-// NewSeries returns a series with the given bin width.
-func NewSeries(binWidth Time) *Series {
+// NewSeries returns a series with the given initial bin width and merge
+// rule.
+func NewSeries(binWidth Time, merge Merge) *Series {
 	if binWidth <= 0 {
 		panic("sim: series bin width must be positive")
 	}
-	return &Series{BinWidth: binWidth}
+	return &Series{BinWidth: binWidth, merge: merge}
 }
 
 func (s *Series) grow(idx int) {
@@ -79,23 +103,45 @@ func (s *Series) grow(idx int) {
 	}
 }
 
-// Add accumulates v into the bin containing time t.
+// fit coarsens the series until time t falls in a bin below
+// MaxSeriesBins.
+func (s *Series) fit(t Time) {
+	for t/s.BinWidth >= MaxSeriesBins {
+		s.BinWidth *= 2
+		for i := 0; i < len(s.bins); i += 2 {
+			v := s.bins[i]
+			if i+1 < len(s.bins) {
+				v = s.merge.fold(v, s.bins[i+1])
+			}
+			s.bins[i/2] = v
+		}
+		s.bins = s.bins[:(len(s.bins)+1)/2]
+	}
+}
+
+// Add folds v into the bin containing time t by the series' merge rule.
 func (s *Series) Add(t Time, v float64) {
 	if t < 0 {
 		return
 	}
 	idx := int(t / s.BinWidth)
+	if idx >= MaxSeriesBins {
+		s.fit(t)
+		idx = int(t / s.BinWidth)
+	}
 	s.grow(idx)
-	s.bins[idx] += v
+	s.bins[idx] = s.merge.fold(s.bins[idx], v)
 }
 
-// AddInterval spreads v uniformly over [t0, t1). Mass before t = 0 is
-// dropped, matching Add; the [0, t1) part keeps its proportional share.
+// AddInterval spreads v uniformly over [t0, t1), for a SumBins series.
+// Mass before t = 0 is dropped, matching Add; the [0, t1) part keeps its
+// proportional share.
 func (s *Series) AddInterval(t0, t1 Time, v float64) {
 	if t1 <= t0 {
 		s.Add(t0, v)
 		return
 	}
+	s.fit(t1) // coarsen for the end first, so the loop walks final-width bins
 	total := float64(t1 - t0)
 	t := t0
 	if t < 0 {
@@ -135,21 +181,6 @@ func (s *Series) Bin(i int) float64 {
 
 // NumBins returns the number of bins touched so far.
 func (s *Series) NumBins() int { return len(s.bins) }
-
-// Coarsen doubles the bin width, summing each pair of adjacent bins.
-// Summing is the right merge for additive quantities (occupancy mass,
-// bytes), not for per-bin maxima.
-func (s *Series) Coarsen() {
-	s.BinWidth *= 2
-	for i := 0; i < len(s.bins); i += 2 {
-		v := s.bins[i]
-		if i+1 < len(s.bins) {
-			v += s.bins[i+1]
-		}
-		s.bins[i/2] = v
-	}
-	s.bins = s.bins[:(len(s.bins)+1)/2]
-}
 
 // Percentiles returns the requested percentiles (0..100) of samples.
 // It sorts a copy of the input.

@@ -8,7 +8,7 @@ import (
 func TestAddIntervalNegativeStart(t *testing.T) {
 	// Interval [-15, 25) with total mass 40: 15 units fall before t=0
 	// (dropped, like Add), 10 land in bin 0 and 15 in bins 1-2.
-	s := NewSeries(10)
+	s := NewSeries(10, SumBins)
 	s.AddInterval(-15, 25, 40)
 	if got := s.Bin(0); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("bin 0 = %f, want 10", got)
@@ -29,7 +29,7 @@ func TestAddIntervalNegativeStart(t *testing.T) {
 }
 
 func TestAddIntervalEntirelyNegative(t *testing.T) {
-	s := NewSeries(10)
+	s := NewSeries(10, SumBins)
 	s.AddInterval(-30, -5, 7)
 	if s.NumBins() != 0 {
 		t.Fatalf("mass before t=0 must be dropped, got bins %v", s.Bins())
@@ -38,7 +38,7 @@ func TestAddIntervalEntirelyNegative(t *testing.T) {
 
 func TestAddIntervalNegativeWithinFirstBin(t *testing.T) {
 	// [-5, 5): half the mass precedes t=0; bin 0 gets exactly half.
-	s := NewSeries(10)
+	s := NewSeries(10, SumBins)
 	s.AddInterval(-5, 5, 8)
 	if got := s.Bin(0); math.Abs(got-4) > 1e-9 {
 		t.Fatalf("bin 0 = %f, want 4", got)
@@ -49,7 +49,7 @@ func TestAddIntervalNegativeWithinFirstBin(t *testing.T) {
 }
 
 func TestAddIntervalPositiveUnchanged(t *testing.T) {
-	s := NewSeries(10)
+	s := NewSeries(10, SumBins)
 	s.AddInterval(5, 25, 10)
 	if got := s.Bin(0); math.Abs(got-2.5) > 1e-9 {
 		t.Fatalf("bin 0 = %f, want 2.5", got)
@@ -76,5 +76,37 @@ func TestPercentilesSingleSample(t *testing.T) {
 	empty := Percentiles(nil, 50, 99)
 	if len(empty) != 2 || empty[0] != 0 || empty[1] != 0 {
 		t.Fatalf("empty percentiles = %v", empty)
+	}
+}
+
+// TestSeriesBinsBounded holds a sum and a max series for 2,000 virtual
+// seconds at 1 ms bins, with samples 1 ms apart every 250 ms: each
+// doubles its bin width until it needs at most MaxSeriesBins bins, the
+// sum series keeps its mass, and the max series keeps the peak of the
+// samples that coarsening merged instead of adding them up.
+func TestSeriesBinsBounded(t *testing.T) {
+	const span, every = 2000 * Second, 250 * Millisecond
+	sum, peak := NewSeries(Millisecond, SumBins), NewSeries(Millisecond, MaxBins)
+	for at := Time(0); at < span; at += every {
+		sum.Add(at, 1)
+		peak.Add(at, 3)
+		peak.Add(at+Millisecond, 5)
+	}
+	for _, s := range []*Series{sum, peak} {
+		if s.NumBins() > MaxSeriesBins || s.BinWidth != 32*Millisecond {
+			t.Fatalf("%d bins of %v, want at most %d of 32ms", s.NumBins(), s.BinWidth, MaxSeriesBins)
+		}
+	}
+	var mass float64
+	for _, v := range sum.Bins() {
+		mass += v
+	}
+	if mass != float64(span/every) {
+		t.Fatalf("sum series mass %g, want %d", mass, span/every)
+	}
+	for i, v := range peak.Bins() {
+		if v != 0 && v != 5 {
+			t.Fatalf("max series bin %d = %g, want 0 or 5", i, v)
+		}
 	}
 }

@@ -51,3 +51,43 @@ func TestStringSummary(t *testing.T) {
 		t.Fatalf("String() = %q", s)
 	}
 }
+
+// TestRSSTraceBinsBounded holds 2 MiB resident for 4,000 virtual
+// seconds, dropping and re-touching half of it every second. At 50 ms
+// bins the trace first coarsens past 3,277 s, so this runs past that:
+// the bins double to 100 ms, stay under sim.MaxSeriesBins, and merged
+// bins keep their peak (1 MiB where a bin ends between the drop and the
+// re-touch) instead of adding up.
+func TestRSSTraceBinsBounded(t *testing.T) {
+	e, as := newAS(1 << 20)
+	defer e.Shutdown()
+	e.Spawn("app", func(p *sim.Proc) {
+		addr, _ := as.Mmap(2 << 20)
+		as.Touch(p, addr, 2<<20, false)
+		for i := 0; i < 4000; i++ {
+			p.Sleep(sim.Second)
+			as.Madvise(p, addr, 1<<20, MADV_DONTNEED)
+			as.Touch(p, addr, 1<<20, false)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	bins, width := as.RSSTrace()
+	if len(bins) > sim.MaxSeriesBins || width != 100*sim.Millisecond {
+		t.Fatalf("%d bins of %v, want at most %d of 100ms", len(bins), width, sim.MaxSeriesBins)
+	}
+	peaks := 0
+	for i, v := range bins {
+		switch v {
+		case 0, 1 << 20:
+		case 2 << 20:
+			peaks++
+		default:
+			t.Fatalf("bin %d = %g, want 0, 1 MiB or 2 MiB", i, v)
+		}
+	}
+	if peaks < 4000 {
+		t.Fatalf("%d bins hold 2 MiB, want one per second", peaks)
+	}
+}

@@ -124,7 +124,7 @@ func New(e *sim.Engine, cfg Config, pool *Pool) *AddressSpace {
 		cfg:      cfg,
 		pool:     pool,
 		nextAddr: 0x7f00_0000_0000,
-		rssTrace: sim.NewSeries(50 * sim.Millisecond),
+		rssTrace: sim.NewSeries(50*sim.Millisecond, sim.MaxBins),
 	}
 }
 
@@ -149,9 +149,8 @@ func (as *AddressSpace) noteRSS() {
 	if as.rssPages > as.maxRSSPages {
 		as.maxRSSPages = as.rssPages
 	}
-	bytes := float64(as.RSSBytes())
-	if cur := as.rssTrace.Bin(int(as.e.Now() / as.rssTrace.BinWidth)); bytes > cur {
-		as.rssTrace.Add(as.e.Now(), bytes-cur)
+	if as.rssPages > 0 { // a zero RSS raises no peak, so it adds no bin
+		as.rssTrace.Add(as.e.Now(), float64(as.RSSBytes()))
 	}
 }
 

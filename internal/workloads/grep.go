@@ -454,15 +454,15 @@ func runGrepGPU(m *platform.Machine, cfg GrepConfig, scan *matcher, names []stri
 							if cfg.Variant == GrepGPUWorkItemHalt {
 								wait = core.WaitHaltResume
 							}
-							g.InvokeEach(w, func(lane int) *syscalls.Request {
+							g.InvokeEach(w, func(lane int) (syscalls.Request, bool) {
 								if lane != finderWI%64 {
-									return nil
+									return syscalls.Request{}, false
 								}
-								return &syscalls.Request{
+								return syscalls.Request{
 									NR:   syscalls.SYS_write,
 									Args: [6]uint64{1, uint64(len(line))},
 									Buf:  line,
-								}
+								}, true
 							}, core.Options{Blocking: true, Wait: wait})
 						}
 					}

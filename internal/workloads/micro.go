@@ -53,6 +53,9 @@ func fillPattern(b []byte, seed byte) {
 
 func patternByte(i int64, seed byte) byte { return byte(i)*31 + seed }
 
+// preadSeed is the pattern seed of RunPread's input file.
+const preadSeed = 7
+
 // stagePattern creates path as a size-byte file holding fillPattern with
 // seed, without building the whole file in a host buffer: it creates the
 // file at its full size, then shares (fs.Share) one 64 KiB pattern chunk
@@ -74,6 +77,59 @@ func stagePattern(m *platform.Machine, path string, size int64, seed byte) error
 	return nil
 }
 
+// patternWindow is fillPattern over 16 KiB plus one 256-byte period.
+// The pattern repeats every 256 bytes, so up to 16 KiB of it from any
+// file offset off is the window from off mod 256 on.
+type patternWindow []byte
+
+func newPatternWindow(seed byte) patternWindow {
+	w := make(patternWindow, 16<<10+256)
+	fillPattern(w, seed)
+	return w
+}
+
+// holds reports whether every byte of buf is the pattern from file
+// offset off on, comparing one window-sized piece at a time.
+func (w patternWindow) holds(buf []byte, off int64) bool {
+	phase, piece := int(off%256), len(w)-256
+	for len(buf) > 0 {
+		n := min(len(buf), piece)
+		if !bytes.Equal(buf[:n], w[phase:phase+n]) {
+			return false
+		}
+		buf = buf[n:] // piece is whole periods, so the phase holds
+	}
+	return true
+}
+
+// readValid reports whether a call that returned ret filled dst, and dst
+// holds the pattern from file offset off on. The return value matters
+// even when the bytes match: a destination still holding an earlier
+// read's bytes passes the byte check at any offset a multiple of 256
+// away.
+func (w patternWindow) readValid(ret int64, dst []byte, off int64) bool {
+	return ret == int64(len(dst)) && w.holds(dst, off)
+}
+
+// readBufs is a run's free list of read destinations. A destination
+// goes back once its read has been checked and is zeroed before its next
+// read, so a read that writes nothing still fails validation and every
+// destination a call sees at ready is zeros.
+type readBufs struct{ free [][]byte }
+
+// get returns a zeroed n-byte destination.
+func (r *readBufs) get(n int64) []byte {
+	if k := len(r.free); k > 0 && int64(cap(r.free[k-1])) >= n {
+		b := r.free[k-1][:n]
+		r.free = r.free[:k-1]
+		clear(b)
+		return b
+	}
+	return make([]byte, n)
+}
+
+func (r *readBufs) put(b []byte) { r.free = append(r.free, b) }
+
 // PreadConfig parameterizes the Figure 7 / Figure 10 microbenchmark:
 // GPU work-items cooperatively pread a tmpfs file.
 type PreadConfig struct {
@@ -86,9 +142,11 @@ type PreadConfig struct {
 
 // PreadResult reports one run.
 type PreadResult struct {
-	ReadTime  sim.Time
-	Bytes     int64
-	Syscalls  int64
+	ReadTime sim.Time
+	Bytes    int64
+	Syscalls int64
+	// Validated: every call read its full length, and every byte of
+	// every destination holds the file's pattern.
 	Validated bool
 }
 
@@ -119,7 +177,7 @@ func RunPread(m *platform.Machine, cfg PreadConfig) (PreadResult, error) {
 	}
 
 	pr := m.NewProcess("pread-bench")
-	if err := stagePattern(m, "/tmp/input", cfg.FileSize, 7); err != nil {
+	if err := stagePattern(m, "/tmp/input", cfg.FileSize, preadSeed); err != nil {
 		return PreadResult{}, err
 	}
 	f, err := m.VFS.Open("/tmp/input", fs.O_RDONLY)
@@ -132,15 +190,9 @@ func RunPread(m *platform.Machine, cfg PreadConfig) (PreadResult, error) {
 	}
 
 	g := m.Genesys
+	want := newPatternWindow(preadSeed)
 	validated := true
-	check := func(buf []byte, off int64) {
-		if len(buf) == 0 ||
-			buf[0] != patternByte(off, 7) ||
-			buf[len(buf)-1] != patternByte(off+int64(len(buf))-1, 7) {
-			validated = false
-		}
-	}
-
+	var bufs readBufs
 	var kernelBuf any // only kernel granularity reads into one shared buffer
 	if cfg.Granularity == GranKernel {
 		kernelBuf = make([]byte, cfg.FileSize)
@@ -155,22 +207,31 @@ func RunPread(m *platform.Machine, cfg PreadConfig) (PreadResult, error) {
 			Fn: func(w *gpu.Wavefront) {
 				switch cfg.Granularity {
 				case GranWorkItem:
-					bufs := make([][]byte, w.Lanes)
-					g.InvokeEach(w, func(lane int) *syscalls.Request {
-						off := int64(w.GlobalWorkItemID(lane)) * cfg.ChunkPerWI
-						bufs[lane] = make([]byte, cfg.ChunkPerWI)
-						return &syscalls.Request{
+					// The wavefront's lanes read into consecutive pieces
+					// of one slab, as their file chunks are consecutive.
+					slab := bufs.get(int64(w.Lanes) * cfg.ChunkPerWI)
+					off := int64(w.GlobalWorkItemID(0)) * cfg.ChunkPerWI
+					rs := g.InvokeEach(w, func(lane int) (syscalls.Request, bool) {
+						at := int64(lane) * cfg.ChunkPerWI
+						return syscalls.Request{
 							NR:   syscalls.SYS_pread64,
-							Args: [6]uint64{uint64(fd), uint64(cfg.ChunkPerWI), uint64(off)},
-							Buf:  bufs[lane],
-						}
+							Args: [6]uint64{uint64(fd), uint64(cfg.ChunkPerWI), uint64(off + at)},
+							Buf:  slab[at : at+cfg.ChunkPerWI],
+						}, true
 					}, core.Options{Blocking: true, Wait: cfg.Wait})
-					for lane := 0; lane < w.Lanes; lane++ {
-						check(bufs[lane], int64(w.GlobalWorkItemID(lane))*cfg.ChunkPerWI)
+					for lane, r := range rs {
+						at := int64(lane) * cfg.ChunkPerWI
+						if !want.readValid(r.Ret, slab[at:at+cfg.ChunkPerWI], off+at) {
+							validated = false
+						}
 					}
+					bufs.put(slab)
 				case GranWorkGroup:
 					off := int64(w.WG.ID) * wgBytes
-					buf := make([]byte, wgBytes)
+					var buf []byte // only the leader's request reads
+					if w.IsLeader() {
+						buf = bufs.get(wgBytes)
+					}
 					r, invoker := g.InvokeWG(w, syscalls.Request{
 						NR:   syscalls.SYS_pread64,
 						Args: [6]uint64{uint64(fd), uint64(wgBytes), uint64(off)},
@@ -178,10 +239,10 @@ func RunPread(m *platform.Machine, cfg PreadConfig) (PreadResult, error) {
 					}, core.Options{Blocking: true, Wait: cfg.Wait,
 						Ordering: core.Relaxed, Kind: core.Producer})
 					if invoker {
-						if r.Ret != int64(wgBytes) {
+						if !want.readValid(r.Ret, buf, off) {
 							validated = false
 						}
-						check(buf, off)
+						bufs.put(buf)
 					}
 				case GranKernel:
 					buf := w.WG.Run.Args.([]byte)
@@ -194,11 +255,8 @@ func RunPread(m *platform.Machine, cfg PreadConfig) (PreadResult, error) {
 					if err != nil {
 						validated = false
 					}
-					if invoker {
-						if r.Ret != cfg.FileSize {
-							validated = false
-						}
-						check(buf, 0)
+					if invoker && !want.readValid(r.Ret, buf, 0) {
+						validated = false
 					}
 				}
 			},

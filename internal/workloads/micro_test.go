@@ -1,10 +1,13 @@
 package workloads
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
 	"genesys/internal/core"
+	"genesys/internal/fault"
 	"genesys/internal/platform"
 	"genesys/internal/sim"
 )
@@ -35,6 +38,111 @@ func TestPreadAllGranularitiesValidate(t *testing.T) {
 		}
 		if res.ReadTime <= 0 || res.Bytes != 4<<20 {
 			t.Fatalf("%v: res = %+v", g, res)
+		}
+	}
+}
+
+// TestPreadAllocDoesNotScaleWithFile: at work-item and work-group
+// granularity, reading a file twice as large allocates well under the
+// extra file bytes, because a destination is reused once its read has
+// been checked. The GPU holds four wavefronts, so most waves start after
+// others have finished and returned their destinations.
+func TestPreadAllocDoesNotScaleWithFile(t *testing.T) {
+	const size = 8 << 20
+	alloc := func(g Granularity, size int64) int64 {
+		cfg := platform.DefaultConfig()
+		cfg.GPU.CUs, cfg.GPU.WavefrontsPerCU = 1, 4
+		m := platform.New(cfg)
+		defer m.Shutdown()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := RunPread(m, PreadConfig{
+			FileSize: size, ChunkPerWI: 4 << 10, WGSize: 64,
+			Granularity: g, Wait: core.WaitPoll,
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil || !res.Validated {
+			t.Fatalf("%v, %d MiB: err %v, validated %v", g, size>>20, err, res.Validated)
+		}
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	for _, g := range []Granularity{GranWorkItem, GranWorkGroup} {
+		small, large := alloc(g, size), alloc(g, 2*size)
+		if grow := large - small; grow > size/4 {
+			t.Errorf("%v: %d MiB file allocated %d KiB, %d MiB file %d KiB; want growth under %d KiB",
+				g, size>>20, small>>10, 2*size>>20, large>>10, size/4>>10)
+		}
+	}
+}
+
+// TestPreadValidationCatchesBadReads starts from one correct read and
+// breaks it one way at a time. A first-and-last-byte check passes both
+// the wrong middle byte and, with no return value checked, the stale
+// destination; readValid catches every case.
+func TestPreadValidationCatchesBadReads(t *testing.T) {
+	const n, off = 4 << 10, 3<<12 + 100
+	want := newPatternWindow(preadSeed)
+	pattern := func(at int64) []byte {
+		b := make([]byte, at+n)
+		fillPattern(b, preadSeed)
+		return b[at:]
+	}
+	firstLast := func(b []byte) bool {
+		return b[0] == patternByte(off, preadSeed) && b[n-1] == patternByte(off+n-1, preadSeed)
+	}
+	if !want.readValid(n, pattern(off), off) {
+		t.Fatal("a correct read fails validation")
+	}
+	wrongByte := pattern(off)
+	wrongByte[n/2]++
+	stale := pattern(off + 256) // an earlier read's bytes, one period on
+	for _, c := range []struct {
+		name string
+		ret  int64
+		dst  []byte
+	}{
+		{"short read", n - 1, pattern(off)},
+		{"failed read", -1, make([]byte, n)},
+		{"unwritten destination", n, make([]byte, n)},
+		{"wrong middle byte", n, wrongByte},
+		{"failed read into a stale destination", -1, stale},
+	} {
+		if want.readValid(c.ret, c.dst, off) {
+			t.Errorf("%s passes validation", c.name)
+		}
+	}
+	if !firstLast(wrongByte) || !firstLast(stale) {
+		t.Error("the first-and-last-byte check should miss these; the test no longer shows why")
+	}
+	var bufs readBufs
+	b := bufs.get(n)
+	copy(b, stale)
+	bufs.put(b)
+	if r := bufs.get(n); &r[0] != &b[0] || !bytes.Equal(r, make([]byte, n)) {
+		t.Error("a reused destination is not the returned one, zeroed")
+	}
+}
+
+// TestPreadFailedCallsFailValidation: when every system call fails with
+// an injected errno, no granularity validates, and RunPread still
+// returns without an error.
+func TestPreadFailedCallsFailValidation(t *testing.T) {
+	plan, err := fault.PlanFor("transient-errno", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []Granularity{GranWorkItem, GranWorkGroup, GranKernel} {
+		cfg := platform.DefaultConfig()
+		cfg.Faults = &plan
+		m := platform.New(cfg)
+		res, err := RunPread(m, PreadConfig{
+			FileSize: 1 << 20, ChunkPerWI: 4 << 10, WGSize: 64,
+			Granularity: g, Wait: core.WaitPoll,
+		})
+		m.Shutdown()
+		if err != nil || res.Validated {
+			t.Errorf("%v: err %v, validated %v; want nil, false", g, err, res.Validated)
 		}
 	}
 }
