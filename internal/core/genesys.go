@@ -244,6 +244,11 @@ type Genesys struct {
 	outstanding int
 	drainCond   *sim.Cond
 
+	// ctxs holds idle dispatch contexts. Batches on different workers
+	// overlap in virtual time, so each takes its own from here and
+	// returns it when done; after warm-up, batches allocate none.
+	ctxs []*syscalls.Ctx
+
 	// interrupt coalescing state
 	pendingWaves []doorbell
 	pendingSet   map[doorbell]bool
@@ -1038,7 +1043,14 @@ func (g *Genesys) enqueueBatch(waves []doorbell) {
 // the slot's new tenant.
 func (g *Genesys) processBatch(p *sim.Proc, waves []doorbell) {
 	var current *oskern.Process
-	ctx := &syscalls.Ctx{P: p, OS: g.OS, Events: g.events}
+	var ctx *syscalls.Ctx
+	if n := len(g.ctxs); n > 0 {
+		ctx, g.ctxs = g.ctxs[n-1], g.ctxs[:n-1]
+	} else {
+		ctx = new(syscalls.Ctx)
+	}
+	*ctx = syscalls.Ctx{P: p, OS: g.OS, Events: g.events}
+	defer func() { g.ctxs = append(g.ctxs, ctx) }()
 	worker := int32(g.OS.WorkerID(p))
 	for _, db := range waves {
 		base := db.hw * g.simd
@@ -1088,7 +1100,7 @@ func (g *Genesys) processBatch(p *sim.Proc, waves []doorbell) {
 			}
 			g.CPU.Exec(p, g.OS.Config().SyscallSoftware, cpu.PrioKernel)
 			syscalls.Dispatch(ctx, &s.Req)
-			if restartable && transientErr(s.Req.Err) {
+			if restartable && syscalls.Transient(s.Req.Err) {
 				// Kernel-side restart: a non-blocking call has no caller
 				// left to observe a transient failure, so the worker
 				// reissues it in place with backoff.
@@ -1111,11 +1123,6 @@ func (g *Genesys) processBatch(p *sim.Proc, waves []doorbell) {
 	}
 }
 
-// transientErr reports whether e is a restartable transient failure.
-func transientErr(e errno.Errno) bool {
-	return e == errno.EINTR || e == errno.EAGAIN || e == errno.ENOMEM
-}
-
 // restartInPlace retries a transiently-failed non-blocking request in
 // the worker, with capped exponential backoff in virtual time. orig is
 // the request as populated by the GPU, snapshotted before the first
@@ -1125,7 +1132,7 @@ func transientErr(e errno.Errno) bool {
 func (g *Genesys) restartInPlace(p *sim.Proc, ctx *syscalls.Ctx, s *Slot, orig syscalls.Request) {
 	const maxRestarts = 4
 	backoff := 4 * sim.Microsecond
-	for attempt := 0; attempt < maxRestarts && transientErr(s.Req.Err); attempt++ {
+	for attempt := 0; attempt < maxRestarts && syscalls.Transient(s.Req.Err); attempt++ {
 		g.Retries++
 		p.Sleep(backoff)
 		if backoff < 64*sim.Microsecond {
@@ -1136,7 +1143,7 @@ func (g *Genesys) restartInPlace(p *sim.Proc, ctx *syscalls.Ctx, s *Slot, orig s
 		g.CPU.Exec(p, g.OS.Config().SyscallSoftware, cpu.PrioKernel)
 		syscalls.Dispatch(ctx, &s.Req)
 	}
-	if transientErr(s.Req.Err) {
+	if syscalls.Transient(s.Req.Err) {
 		g.inject.NoteSurfaced()
 	} else {
 		g.inject.NoteRecovered()

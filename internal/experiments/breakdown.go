@@ -56,11 +56,11 @@ func Breakdown(o Options) *Table {
 	g := &grid{o: o}
 	tracers := make([][]*core.Tracer, len(configs))
 	for i, c := range configs {
-		tracers[i] = each(g, c.tweak, func(m *platform.Machine, _ int64) *core.Tracer {
+		tracers[i] = each(g, c.tweak, func(m *platform.Machine, _ int64) (*core.Tracer, error) {
 			pr := m.NewProcess("bd")
 			f, err := m.VFS.Open("/tmp/bd", 0x42)
 			if err != nil {
-				panic(err)
+				return nil, err
 			}
 			fd, _ := pr.FDs.Install(f)
 			m.E.Spawn("host", func(p *sim.Proc) {
@@ -80,10 +80,8 @@ func Breakdown(o Options) *Table {
 				k.Wait(p)
 				m.Genesys.Drain(p)
 			})
-			if err := m.Run(); err != nil {
-				panic(err)
-			}
-			return m.Genesys.Tracer()
+			err = m.Run()
+			return m.Genesys.Tracer(), err
 		})
 	}
 	g.run()

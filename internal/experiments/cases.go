@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"genesys/internal/platform"
 	"genesys/internal/sim"
@@ -36,14 +37,10 @@ func Fig11MiniAMR(o Options) *Table {
 	g := &grid{o: o}
 	results := make([][]workloads.MiniAMRResult, len(variants))
 	for i, v := range variants {
-		results[i] = each(g, miniAMRTweak, func(m *platform.Machine, _ int64) workloads.MiniAMRResult {
+		results[i] = each(g, miniAMRTweak, func(m *platform.Machine, _ int64) (workloads.MiniAMRResult, error) {
 			cfg := workloads.DefaultMiniAMRConfig()
 			cfg.WatermarkBytes = v.watermark
-			res, err := workloads.RunMiniAMR(m, cfg)
-			if err != nil {
-				panic(err)
-			}
-			return res
+			return workloads.RunMiniAMR(m, cfg)
 		})
 	}
 	g.run()
@@ -78,16 +75,21 @@ func Fig12SignalSearch(o Options) *Table {
 		Note:   "Paper: work-group-granularity non-blocking signals give ~14% speedup.",
 		Header: []string{"variant", "runtime (ms)"},
 	}
-	g := &grid{o: o}
+	g := &grid{o: o, t: t}
 	run := func(useSignals bool) []float64 {
-		return each(g, nil, func(m *platform.Machine, _ int64) float64 {
+		return each(g, nil, func(m *platform.Machine, _ int64) (float64, error) {
 			cfg := workloads.DefaultSignalSearchConfig()
 			cfg.UseSignals = useSignals
 			res, err := workloads.RunSignalSearch(m, cfg)
 			if err != nil {
-				panic(err)
+				return 0, err
 			}
-			return res.Runtime.Milli()
+			// Every block is digested exactly once: each has a digest,
+			// and with signals each sent exactly one.
+			missed := slices.ContainsFunc(res.Digests, func(d []byte) bool { return d == nil })
+			ok := !missed && (!useSignals || res.Signals == int64(cfg.Blocks))
+			return res.Runtime.Milli(), check(ok, "signal-search (signals %v): %d signals for %d blocks, one undigested: %v",
+				useSignals, res.Signals, cfg.Blocks, missed)
 		})
 	}
 	baseVals, sigVals := run(false), run(true)
@@ -128,18 +130,15 @@ func Fig13aGrep(o Options) *Table {
 	})
 	variants := []workloads.GrepVariant{workloads.GrepCPU, workloads.GrepOpenMP,
 		workloads.GrepGPUWorkGroup, workloads.GrepGPUWorkItemPoll, workloads.GrepGPUWorkItemHalt}
-	g := &grid{o: o}
+	g := &grid{o: o, t: t}
 	runtimes := make([][]float64, len(variants))
 	for i, v := range variants {
-		runtimes[i] = each(g, nil, func(m *platform.Machine, seed int64) float64 {
+		runtimes[i] = each(g, nil, func(m *platform.Machine, seed int64) (float64, error) {
 			res, err := workloads.RunGrep(m, grepConfig(v, seed), corpus[seed-o.BaseSeed])
 			if err != nil {
-				panic(err)
+				return 0, err
 			}
-			if !res.Correct() {
-				panic(fmt.Sprintf("grep %v: wrong answer", v))
-			}
-			return res.Runtime.Milli()
+			return res.Runtime.Milli(), check(res.Correct(), "grep %v: wrong answer", v)
 		})
 	}
 	g.run()
@@ -175,17 +174,15 @@ func Fig13bWordcount(o Options) *Table {
 	corpus := wordcountCorpora(o)
 	variants := []workloads.WordcountVariant{workloads.WordcountCPU,
 		workloads.WordcountGPUNoSyscall, workloads.WordcountGENESYS}
-	g := &grid{o: o}
-	val := &validator{o: o}
+	g := &grid{o: o, t: t}
 	runtimes := make([][]float64, len(variants))
 	for i, v := range variants {
-		runtimes[i] = each(g, nil, func(m *platform.Machine, seed int64) float64 {
+		runtimes[i] = each(g, nil, func(m *platform.Machine, seed int64) (float64, error) {
 			res, err := workloads.RunWordcount(m, wordcountConfig(v, seed), corpus[seed-o.BaseSeed])
 			if err != nil {
-				panic(err)
+				return 0, err
 			}
-			val.check(res.Correct(), fmt.Sprintf("wordcount %v: wrong counts", v))
-			return res.Runtime.Milli()
+			return res.Runtime.Milli(), check(res.Correct(), "wordcount %v: wrong counts", v)
 		})
 	}
 	g.run()
@@ -194,7 +191,6 @@ func Fig13bWordcount(o Options) *Table {
 		s := summary(runtimes[i])
 		t.AddRow(v.String(), ms(s), ratio(cpu, s))
 	}
-	val.note(t, len(g.points))
 	return t
 }
 
@@ -210,17 +206,15 @@ func Fig14WordcountTraces(o Options) *Table {
 	}
 	corpus := wordcountCorpora(o)
 	variants := []workloads.WordcountVariant{workloads.WordcountCPU, workloads.WordcountGENESYS}
-	g := &grid{o: o}
-	val := &validator{o: o}
+	g := &grid{o: o, t: t}
 	results := make([][]workloads.WordcountResult, len(variants))
 	for i, v := range variants {
-		results[i] = each(g, nil, func(m *platform.Machine, seed int64) workloads.WordcountResult {
+		results[i] = each(g, nil, func(m *platform.Machine, seed int64) (workloads.WordcountResult, error) {
 			res, err := workloads.RunWordcount(m, wordcountConfig(v, seed), corpus[seed-o.BaseSeed])
 			if err != nil {
-				panic(fmt.Sprint("fig14: ", err))
+				return res, err
 			}
-			val.check(res.Correct(), fmt.Sprintf("fig14 %v: wrong counts", v))
-			return res
+			return res, check(res.Correct(), "fig14 %v: wrong counts", v)
 		})
 	}
 	g.run()
@@ -233,7 +227,6 @@ func Fig14WordcountTraces(o Options) *Table {
 		}
 		t.AddRow(v.String(), f0(&mean), f0(&peak), f0(&util))
 	}
-	val.note(t, len(g.points))
 	return t
 }
 
@@ -247,33 +240,32 @@ func Fig15Memcached(o Options) *Table {
 	}
 	variants := []workloads.MemcachedVariant{workloads.MemcachedCPU,
 		workloads.MemcachedGPUNoSyscall, workloads.MemcachedGENESYS}
-	g := &grid{o: o}
+	g := &grid{o: o, t: t}
+	// serve runs one configuration and checks every value it served.
+	serve := func(m *platform.Machine, cfg workloads.MemcachedConfig) (workloads.MemcachedResult, error) {
+		res, err := workloads.RunMemcached(m, cfg)
+		if err != nil {
+			return res, err
+		}
+		return res, check(res.Correct == res.Completed, "memcached %v, %d elems/bucket: wrong values",
+			cfg.Variant, cfg.ElemsPerBucket)
+	}
 	results := make([][]workloads.MemcachedResult, len(variants))
 	for i, v := range variants {
-		results[i] = each(g, nil, func(m *platform.Machine, _ int64) workloads.MemcachedResult {
-			res, err := workloads.RunMemcached(m, workloads.DefaultMemcachedConfig(v))
-			if err != nil {
-				panic(err)
-			}
-			if res.Correct != res.Completed {
-				panic(fmt.Sprintf("memcached %v: wrong values", v))
-			}
-			return res
+		results[i] = each(g, nil, func(m *platform.Machine, _ int64) (workloads.MemcachedResult, error) {
+			return serve(m, workloads.DefaultMemcachedConfig(v))
 		})
 	}
 	// Bucket-size sweep: the crossover behind "GPUs accelerate memcached
 	// by parallelizing lookups on buckets with more elements".
 	bucketSizes := []int{64, 256, 1024}
 	lat := func(v workloads.MemcachedVariant, elems int) []float64 {
-		return each(g, nil, func(m *platform.Machine, _ int64) float64 {
-			cfg := workloads.DefaultMemcachedConfig(v)
-			cfg.ElemsPerBucket = elems
-			cfg.Requests = 1000
-			res, err := workloads.RunMemcached(m, cfg)
-			if err != nil {
-				panic(err)
-			}
-			return res.MeanLatency.Micro()
+		cfg := workloads.DefaultMemcachedConfig(v)
+		cfg.ElemsPerBucket = elems
+		cfg.Requests = 1000
+		return each(g, nil, func(m *platform.Machine, _ int64) (float64, error) {
+			res, err := serve(m, cfg)
+			return res.MeanLatency.Micro(), err
 		})
 	}
 	cpuLats := make([][]float64, len(bucketSizes))
@@ -315,13 +307,14 @@ func Fig16BMPDisplay(o Options) *Table {
 		Header: []string{"metric", "value"},
 	}
 	var res workloads.BMPDisplayResult
-	g := &grid{o: o}
-	g.add(o.BaseSeed, nil, func(m *platform.Machine) {
+	g := &grid{o: o, t: t}
+	g.add(o.BaseSeed, nil, func(m *platform.Machine) error {
 		var err error
 		res, err = workloads.RunBMPDisplay(m, workloads.DefaultBMPDisplayConfig())
 		if err != nil {
-			panic(err)
+			return err
 		}
+		return check(res.Validated, "bmp-display: image not validated")
 	})
 	g.run()
 	t.AddRow("initial mode", fmt.Sprintf("%dx%d@%d", res.InfoBefore.XRes, res.InfoBefore.YRes, res.InfoBefore.BPP))

@@ -50,15 +50,14 @@ func Chaos(o Options) *Table {
 	g := &grid{o: o}
 	run := func(profile string, rate float64) []sample {
 		arm := func(c *platform.Config) { armFaults(c, profile, rate) }
-		return each(g, arm, func(m *platform.Machine, _ int64) sample {
+		return each(g, arm, func(m *platform.Machine, _ int64) (sample, error) {
 			res, err := workloads.RunChaos(m, workloads.DefaultChaosConfig())
-			if err != nil {
-				panic(fmt.Sprint("chaos: ", err))
+			if err == nil && !res.Validated {
+				// Recovery must never yield silently corrupt data, under
+				// any profile: a run error, not a counted wrong answer.
+				err = fmt.Errorf("chaos %s@%.2f: corrupt data survived recovery", profile, rate)
 			}
-			if !res.Validated {
-				panic(fmt.Sprintf("chaos %s@%.2f: corrupt data survived recovery", profile, rate))
-			}
-			return sample{res, m.Inject.Injected, m.Inject.Recovered, m.Inject.Surfaced}
+			return sample{res, m.Inject.Injected, m.Inject.Recovered, m.Inject.Surfaced}, err
 		})
 	}
 	type cell struct {

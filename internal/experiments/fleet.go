@@ -27,12 +27,12 @@ func Fleet(o Options) *Table {
 			"p50 (us)", "p99 (us)", "min (us)", "max (us)", "anomalies", "bundles"},
 	}
 	g := &grid{o: o}
-	rows := each(g, nil, func(m *platform.Machine, seed int64) [][]string {
+	rows := each(g, nil, func(m *platform.Machine, seed int64) ([][]string, error) {
 		cfg := workloads.DefaultFleetConfig(fleetSessions)
 		cfg.Seed = seed
 		rep, err := workloads.RunFleet(m, cfg)
 		if err != nil {
-			panic(fmt.Sprint("fleet: ", err))
+			return nil, err
 		}
 		names := make([]string, 0, len(rep.Classes))
 		for n := range rep.Classes {
@@ -51,7 +51,7 @@ func Fleet(o Options) *Table {
 				fmt.Sprintf("%.1f", float64(c.MaxNs)/1e3),
 				fmt.Sprint(fl.Anomalies()), fmt.Sprint(len(fl.Bundles()))})
 		}
-		return rows
+		return rows, nil
 	})
 	g.run()
 	for _, seedRows := range rows {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync/atomic"
 
 	"genesys/internal/fault"
 	"genesys/internal/platform"
@@ -125,42 +124,72 @@ func (t *Table) Render() string {
 // grid is one driver call's data points. A driver schedules every point
 // first, then calls run once, and only then reads results and renders
 // rows, so the rendered table does not depend on which point finished
-// first.
+// first. The grid also owns the verdict on every point: see run.
 type grid struct {
-	o      Options
+	o Options
+	// t, when set, is the table of a driver whose points check their
+	// answers: under a fault profile, run reports the wrong ones in its
+	// note. A grid without one has no wrong answers to count.
+	t      *Table
 	points []point
 }
 
 // point is one data point: a machine built from seed and tweak, which
-// fn runs on a pool worker.
+// fn runs on a pool worker. fn returns a run error, or a wrong answer
+// made by check.
 type point struct {
 	seed  int64
 	tweak func(*platform.Config)
-	fn    func(*platform.Machine)
+	fn    func(*platform.Machine) error
+	err   error
 	m     *platform.Machine // finished, until Observe has seen it
 }
 
 // add schedules one data point. fn must write only state that belongs
 // to this point.
-func (g *grid) add(seed int64, tweak func(*platform.Config), fn func(*platform.Machine)) {
+func (g *grid) add(seed int64, tweak func(*platform.Config), fn func(*platform.Machine) error) {
 	g.points = append(g.points, point{seed: seed, tweak: tweak, fn: fn})
 }
 
 // each schedules fn once per seed and returns the slice its results
-// land in: in seed order, once g.run has returned.
-func each[R any](g *grid, tweak func(*platform.Config), fn func(m *platform.Machine, seed int64) R) []R {
+// land in: in seed order, once g.run has returned. A result comes with
+// its point's error, so a wrong answer's value is kept.
+func each[R any](g *grid, tweak func(*platform.Config), fn func(m *platform.Machine, seed int64) (R, error)) []R {
 	out := make([]R, g.o.runs())
 	for i := range out {
 		seed := g.o.BaseSeed + int64(i)
-		g.add(seed, tweak, func(m *platform.Machine) { out[i] = fn(m, seed) })
+		g.add(seed, tweak, func(m *platform.Machine) (err error) {
+			out[i], err = fn(m, seed)
+			return err
+		})
 	}
 	return out
+}
+
+// wrongAnswer is a run that finished with an answer failing its check,
+// as opposed to a run that failed.
+type wrongAnswer string
+
+func (w wrongAnswer) Error() string { return string(w) }
+
+// check returns nil if ok, else a wrong answer with the formatted
+// message.
+func check(ok bool, format string, args ...any) error {
+	if ok {
+		return nil
+	}
+	return wrongAnswer(fmt.Sprintf(format, args...))
 }
 
 // run simulates every scheduled point on the worker pool, at most
 // o.Parallel at a time. Each worker builds its point's machine, runs fn
 // and shuts the machine down; Observe then sees the machines on this
-// goroutine in submission order.
+// goroutine in submission order. Then run gives the verdict, in
+// submission order: a run error panics. So does a wrong answer on a
+// fault-free machine, where it is a bug; under a fault profile an
+// injected fault may surface to the workload and spoil its answer, so
+// the run is counted in g.t's note and its value kept (a grid with no
+// table panics instead).
 func (g *grid) run() {
 	work := func(i int) {
 		p := &g.points[i]
@@ -168,7 +197,7 @@ func (g *grid) run() {
 		if g.o.TraceFirst && i == 0 {
 			m.Obs.Events.SetEnabled(true)
 		}
-		p.fn(m)
+		p.err = p.fn(m)
 		m.Shutdown()
 		if g.o.Observe != nil {
 			p.m = m
@@ -182,6 +211,25 @@ func (g *grid) run() {
 		}
 	}
 	forEach(len(g.points), g.o.workers(), work, done)
+	failed := 0
+	for _, p := range g.points {
+		if p.err == nil {
+			continue
+		}
+		if _, ok := p.err.(wrongAnswer); !ok || g.o.FaultProfile == "" || g.t == nil {
+			panic(p.err.Error())
+		}
+		failed++
+	}
+	if g.t == nil || g.o.FaultProfile == "" {
+		return
+	}
+	rate := g.o.FaultRate
+	if rate <= 0 {
+		rate = fault.DefaultRate
+	}
+	g.t.Note += fmt.Sprintf("\nUnder faults %s@%.2f, %d of %d run(s) failed validation; their values are included.",
+		g.o.FaultProfile, rate, failed, len(g.points))
 }
 
 // newMachine builds a machine with the given seed and optional tweaks.
@@ -208,40 +256,6 @@ func armFaults(cfg *platform.Config, profile string, rate float64) {
 		panic(err)
 	}
 	cfg.Faults = &plan
-}
-
-// validator counts a driver's runs whose answer fails validation.
-// Without a fault profile a wrong answer is a bug, so check panics. With
-// one, an injected fault may surface to the workload and spoil its
-// answer: the run is counted and note reports the count in the table.
-type validator struct {
-	o      Options
-	failed atomic.Int64 // pool workers check concurrently
-}
-
-// check validates one run's answer; msg describes a failure.
-func (v *validator) check(ok bool, msg string) {
-	if ok {
-		return
-	}
-	if v.o.FaultProfile == "" {
-		panic(msg)
-	}
-	v.failed.Add(1)
-}
-
-// note appends the failed-run count to t's note when a fault profile is
-// armed; runs is the number of runs checked.
-func (v *validator) note(t *Table, runs int) {
-	if v.o.FaultProfile == "" {
-		return
-	}
-	rate := v.o.FaultRate
-	if rate <= 0 {
-		rate = fault.DefaultRate
-	}
-	t.Note += fmt.Sprintf("\nUnder faults %s@%.2f, %d of %d run(s) failed validation; their values are included.",
-		v.o.FaultProfile, rate, v.failed.Load(), runs)
 }
 
 // summary folds per-seed values into a Summary, in seed order.

@@ -52,7 +52,7 @@ func Table3Platform(o Options) *Table {
 		Header: []string{"component", "configuration"},
 	}
 	g := &grid{o: o}
-	g.add(1, nil, func(m *platform.Machine) {
+	g.add(1, nil, func(m *platform.Machine) error {
 		gc, c := m.Cfg.GPU, m.Cfg.CPU
 		t.AddRow("CPU", fmt.Sprintf("%d cores @ %.1f GHz", c.Cores, float64(c.ClockMHz)/1000))
 		t.AddRow("Integrated GPU", fmt.Sprintf("%d CUs @ %d MHz, SIMD-%d, %d wavefronts/CU",
@@ -65,6 +65,7 @@ func Table3Platform(o Options) *Table {
 		t.AddRow("Storage", fmt.Sprintf("SSD: %d channels x %.0f MB/s, %v command overhead",
 			m.Cfg.SSD.Channels, m.Cfg.SSD.ChannelBandwidth*1000, m.Cfg.SSD.CommandOverhead))
 		t.AddRow("OS", fmt.Sprintf("simulated Linux-like kernel, %d+ dynamic workers", m.Cfg.Kernel.Workers))
+		return nil
 	})
 	g.run()
 	return t
@@ -84,7 +85,7 @@ func Table4AtomicCosts(o Options) *Table {
 	g := &grid{o: o}
 	times := make([][]float64, len(ops))
 	for i, op := range ops {
-		times[i] = each(g, nil, func(m *platform.Machine, _ int64) float64 {
+		times[i] = each(g, nil, func(m *platform.Machine, _ int64) (float64, error) {
 			const n = 200
 			var elapsed sim.Time
 			m.E.Spawn("probe", func(p *sim.Proc) {
@@ -98,10 +99,8 @@ func Table4AtomicCosts(o Options) *Table {
 				}
 				elapsed = p.Now() - start
 			})
-			if err := m.Run(); err != nil {
-				panic(err)
-			}
-			return (elapsed / n).Micro()
+			err := m.Run()
+			return (elapsed / n).Micro(), err
 		})
 	}
 	g.run()
@@ -130,37 +129,34 @@ func Fig7Granularity(o Options) *Table {
 	grans := []workloads.Granularity{workloads.GranWorkItem,
 		workloads.GranWorkGroup, workloads.GranKernel}
 	wgSizes := []int{64, 128, 256, 512, 1024}
-	g := &grid{o: o}
-	v := &validator{o: o}
+	g := &grid{o: o, t: t}
 	bySize := make([][][]float64, len(fig7Sizes))
 	for i, size := range fig7Sizes {
 		for _, gran := range grans {
-			bySize[i] = append(bySize[i], each(g, nil, func(m *platform.Machine, _ int64) float64 {
+			bySize[i] = append(bySize[i], each(g, nil, func(m *platform.Machine, _ int64) (float64, error) {
 				res, err := workloads.RunPread(m, workloads.PreadConfig{
 					FileSize: size, ChunkPerWI: 16 << 10, WGSize: 64,
 					Granularity: gran, Wait: core.WaitPoll,
 				})
 				if err != nil {
-					panic(fmt.Sprint("fig7: ", err))
+					return 0, err
 				}
-				v.check(res.Validated, fmt.Sprintf("fig7 %s %v: data not validated", byteSize(size), gran))
-				return res.ReadTime.Milli()
+				return res.ReadTime.Milli(), check(res.Validated, "fig7 %s %v: data not validated", byteSize(size), gran)
 			}))
 		}
 	}
 	// Right-hand side: work-group size sweep at small per-WI chunks.
 	byWG := make([][]float64, len(wgSizes))
 	for i, wg := range wgSizes {
-		byWG[i] = each(g, nil, func(m *platform.Machine, _ int64) float64 {
+		byWG[i] = each(g, nil, func(m *platform.Machine, _ int64) (float64, error) {
 			res, err := workloads.RunPread(m, workloads.PreadConfig{
 				FileSize: 16 << 20, ChunkPerWI: 1 << 10, WGSize: wg,
 				Granularity: workloads.GranWorkGroup, Wait: core.WaitPoll,
 			})
 			if err != nil {
-				panic(fmt.Sprint("fig7 wg sweep: ", err))
+				return 0, err
 			}
-			v.check(res.Validated, fmt.Sprintf("fig7 wg%d: data not validated", wg))
-			return res.ReadTime.Milli()
+			return res.ReadTime.Milli(), check(res.Validated, "fig7 wg%d: data not validated", wg)
 		})
 	}
 	g.run()
@@ -176,7 +172,6 @@ func Fig7Granularity(o Options) *Table {
 	for i, wg := range wgSizes {
 		t.AddRow(fmt.Sprintf("wg%d", wg), ms(summary(byWG[i])), "", "")
 	}
-	v.note(t, len(g.points))
 	return t
 }
 
@@ -200,19 +195,20 @@ func Fig8BlockingOrdering(o Options) *Table {
 		{true, core.Relaxed}, {false, core.Relaxed},
 	}
 	iterations := []int{1, 2, 4, 8, 16, 32}
-	g := &grid{o: o}
+	g := &grid{o: o, t: t}
 	cells := make([][][]float64, len(iterations))
 	for i, iters := range iterations {
 		for _, v := range variants {
-			cells[i] = append(cells[i], each(g, nil, func(m *platform.Machine, _ int64) float64 {
+			cells[i] = append(cells[i], each(g, nil, func(m *platform.Machine, _ int64) (float64, error) {
 				res, err := workloads.RunPermute(m, workloads.PermuteConfig{
 					Blocks: 64, Iterations: iters,
 					Blocking: v.blocking, Ordering: v.ordering, Wait: core.WaitPoll,
 				})
-				if err != nil || !res.Validated {
-					panic(fmt.Sprint("fig8: ", err))
+				if err != nil {
+					return 0, err
 				}
-				return res.PerPermutation.Micro()
+				return res.PerPermutation.Micro(), check(res.Validated,
+					"fig8 %d iterations, blocking %v, %v ordering: blocks not validated", iters, v.blocking, v.ordering)
 			}))
 		}
 	}
@@ -242,14 +238,11 @@ func Fig9PollingContention(o Options) *Table {
 	g := &grid{o: o}
 	probes := make([][]probe, len(polled))
 	for i, lines := range polled {
-		probes[i] = each(g, nil, func(m *platform.Machine, _ int64) probe {
+		probes[i] = each(g, nil, func(m *platform.Machine, _ int64) (probe, error) {
 			res, err := workloads.RunPollProbe(m, workloads.PollProbeConfig{
 				PolledLines: lines, PollerWaves: 128, Duration: sim.Millisecond,
 			})
-			if err != nil {
-				panic(err)
-			}
-			return probe{res.CPUAccessesPerSec / 1e6, res.GPUL2MissRate}
+			return probe{res.CPUAccessesPerSec / 1e6, res.GPUL2MissRate}, err
 		})
 	}
 	g.run()
@@ -277,20 +270,18 @@ func Fig10Coalescing(o Options) *Table {
 		Header: []string{"bytes/call", "no coalescing (ns/B)", "coalesce ≤8 (ns/B)", "gain"},
 	}
 	chunks := []int64{128, 512, 2 << 10, 8 << 10, 64 << 10}
-	g := &grid{o: o}
-	v := &validator{o: o}
+	g := &grid{o: o, t: t}
 	run := func(chunk int64, window sim.Time, max int) []float64 {
-		return each(g, nil, func(m *platform.Machine, _ int64) float64 {
+		return each(g, nil, func(m *platform.Machine, _ int64) (float64, error) {
 			m.Genesys.SetCoalescing(window, max)
 			res, err := workloads.RunPread(m, workloads.PreadConfig{
 				FileSize: 4096 * chunk, ChunkPerWI: chunk, WGSize: 64,
 				Granularity: workloads.GranWorkItem, Wait: core.WaitHaltResume,
 			})
 			if err != nil {
-				panic(fmt.Sprint("fig10: ", err))
+				return 0, err
 			}
-			v.check(res.Validated, fmt.Sprintf("fig10 %s: data not validated", byteSize(chunk)))
-			return res.LatencyPerByte()
+			return res.LatencyPerByte(), check(res.Validated, "fig10 %s: data not validated", byteSize(chunk))
 		})
 	}
 	offs := make([][]float64, len(chunks))
@@ -308,7 +299,6 @@ func Fig10Coalescing(o Options) *Table {
 		}
 		t.AddRow(byteSize(chunk), f2(off), f2(on), gain)
 	}
-	v.note(t, len(g.points))
 	return t
 }
 

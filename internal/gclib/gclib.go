@@ -49,17 +49,13 @@ const (
 	restartBackoffLimit = 256 * sim.Microsecond
 )
 
-func transientErr(e errno.Errno) bool {
-	return e == errno.EINTR || e == errno.EAGAIN || e == errno.ENOMEM
-}
-
 // invoke issues one blocking call through the restartable-syscall layer:
 // transient failures of restartable calls are reissued with exponential
 // backoff in virtual time, up to maxRestarts, while fault injection is
 // active. The last result — success or the surfaced errno — is returned.
 func (c C) invoke(w *gpu.Wavefront, req syscalls.Request) core.Result {
 	res := c.G.Invoke(w, req, core.Options{Blocking: true, Wait: c.Wait})
-	if !c.G.FaultsActive() || !syscalls.Restartable(req.NR) || !transientErr(res.Err) {
+	if !c.G.FaultsActive() || !syscalls.Restartable(req.NR) || !syscalls.Transient(res.Err) {
 		return res
 	}
 	if req.NR == syscalls.SYS_recvfrom && req.Args[2] > 0 {
@@ -75,7 +71,7 @@ func (c C) invoke(w *gpu.Wavefront, req syscalls.Request) core.Result {
 			backoff *= 2
 		}
 		res = c.G.Invoke(w, req, core.Options{Blocking: true, Wait: c.Wait})
-		if !transientErr(res.Err) {
+		if !syscalls.Transient(res.Err) {
 			c.G.Injector().NoteRecovered()
 			return res
 		}

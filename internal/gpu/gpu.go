@@ -186,10 +186,9 @@ type Kernel struct {
 	// WGSize is the number of work-items per work-group (≤ 1024 on the
 	// default config; must leave the wavefront count ≤ WavefrontsPerCU).
 	WGSize int
-	// Fn is the kernel body, executed once per wavefront.
+	// Fn is the kernel body, executed once per wavefront; kernel-wide
+	// state is what it captures.
 	Fn func(*Wavefront)
-	// Args is opaque kernel-wide state shared by all wavefronts.
-	Args any
 }
 
 func (k *Kernel) wavesPerWG(simdWidth int) int {

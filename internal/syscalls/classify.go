@@ -2,7 +2,10 @@ package syscalls
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+
+	"genesys/internal/errno"
 )
 
 // Class is the paper's three-way classification of Linux system calls
@@ -293,8 +296,16 @@ func buildRestartable() map[int]bool {
 }
 
 // Restartable reports whether the system call nr may be transparently
-// reissued after a transient EINTR/EAGAIN/ENOMEM failure.
+// reissued after a Transient failure.
 func Restartable(nr int) bool { return restartable[nr] }
+
+// transientErrnos are the transient failures, in the order an injected
+// SyscallErrno fault rotates through them.
+var transientErrnos = [...]errno.Errno{errno.EINTR, errno.EAGAIN, errno.ENOMEM}
+
+// Transient reports whether e is a transient failure (EINTR, EAGAIN or
+// ENOMEM), after which a Restartable call may be reissued.
+func Transient(e errno.Errno) bool { return slices.Contains(transientErrnos[:], e) }
 
 // ByClass returns the names in a class, sorted.
 func ByClass(c Class) []string {

@@ -82,10 +82,15 @@ type Ctx struct {
 	// currently being dispatched, which storage transfers carry too.
 	Events *obs.EventLog
 	Trace  uint64
+
+	ioc fs.IOCtx // what io hands out, so a file call allocates none
 }
 
+// io returns the I/O context of the call being dispatched. File systems
+// use it only for the length of one operation and keep no pointer to it.
 func (c *Ctx) io() *fs.IOCtx {
-	return &fs.IOCtx{P: c.P, CPU: c.OS.CPU, Prio: cpu.PrioKernel, Trace: c.Trace}
+	c.ioc = fs.IOCtx{P: c.P, CPU: c.OS.CPU, Prio: cpu.PrioKernel, Trace: c.Trace}
+	return &c.ioc
 }
 
 // Handler implements one system call.
@@ -147,14 +152,13 @@ func Dispatch(c *Ctx, r *Request) {
 }
 
 // injectedErrno picks the transient errno for a SyscallErrno injection:
-// the rule's Param if it names one, else a deterministic rotation over
-// EINTR / EAGAIN / ENOMEM.
+// the rule's Param if it names a Transient one, else a deterministic
+// rotation over transientErrnos.
 func injectedErrno(in *fault.Injector, rule fault.Rule) errno.Errno {
-	switch errno.Errno(rule.Param) {
-	case errno.EINTR, errno.EAGAIN, errno.ENOMEM:
-		return errno.Errno(rule.Param)
+	if e := errno.Errno(rule.Param); Transient(e) {
+		return e
 	}
-	return [3]errno.Errno{errno.EINTR, errno.EAGAIN, errno.ENOMEM}[in.Pick(3)]
+	return transientErrnos[in.Pick(len(transientErrnos))]
 }
 
 func fail(r *Request, err error) {

@@ -103,6 +103,7 @@ func RunChaos(m *platform.Machine, cfg ChaosConfig) (ChaosResult, error) {
 
 	c := gclib.C{G: m.Genesys, Wait: cfg.Wait}
 	res := ChaosResult{Latency: obs.NewHistogram(), Validated: true}
+	want := newPatternWindow(chaosPatternSeed)
 	note := func(e errno.Errno) bool {
 		if e == errno.OK {
 			res.OpsOK++
@@ -121,22 +122,22 @@ func RunChaos(m *platform.Machine, cfg ChaosConfig) (ChaosResult, error) {
 				off := int64(wg) * cfg.ChunkBytes
 				lead := w.IsLeader()
 
-				// SSD leg: open + pread + validate.
-				buf := make([]byte, cfg.ChunkBytes)
+				// SSD leg: open + pread + validate. Only the leader's
+				// request reads, so only the leader has a destination.
+				var buf []byte
+				if lead {
+					buf = make([]byte, cfg.ChunkBytes)
+				}
 				fd, e := c.Open(w, "/data/chaos.dat", fs.O_RDONLY)
 				if lead && note(e) {
 					n, e2 := c.Pread(w, fd, buf, off)
-					if note(e2) {
-						if int64(n) != cfg.ChunkBytes ||
-							buf[0] != patternByte(off, chaosPatternSeed) ||
-							buf[n-1] != patternByte(off+int64(n)-1, chaosPatternSeed) {
-							res.Validated = false
-						}
+					if note(e2) && !want.readValid(int64(n), buf, off) {
+						res.Validated = false
 					}
 					note(c.Close(w, fd))
 				} else if e == errno.OK {
 					// Non-leaders still participate in the collectives.
-					_, _ = c.Pread(w, fd, buf, off)
+					_, _ = c.Pread(w, fd, nil, off)
 					_ = c.Close(w, fd)
 				}
 

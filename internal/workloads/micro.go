@@ -193,7 +193,7 @@ func RunPread(m *platform.Machine, cfg PreadConfig) (PreadResult, error) {
 	want := newPatternWindow(preadSeed)
 	validated := true
 	var bufs readBufs
-	var kernelBuf any // only kernel granularity reads into one shared buffer
+	var kernelBuf []byte // only kernel granularity reads into one shared buffer
 	if cfg.Granularity == GranKernel {
 		kernelBuf = make([]byte, cfg.FileSize)
 	}
@@ -245,22 +245,20 @@ func RunPread(m *platform.Machine, cfg PreadConfig) (PreadResult, error) {
 						bufs.put(buf)
 					}
 				case GranKernel:
-					buf := w.WG.Run.Args.([]byte)
 					r, invoker, err := g.InvokeKernel(w, syscalls.Request{
 						NR:   syscalls.SYS_pread64,
 						Args: [6]uint64{uint64(fd), uint64(cfg.FileSize), 0},
-						Buf:  buf,
+						Buf:  kernelBuf,
 					}, core.Options{Blocking: true, Wait: cfg.Wait,
 						Ordering: core.Relaxed, Kind: core.Producer})
 					if err != nil {
 						validated = false
 					}
-					if invoker && !want.readValid(r.Ret, buf, 0) {
+					if invoker && !want.readValid(r.Ret, kernelBuf, 0) {
 						validated = false
 					}
 				}
 			},
-			Args: kernelBuf,
 		})
 		k.Wait(p)
 		g.Drain(p)

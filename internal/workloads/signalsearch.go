@@ -100,8 +100,12 @@ func RunSignalSearch(m *platform.Machine, cfg SignalSearchConfig) (SignalSearchR
 	m.E.Spawn("host", func(p *sim.Proc) {
 		start := p.Now()
 		if cfg.UseSignals {
+			// A surfaced rt_sigqueueinfo queues no signal, so the host
+			// waits for every signal delivered, not for one per block.
+			// After Drain every non-blocking call has completed, so the
+			// delivered count is final.
 			done := sim.NewCond(m.E)
-			remaining := cfg.Blocks
+			processed := int64(0)
 			for h := 0; h < cfg.Handlers; h++ {
 				pr.Spawn(fmt.Sprintf("sig-handler%d", h), func(hp *sim.Proc) {
 					for {
@@ -110,8 +114,8 @@ func RunSignalSearch(m *platform.Machine, cfg SignalSearchConfig) (SignalSearchR
 							return // poison: all blocks processed
 						}
 						checksum(hp, int(si.Value))
-						remaining--
-						if remaining == 0 {
+						processed++
+						if processed == pr.Sig.Delivered {
 							done.Broadcast()
 						}
 					}
@@ -120,7 +124,7 @@ func RunSignalSearch(m *platform.Machine, cfg SignalSearchConfig) (SignalSearchR
 			k := launchLookup(p)
 			k.Wait(p)
 			g.Drain(p)
-			for remaining > 0 {
+			for processed < pr.Sig.Delivered {
 				done.Wait(p, "signal-search completion")
 			}
 			for h := 0; h < cfg.Handlers; h++ {
