@@ -839,9 +839,10 @@ func (g *Genesys) InvokeEach(w *gpu.Wavefront, mk func(lane int) (req syscalls.R
 //	relaxed consumer:  Bar1 — syscall            (write-like)
 //	relaxed producer:         syscall — Bar2     (read-like)
 //
-// Every wavefront of the work-group must call InvokeWG. The leader's
-// result is returned with invoker=true; other wavefronts get a zero
-// Result and invoker=false.
+// Every wavefront of the work-group must call InvokeWG; invoker is true
+// only for the leader. Bar2 broadcasts the leader's result, so where
+// the ordering has one (strong, relaxed producer) every wavefront gets
+// it; under relaxed consumer ordering the others get a zero Result.
 func (g *Genesys) InvokeWG(w *gpu.Wavefront, req syscalls.Request, o Options) (res Result, invoker bool) {
 	if o.Ordering == Strong || o.Kind == Consumer {
 		w.Barrier() // Bar1
@@ -851,7 +852,7 @@ func (g *Genesys) InvokeWG(w *gpu.Wavefront, req syscalls.Request, o Options) (r
 		invoker = true
 	}
 	if o.Ordering == Strong || o.Kind == Producer {
-		w.Barrier() // Bar2
+		res = gpu.Broadcast(w, res) // Bar2
 	}
 	return res, invoker
 }

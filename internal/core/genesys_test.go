@@ -228,6 +228,71 @@ func TestOrderingBarrierPlacement(t *testing.T) {
 	}
 }
 
+func TestInvokeWGBroadcastsLeaderResult(t *testing.T) {
+	// Bar2 hands the leader's Result to every wavefront of a 4-wavefront
+	// group; relaxed consumer ordering has no Bar2, so the others get a
+	// zero Result. late delays wavefront 3 until long after the leader's
+	// pwrite has completed, so the leader waits for it at Bar2.
+	const n = 123
+	cases := []struct {
+		name       string
+		o          core.Options
+		late       sim.Time
+		wantOthers core.Result
+	}{
+		{"strong", core.Options{Ordering: core.Strong}, 0, core.Result{Ret: n}},
+		{"producer", core.Options{Ordering: core.Relaxed, Kind: core.Producer}, 0, core.Result{Ret: n}},
+		{"producer-late", core.Options{Ordering: core.Relaxed, Kind: core.Producer}, sim.Millisecond, core.Result{Ret: n}},
+		{"consumer", core.Options{Ordering: core.Relaxed, Kind: core.Consumer}, 0, core.Result{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newMachine(t, 1)
+			pr := m.NewProcess("app")
+			f, _ := m.VFS.Open("/tmp/out", fs.O_CREAT|fs.O_WRONLY)
+			fd, _ := pr.FDs.Install(f)
+			o := tc.o
+			o.Blocking, o.Wait = true, core.WaitPoll
+			got := make([]core.Result, 4)
+			var leaderDone, lateAt sim.Time
+			m.E.Spawn("host", func(p *sim.Proc) {
+				m.GPU.Launch(p, gpu.Kernel{
+					Name: "bcast", WorkGroups: 1, WGSize: 256,
+					Fn: func(w *gpu.Wavefront) {
+						if w.ID == 3 {
+							w.ComputeTime(tc.late)
+							lateAt = w.P.Now()
+						}
+						res, _ := m.Genesys.InvokeWG(w, syscalls.Request{
+							NR:   syscalls.SYS_pwrite64,
+							Args: [6]uint64{uint64(fd), n, 0},
+							Buf:  make([]byte, n),
+						}, o)
+						got[w.ID] = res
+						if w.IsLeader() {
+							leaderDone = w.P.Now()
+						}
+					},
+				}).Wait(p)
+			})
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != (core.Result{Ret: n}) {
+				t.Fatalf("leader got %+v, want Ret %d", got[0], n)
+			}
+			for id, r := range got[1:] {
+				if r != tc.wantOthers {
+					t.Errorf("wavefront %d got %+v, want %+v", id+1, r, tc.wantOthers)
+				}
+			}
+			if tc.late > 0 && leaderDone != lateAt {
+				t.Errorf("leader left Bar2 at %v, not at the late arrival %v", leaderDone, lateAt)
+			}
+		})
+	}
+}
+
 func TestKernelGranularity(t *testing.T) {
 	m := newMachine(t, 1)
 	pr := m.NewProcess("app")

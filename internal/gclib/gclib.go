@@ -7,11 +7,10 @@
 //
 //   - work-group collective (the default): every wavefront of the
 //     work-group calls the wrapper; wavefront 0 invokes the system call
-//     and the result is published to the whole group through work-group
-//     shared memory under the ordering's barriers. All blocking
-//     collective wrappers use relaxed producer ordering (result needed →
-//     post-call barrier), matching the paper's best-performing
-//     configurations.
+//     and the post-call barrier broadcasts its result to the whole group
+//     (gpu.Broadcast). All blocking collective wrappers use relaxed
+//     producer ordering (result needed → post-call barrier), matching the
+//     paper's best-performing configurations.
 //   - wavefront-local (the *WF suffix): the calling wavefront invokes
 //     alone with no group synchronization — the building block for
 //     work-item-style patterns such as grep's immediate match report.
@@ -82,57 +81,25 @@ func (c C) invoke(w *gpu.Wavefront, req syscalls.Request) core.Result {
 
 // collect runs one blocking call at work-group granularity with relaxed
 // producer ordering (leader invokes, post-call barrier — Figure 4 with
-// Bar1 elided) and publishes the leader's result to every wavefront.
-// Publication happens strictly before the barrier, so the result is
-// visible to the whole group regardless of wavefront arrival order.
+// Bar1 elided); the barrier broadcasts the leader's result and request
+// buffer to every wavefront. The leader's buffer is shared virtual
+// memory in the modeled machine, so a wavefront whose own buffer is
+// another slice copies the reply into it and Go callers see the bytes a
+// real work-group would.
 func (c C) collect(w *gpu.Wavefront, req syscalls.Request) core.Result {
-	res, _ := c.collectBuf(w, req)
-	return res
-}
-
-// wgCollect is the per-work-group publication state of the collective
-// wrappers: a small ring of (result, leader-buffer) slots indexed by
-// each wavefront's running call count. Wavefronts proceed in barrier
-// lockstep, so a reader can lag the leader by at most one call and a
-// four-slot ring can never be overwritten before it is read. One typed
-// struct in shared memory replaces the old per-call fmt.Sprintf keys and
-// the unbounded result entries they accumulated in the Shared map —
-// measurable garbage at fleet syscall rates.
-type wgCollect struct {
-	seq map[int]int // per-wavefront running call index
-	res [4]core.Result
-	buf [4][]byte
-}
-
-// collectKey is the wgCollect entry's name in work-group shared memory.
-const collectKey = "__gclib_collect"
-
-// collectBuf is collect exposing the leader's request buffer, which in
-// the modeled machine is shared virtual memory: wrappers whose reply
-// arrives in the buffer copy it into each wavefront's local slice so Go
-// callers see the same bytes a real work-group would.
-func (c C) collectBuf(w *gpu.Wavefront, req syscalls.Request) (core.Result, []byte) {
-	sh := w.WG.Shared
-	cs, _ := sh[collectKey].(*wgCollect)
-	if cs == nil {
-		cs = &wgCollect{seq: make(map[int]int)}
-		sh[collectKey] = cs
+	type published struct {
+		res core.Result
+		buf []byte
 	}
-	seq := cs.seq[w.ID]
-	cs.seq[w.ID] = seq + 1
-	slot := seq & 3
-
+	var out published
 	if w.IsLeader() {
-		cs.res[slot] = c.invoke(w, req)
-		cs.buf[slot] = req.Buf
+		out = published{c.invoke(w, req), req.Buf}
 	}
-	w.Barrier() // producer ordering's post-call barrier
-	out := cs.res[slot]
-	shared := cs.buf[slot]
-	if req.Buf != nil && shared != nil && &req.Buf[0] != &shared[0] {
-		copy(req.Buf, shared)
+	out = gpu.Broadcast(w, out) // producer ordering's post-call barrier
+	if len(req.Buf) > 0 && len(out.buf) > 0 && &req.Buf[0] != &out.buf[0] {
+		copy(req.Buf, out.buf)
 	}
-	return out, shared
+	return out.res
 }
 
 // fire issues a non-blocking consumer call from the group leader after a
@@ -505,7 +472,7 @@ func (c C) PollWith(w *gpu.Wavefront, fds []int, timeout sim.Time, s *PollScratc
 		s = &scratch
 	}
 	s.buf = syscalls.EncodePollFDsInto(s.buf, fds)
-	r, _ := c.collectBuf(w, syscalls.Request{
+	r := c.collect(w, syscalls.Request{
 		NR:   syscalls.SYS_poll,
 		Args: [6]uint64{uint64(len(fds)), uint64(timeout)},
 		Buf:  s.buf,

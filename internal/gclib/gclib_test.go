@@ -11,6 +11,7 @@ import (
 	"genesys/internal/gpu"
 	"genesys/internal/platform"
 	"genesys/internal/sim"
+	"genesys/internal/syscalls"
 )
 
 func newM(t *testing.T) *platform.Machine {
@@ -114,6 +115,53 @@ func TestSkewedWavefrontsStillAgree(t *testing.T) {
 		if pid != 1 {
 			t.Fatalf("wavefront %d saw pid %d", id, pid)
 		}
+	}
+}
+
+func TestZeroLengthBuffers(t *testing.T) {
+	// Empty buffers are valid arguments: the collective must publish the
+	// result without indexing them.
+	for _, size := range []int{64, 256} {
+		m := newM(t)
+		c := gclib.C{G: m.Genesys}
+		if err := m.WriteFile("/tmp/f", []byte("data")); err != nil {
+			t.Fatal(err)
+		}
+		runKernel(t, m, 1, size, func(w *gpu.Wavefront) {
+			if err := c.Print(w, ""); err != errno.OK {
+				t.Errorf("%d WIs: print: %v", size, err)
+			}
+			if err := c.Printf(w, "%s", ""); err != errno.OK {
+				t.Errorf("%d WIs: printf: %v", size, err)
+			}
+			fd, err := c.Open(w, "/tmp/f", 0)
+			if err != errno.OK {
+				t.Errorf("%d WIs: open: %v", size, err)
+			}
+			if n, err := c.Read(w, fd, make([]byte, 0)); n != 0 || err != errno.OK {
+				t.Errorf("%d WIs: read: %d %v", size, n, err)
+			}
+		})
+	}
+}
+
+func TestOneWavefrontCollectiveAllocs(t *testing.T) {
+	// A one-wavefront group has nobody to broadcast to: a collective
+	// call allocates what the leader's own invocation does.
+	m := newM(t)
+	c := gclib.C{G: m.Genesys}
+	var collective, local float64
+	runKernel(t, m, 1, 64, func(w *gpu.Wavefront) {
+		getpid := syscalls.Request{NR: syscalls.SYS_getpid}
+		o := core.Options{Blocking: true, Wait: c.Wait}
+		for i := 0; i < 16; i++ { // warm the slot chunk and pools
+			c.GetPID(w)
+		}
+		collective = testing.AllocsPerRun(100, func() { c.GetPID(w) })
+		local = testing.AllocsPerRun(100, func() { m.Genesys.Invoke(w, getpid, o) })
+	})
+	if collective != local {
+		t.Fatalf("GetPID in a 64-WI group allocates %.2f/call, the leader's invocation %.2f", collective, local)
 	}
 }
 

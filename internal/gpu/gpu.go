@@ -9,8 +9,8 @@
 //     ordering at kernel scope can deadlock (paper §V-A) and why
 //     non-blocking system calls that let a work-group finish early free
 //     resources for other work-groups;
-//   - work-items within a work-group can barrier cheaply; there is no
-//     portable kernel-wide barrier;
+//   - work-items within a work-group can barrier, and broadcast the
+//     leader's value, cheaply; there is no portable kernel-wide barrier;
 //   - each resident wavefront occupies a hardware slot whose ID (and the
 //     derived per-lane hardware work-item IDs) indexes the GENESYS
 //     syscall area;
@@ -21,6 +21,7 @@ package gpu
 
 import (
 	"fmt"
+	"unsafe"
 
 	"genesys/internal/obs"
 	"genesys/internal/sim"
@@ -310,9 +311,9 @@ type WorkGroup struct {
 	barCond  *sim.Cond
 	barWhy   string // deadlock-report reason, built on the first wait
 
-	// Shared is scratch state shared by the work-group's wavefronts,
-	// standing in for LDS.
-	Shared map[string]any
+	// bcast holds the leader's value for Broadcast, one slot per parity
+	// of barGen.
+	bcast [2]unsafe.Pointer
 
 	doneWaves int
 }
@@ -323,7 +324,6 @@ func (d *Device) startWG(kr *KernelRun, c *cu) {
 		ID:      kr.nextWG,
 		cu:      c,
 		barCond: sim.NewCond(d.e),
-		Shared:  make(map[string]any),
 	}
 	kr.nextWG++
 	d.WGsDispatched++
@@ -536,6 +536,35 @@ func (w *Wavefront) Barrier() {
 	for wg.barGen == gen {
 		wg.barCond.Wait(w.P, wg.barWhy)
 	}
+}
+
+// Broadcast is a work-group barrier that returns the leader's
+// (wavefront 0's) v to every wavefront of the group, as OpenCL 2.0's
+// work_group_broadcast does; the other wavefronts' v are ignored. Every
+// wavefront of the group must call it at the same point, with the same T.
+//
+// The leader stores v before it arrives, in the slot of the current
+// barrier generation's parity. A released wavefront reads its slot when
+// it next runs; by then the leader may have stored the next broadcast's
+// value, but in the other slot, and it cannot get two broadcasts ahead
+// because the next barrier waits for that wavefront. A one-wavefront
+// group stores nothing.
+func Broadcast[T any](w *Wavefront, v T) T {
+	wg := w.WG
+	if len(wg.waves) == 1 {
+		w.Barrier()
+		return v
+	}
+	slot := &wg.bcast[wg.barGen&1]
+	if w.IsLeader() {
+		p := new(T)
+		*p = v
+		*slot = unsafe.Pointer(p)
+		w.Barrier()
+		return v
+	}
+	w.Barrier()
+	return *(*T)(*slot)
 }
 
 // GlobalBarrier attempts a kernel-wide barrier across all work-groups.

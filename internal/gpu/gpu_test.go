@@ -113,32 +113,72 @@ func TestOccupancyLimitsConcurrency(t *testing.T) {
 
 func TestWorkGroupBarrier(t *testing.T) {
 	e, d := newDev(1)
-	phase1 := 0
-	ok := true
+	const groups, waves = 4, 8
+	arrived := make([]int, groups) // per work-group arrivals
+	left := 0
 	e.Spawn("host", func(p *sim.Proc) {
 		d.Launch(p, Kernel{
-			Name: "barrier", WorkGroups: 4, WGSize: 512,
+			Name: "barrier", WorkGroups: groups, WGSize: waves * 64,
 			Fn: func(w *Wavefront) {
 				w.ComputeTime(sim.Time(w.ID+1) * sim.Microsecond) // skewed arrival
-				phase1++
+				arrived[w.WG.ID]++
 				w.Barrier()
-				// After the barrier every wavefront of this WG must have
-				// completed phase 1; since WGs run concurrently we can
-				// only check a multiple-of-8 property per own group via
-				// the shared map.
-				n, _ := w.WG.Shared["count"].(int)
-				w.WG.Shared["count"] = n + 1
-				if ph, _ := w.WG.Shared["phase1"].(int); w.ID == 0 && ph != 0 {
-					ok = false
+				if n := arrived[w.WG.ID]; n != waves {
+					t.Errorf("wg%d/wf%d left the barrier after %d of %d arrivals",
+						w.WG.ID, w.ID, n, waves)
 				}
+				left++
 			},
 		}).Wait(p)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if phase1 != 4*8 || !ok {
-		t.Fatalf("phase1=%d ok=%v", phase1, ok)
+	if left != groups*waves {
+		t.Fatalf("%d wavefronts left the barrier, want %d", left, groups*waves)
+	}
+}
+
+func TestBroadcastBackToBack(t *testing.T) {
+	// Back-to-back broadcasts with no compute between them: the last
+	// wavefront to arrive runs on past the barrier before the others
+	// read, so the leader often stores its next value before a released
+	// wavefront has read the current one. Odd rounds skew arrivals so
+	// the leader also arrives first and last.
+	const waves, rounds = 4, 8
+	for _, size := range []int{64, waves * 64} {
+		e, d := newDev(1)
+		got := make([][]int, size/64)
+		e.Spawn("host", func(p *sim.Proc) {
+			d.Launch(p, Kernel{
+				Name: "bcast", WorkGroups: 1, WGSize: size,
+				Fn: func(w *Wavefront) {
+					for r := 0; r < rounds; r++ {
+						if r%2 == 1 {
+							w.ComputeTime(sim.Time((w.ID+r)%waves) * sim.Microsecond)
+						}
+						v := -1
+						if w.IsLeader() {
+							v = 100 + r
+						}
+						got[w.ID] = append(got[w.ID], Broadcast(w, v))
+					}
+				},
+			}).Wait(p)
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for id, vs := range got {
+			for r, v := range vs {
+				if v != 100+r {
+					t.Errorf("%d WIs: wavefront %d got %d in round %d, want %d", size, id, v, r, 100+r)
+				}
+			}
+			if len(vs) != rounds {
+				t.Errorf("%d WIs: wavefront %d finished %d rounds, want %d", size, id, len(vs), rounds)
+			}
+		}
 	}
 }
 

@@ -4,7 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
+
+	"genesys/internal/platform"
 )
 
 // grepDigest hashes everything a GrepCorpus holds.
@@ -109,6 +112,22 @@ func TestWordcountSharedCorpus(t *testing.T) {
 		if gotMetrics != freshMetrics {
 			t.Fatalf("%v: metrics differ between shared and fresh corpus", v)
 		}
+	}
+}
+
+// TestGrepReturnsRunError: a GPU whose compute units hold fewer
+// wavefronts than a grep work-group needs fails the kernel launch
+// inside the simulation; RunGrep returns that as an error.
+func TestGrepReturnsRunError(t *testing.T) {
+	cfg := DefaultGrepConfig(GrepGPUWorkGroup)
+	cfg.Files, cfg.FileBytes = 2, 4<<10
+	pcfg := platform.DefaultConfig()
+	pcfg.GPU.WavefrontsPerCU = 2
+	m := platform.New(pcfg)
+	t.Cleanup(m.Shutdown)
+	_, err := RunGrep(m, cfg, NewGrepCorpus(cfg))
+	if err == nil || !strings.Contains(err.Error(), "wavefront slots") {
+		t.Fatalf("err = %v, want the failed launch", err)
 	}
 }
 

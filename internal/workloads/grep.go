@@ -271,27 +271,28 @@ func RunGrep(m *platform.Machine, cfg GrepConfig, c *GrepCorpus) (GrepResult, er
 	pr := m.NewProcess("grep")
 	res := GrepResult{Expected: slices.Clone(c.expected)}
 
-	var runtime sim.Time
 	switch cfg.Variant {
 	case GrepCPU, GrepOpenMP:
-		runtime = runGrepCPU(m, pr, cfg, c.scan, c.names)
+		spawnGrepCPU(m, pr, cfg, c.scan, c.names, &res.Runtime)
 	default:
-		runtime = runGrepGPU(m, cfg, c.scan, c.names)
+		spawnGrepGPU(m, cfg, c.scan, c.names, &res.Runtime)
 	}
-	res.Runtime = runtime
+	if err := m.Run(); err != nil {
+		return GrepResult{}, err
+	}
 	res.Found = m.OS.Console.Lines()
 	sort.Strings(res.Found)
 	return res, nil
 }
 
-// runGrepCPU runs the serial or OpenMP-parallel host implementation.
-func runGrepCPU(m *platform.Machine, pr *oskern.Process, cfg GrepConfig,
-	scan *matcher, names []string) sim.Time {
+// spawnGrepCPU spawns the serial or OpenMP-parallel host
+// implementation, which stores its runtime in *runtime.
+func spawnGrepCPU(m *platform.Machine, pr *oskern.Process, cfg GrepConfig,
+	scan *matcher, names []string, runtime *sim.Time) {
 	threads := 1
 	if cfg.Variant == GrepOpenMP {
 		threads = cfg.CPUThreads
 	}
-	var runtime sim.Time
 	m.E.Spawn("host", func(p *sim.Proc) {
 		start := p.Now()
 		next := 0
@@ -339,12 +340,8 @@ func runGrepCPU(m *platform.Machine, pr *oskern.Process, cfg GrepConfig,
 		for active > 0 {
 			done.Wait(p, "grep threads")
 		}
-		runtime = p.Now() - start
+		*runtime = p.Now() - start
 	})
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	return runtime
 }
 
 // copyTail moves the last keep bytes of chunk to the front of buf and
@@ -357,14 +354,14 @@ func copyTail(buf, chunk []byte, keep int) int {
 	return keep
 }
 
-// runGrepGPU runs the GENESYS implementations: one work-group per file;
-// the group preads chunks and scans them in parallel; on the first match
-// the finding work-item prints the file name — at work-group granularity
-// or directly at work-item granularity with the configured wait mode
-// (the paper's WG / WI-polling / WI-halt-resume variants).
-func runGrepGPU(m *platform.Machine, cfg GrepConfig, scan *matcher, names []string) sim.Time {
+// spawnGrepGPU spawns the GENESYS implementations, which store their
+// runtime in *runtime: one work-group per file; the group preads chunks
+// and scans them in parallel; on the first match the finding work-item
+// prints the file name — at work-group granularity or directly at
+// work-item granularity with the configured wait mode (the paper's WG /
+// WI-polling / WI-halt-resume variants).
+func spawnGrepGPU(m *platform.Machine, cfg GrepConfig, scan *matcher, names []string, runtime *sim.Time) {
 	g := m.Genesys
-	var runtime sim.Time
 	m.E.Spawn("host", func(p *sim.Proc) {
 		start := p.Now()
 		k := m.GPU.Launch(p, gpu.Kernel{
@@ -373,23 +370,21 @@ func runGrepGPU(m *platform.Machine, cfg GrepConfig, scan *matcher, names []stri
 			WGSize:     256,
 			Fn: func(w *gpu.Wavefront) {
 				name := names[w.WG.ID]
-				sh := w.WG.Shared
+				// Only the leader's requests and scan read the chunk.
+				var buf []byte
 				if w.IsLeader() {
-					sh["buf"] = make([]byte, grepChunk)
+					buf = make([]byte, grepChunk)
 				}
 				// Leader opens the file; the producer-relaxed barrier
-				// (Bar2) publishes the descriptor to the group.
+				// (Bar2) broadcasts the descriptor to the group.
 				openOpts := core.Options{Blocking: true, Wait: core.WaitPoll,
 					Ordering: core.Relaxed, Kind: core.Producer}
-				if r, inv := g.InvokeWG(w, syscalls.Request{
+				r, _ := g.InvokeWG(w, syscalls.Request{
 					NR:   syscalls.SYS_open,
 					Args: [6]uint64{fs.O_RDONLY},
 					Buf:  []byte("/tmp/" + name),
-				}, openOpts); inv {
-					sh["fd"] = uint64(r.Ret)
-				}
-				fd := sh["fd"].(uint64)
-				buf := sh["buf"].([]byte)
+				}, openOpts)
+				fd := uint64(r.Ret)
 				// The leader keeps the previous chunk's last keep bytes,
 				// so a word straddling two chunks is found too.
 				keep := max(scan.maxLen-1, 0)
@@ -397,24 +392,22 @@ func runGrepGPU(m *platform.Machine, cfg GrepConfig, scan *matcher, names []stri
 
 				matched := false
 				for off := int64(0); off < int64(cfg.FileBytes) && !matched; off += grepChunk {
-					if r, inv := g.InvokeWG(w, syscalls.Request{
+					r, _ := g.InvokeWG(w, syscalls.Request{
 						NR:   syscalls.SYS_pread64,
 						Args: [6]uint64{fd, grepChunk, uint64(off)},
 						Buf:  buf,
-					}, openOpts); inv {
-						sh["n"] = r.Ret
-					}
-					n := sh["n"].(int64)
+					}, openOpts)
+					n := r.Ret
 					if n <= 0 {
 						break
 					}
 					// Parallel scan: the work-group covers the chunk
-					// cooperatively; the leader publishes the match's
+					// cooperatively; the leader broadcasts the match's
 					// file offset (or -1) at the reduction barrier.
 					w.ComputeTime(sim.Time(float64(n) / cfg.GPUScanBytesPerNS))
+					at := int64(-1)
 					if w.IsLeader() {
 						chunk := buf[:n]
-						at := int64(-1)
 						if i := scan.index(chunk); i >= 0 {
 							at = off + int64(i)
 						} else if i := scan.index(append(tail, chunk[:min(len(chunk), keep)]...)); i >= 0 {
@@ -424,11 +417,8 @@ func runGrepGPU(m *platform.Machine, cfg GrepConfig, scan *matcher, names []stri
 							at = off - int64(len(tail)) + int64(i)
 						}
 						tail = append(tail[:0], chunk[len(chunk)-min(len(chunk), keep):]...)
-						sh["at"] = at
 					}
-					w.Barrier()
-					at := sh["at"].(int64)
-					if at < 0 {
+					if at = gpu.Broadcast(w, at); at < 0 {
 						continue
 					}
 					matched = true
@@ -477,10 +467,6 @@ func runGrepGPU(m *platform.Machine, cfg GrepConfig, scan *matcher, names []stri
 		})
 		k.Wait(p)
 		g.Drain(p)
-		runtime = p.Now() - start
+		*runtime = p.Now() - start
 	})
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	return runtime
 }

@@ -333,25 +333,24 @@ func RunMemcached(m *platform.Machine, cfg MemcachedConfig) (MemcachedResult, er
 			m.GPU.Launch(p, gpu.Kernel{
 				Name: "mc-serve", WorkGroups: cfg.ServerWGs, WGSize: 256,
 				Fn: func(w *gpu.Wavefront) {
-					sh := w.WG.Shared
+					// Only the leader's requests and reply read the
+					// request header.
+					var buf []byte
 					if w.IsLeader() {
-						sh["buf"] = make([]byte, mcHdrSize)
+						buf = make([]byte, mcHdrSize)
 					}
 					opts := core.Options{Blocking: true, Wait: core.WaitPoll,
 						Ordering: core.Relaxed, Kind: core.Producer}
-					buf := sh["buf"].([]byte)
 					for i := 0; i < perWG; i++ {
-						if r, inv := g.InvokeWG(w, syscalls.Request{
+						r, _ := g.InvokeWG(w, syscalls.Request{
 							NR:   syscalls.SYS_recvfrom,
 							Args: [6]uint64{uint64(fd), mcHdrSize},
 							Buf:  buf,
-						}, opts); inv {
-							sh["src"] = int(r.OutArgs[0])
-						}
-						src := sh["src"].(int)
+						}, opts)
 						// Parallel hash + bucket scan + value copy.
 						w.ComputeTime(cfg.GPUScanTime)
 						if w.IsLeader() {
+							src := int(r.OutArgs[0])
 							seq := binary.LittleEndian.Uint32(buf[1:])
 							bucket := int(binary.LittleEndian.Uint32(buf[5:]))
 							elem := int(binary.LittleEndian.Uint32(buf[9:]))

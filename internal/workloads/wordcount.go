@@ -328,31 +328,28 @@ func RunWordcount(m *platform.Machine, cfg WordcountConfig, c *WordcountCorpus) 
 				WorkGroups: cfg.GPUWorkGroups,
 				WGSize:     256,
 				Fn: func(w *gpu.Wavefront) {
-					sh := w.WG.Shared
+					// Only the leader's requests and count read these.
+					var buf []byte
+					var local []int64
 					if w.IsLeader() {
-						sh["buf"] = make([]byte, cfg.FileBytes)
+						buf = make([]byte, cfg.FileBytes)
+						local = make([]int64, cfg.Words)
 					}
 					opts := core.Options{Blocking: true, Wait: core.WaitPoll,
 						Ordering: core.Relaxed, Kind: core.Producer}
-					buf := sh["buf"].([]byte)
-					local := make([]int64, cfg.Words)
 					for f := w.WG.ID; f < cfg.Files; f += cfg.GPUWorkGroups {
-						if r, inv := g.InvokeWG(w, syscalls.Request{
+						r, _ := g.InvokeWG(w, syscalls.Request{
 							NR:   syscalls.SYS_open,
 							Args: [6]uint64{fs.O_RDONLY},
 							Buf:  []byte(wcFileName(f)),
-						}, opts); inv {
-							sh["fd"] = uint64(r.Ret)
-						}
-						fd := sh["fd"].(uint64)
-						if r, inv := g.InvokeWG(w, syscalls.Request{
+						}, opts)
+						fd := uint64(r.Ret)
+						r, _ = g.InvokeWG(w, syscalls.Request{
 							NR:   syscalls.SYS_read,
 							Args: [6]uint64{fd, uint64(cfg.FileBytes)},
 							Buf:  buf,
-						}, opts); inv {
-							sh["n"] = r.Ret
-						}
-						n := sh["n"].(int64)
+						}, opts)
+						n := r.Ret
 						if n < 0 {
 							// The read failed with a surfaced errno:
 							// nothing to scan, and the run fails.
